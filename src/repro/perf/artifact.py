@@ -57,7 +57,6 @@ def suite_to_doc(result: SuiteResult, label: str,
         cases[run.case] = {
             "seed": run.seed,
             "repeats": run.repeats,
-            "engine": run.engine,
             "wall_seconds": [round(w, 6) for w in run.wall_seconds],
             "metrics": dict(run.metrics),
             "params": dict(run.params),
@@ -100,10 +99,6 @@ def validate(doc: object, *, path: Union[str, Path, None] = None) -> dict:
         for key in ("seed", "repeats", "metrics"):
             if key not in case:
                 raise ArtifactError(f"case {name!r} missing {key!r}{where}")
-        # "engine" is optional for backward compatibility with pre-batch
-        # artifacts (their cases all ran the event engine)
-        if not isinstance(case.get("engine", "event"), str):
-            raise ArtifactError(f"case {name!r} engine not a string{where}")
         metrics = case["metrics"]
         if not isinstance(metrics, dict):
             raise ArtifactError(f"case {name!r} metrics not an object{where}")

@@ -21,13 +21,11 @@ regression — wire it into CI after a quick run to gate perf.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from ..bench.reporting import format_table, si
-from ..sim.scheduler import ENGINES
 from . import artifact, compare, profile as profiling
 from .suite import CASES, run_suite
 
@@ -47,8 +45,7 @@ def _cmd_run(args) -> int:
             b.strip() for b in spec.split(",") if b.strip()
         ) for spec in args.backends]
     suite = run_suite(tier, names=names, repeats=args.repeats,
-                      progress=print, workers=args.workers,
-                      engine=args.engine)
+                      progress=print, workers=args.workers)
     doc = artifact.suite_to_doc(suite, label)
     artifact.write_artifact(out, doc)
     print(f"\nartifact: {out} (schema {artifact.SCHEMA}, tier {tier}, "
@@ -126,8 +123,7 @@ def _cmd_profile(args) -> int:
         case = CASES[name]
         print(f"== {name}: top {args.top} host hotspots "
               f"({args.tier} tier, cProfile by own time) ==")
-        report = profiling.profile_case(case, tier=args.tier, top=args.top,
-                                        engine=args.engine)
+        report = profiling.profile_case(case, tier=args.tier, top=args.top)
         print(report.table())
         print(f"profiled wall: {report.wall_seconds:.2f}s\n")
         if not args.no_trace:
@@ -135,30 +131,6 @@ def _cmd_profile(args) -> int:
             if trace is not None:
                 print(trace)
                 print()
-    return 0
-
-
-def _cmd_parity(args) -> int:
-    from . import parity
-
-    deck = list(args.item) if args.item else None
-    report = parity.run_parity(deck=deck, tier=args.tier,
-                               workers=args.workers,
-                               log=None if args.quiet else print)
-    print("\n" + report.table())
-    for item in report.items:
-        if not item.ok:
-            print(f"parity: {item.spec}: {item.detail}", file=sys.stderr)
-    if args.record:
-        out = Path(args.record)
-        out.write_text(json.dumps(report.to_doc(), sort_keys=True,
-                                  indent=2) + "\n")
-        print(f"record: {out}")
-    if not report.ok:
-        print("ENGINE PARITY: FAIL", file=sys.stderr)
-        return 1
-    print(f"ENGINE PARITY: ok ({len(report.items)} items, "
-          f"event/batch wall {report.speedup:.2f}x)")
     return 0
 
 
@@ -186,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run the churn shootout over this "
                             "comma-separated backend roster (repeatable; "
                             "names from `python -m repro backends list`)")
-    p_run.add_argument("--engine", choices=ENGINES, default=None,
-                       help="scheduler run loop for every case (default: "
-                            "the process default, i.e. event). Recorded "
-                            "per case in the artifact; virtual metrics "
-                            "are engine-invariant by contract")
     p_run.add_argument("--label", default=None,
                        help="artifact label (default: next free PR<k>)")
     p_run.add_argument("--out", default=None, metavar="PATH",
@@ -244,32 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--top", type=int, default=10,
                         help="rows in the hotspot table (default %(default)s)")
     p_prof.add_argument("--tier", choices=("quick", "full"), default="quick")
-    p_prof.add_argument("--engine", choices=ENGINES, default=None,
-                        help="profile under this scheduler run loop "
-                             "(default: the process default)")
     p_prof.add_argument("--no-trace", action="store_true",
                         help="skip the tracer-derived telemetry section")
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_par = sub.add_parser(
-        "parity",
-        help="run every bench case + verify scenario under both engines "
-             "and fail on any observable divergence")
-    p_par.add_argument("--item", action="append", metavar="SPEC",
-                       help="deck item (repeatable): 'bench:<case>' or "
-                            "'verify:<scenario>/<seed>'; default: the "
-                            "full deck")
-    p_par.add_argument("--tier", choices=("quick", "full"), default="quick",
-                       help="bench tier for bench: items (default quick)")
-    p_par.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="shard deck items across N worker processes "
-                            "(0 = one per CPU; default 1 = serial)")
-    p_par.add_argument("--record", default=None, metavar="PATH",
-                       help="write the per-item timings and verdicts as "
-                            "JSON (includes the deck engine_wall split)")
-    p_par.add_argument("--quiet", action="store_true",
-                       help="suppress per-item progress lines")
-    p_par.set_defaults(func=_cmd_parity)
     return parser
 
 

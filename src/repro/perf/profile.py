@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..bench.reporting import format_table, trace_summary
-from ..sim.scheduler import use_engine
 from ..sim.trace import Tracer
 from .suite import BenchCase
 
@@ -64,23 +63,15 @@ def _where(func) -> str:
 
 
 def profile_case(case: BenchCase, tier: str = "quick",
-                 top: int = 10,
-                 engine: Optional[str] = None) -> ProfileReport:
-    """Run ``case`` once under cProfile; return the top-N own-time rows.
-
-    ``engine`` profiles the case under that scheduler run loop
-    (``None`` inherits the process default) — the direct way to answer
-    "where does the batch engine spend the time the event engine
-    doesn't?".
-    """
+                 top: int = 10) -> ProfileReport:
+    """Run ``case`` once under cProfile; return the top-N own-time rows."""
     runner = case.runner(tier)
     prof = cProfile.Profile()
-    with use_engine(engine):
-        prof.enable()
-        try:
-            runner()
-        finally:
-            prof.disable()
+    prof.enable()
+    try:
+        runner()
+    finally:
+        prof.disable()
     stats = pstats.Stats(prof)
     total = getattr(stats, "total_tt", 0.0)
     rows = sorted(

@@ -45,7 +45,6 @@ from ..bench import (ablations, fig5, fig6, fig7, fragmentation, lockstep,
                      shootout)
 from ..bench.reporting import geometric_mean
 from ..resil import bench as resil_bench
-from ..sim.scheduler import default_engine, use_engine
 from ..sim.trace import Tracer
 
 #: (metrics, params) as produced by one tier-runner invocation
@@ -87,10 +86,6 @@ class CaseRun:
     wall_seconds: List[float]          # one entry per repeat
     metrics: Dict[str, float]          # "virtual:*" plus "wall:seconds"
     params: Dict[str, object] = field(default_factory=dict)
-    #: scheduler engine the case ran under (part of the artifact schema;
-    #: ``virtual:*`` metrics are engine-invariant by the parity contract,
-    #: ``wall:seconds`` is not)
-    engine: str = "event"
 
 
 @dataclass
@@ -506,48 +501,36 @@ _register(BenchCase(
 # running
 # ----------------------------------------------------------------------
 def run_case(case: BenchCase, tier: str = "quick",
-             repeats: Optional[int] = None,
-             engine: Optional[str] = None) -> CaseRun:
+             repeats: Optional[int] = None) -> CaseRun:
     """Run one case: ``repeats`` timed repetitions, median wall-clock.
 
     Virtual metrics are required to be identical across repeats — the
     simulator is seeded, so any drift means nondeterminism crept into a
     bench runner, which would silently poison the perf trajectory.
-
-    ``engine`` selects the scheduler run loop for every scheduler the
-    runner constructs (``None`` inherits the process default).  The
-    resolved engine is recorded on the returned :class:`CaseRun`;
-    ``virtual:*`` metrics are engine-invariant (the parity contract),
-    so only ``wall:seconds`` should move with this knob.
     """
     runner = case.runner(tier)
     n = repeats if repeats is not None else DEFAULT_REPEATS[tier]
     if n < 1:
         raise ValueError(f"repeats must be >= 1 (got {n})")
-    eng = engine if engine is not None else default_engine()
     walls: List[float] = []
     metrics: Optional[Dict[str, float]] = None
     params: Dict[str, object] = {}
-    with use_engine(eng):
-        for i in range(n):
-            t0 = time.perf_counter()
-            virt, params = runner()
-            walls.append(time.perf_counter() - t0)
-            if metrics is not None and virt != metrics:
-                changed = sorted(
-                    k for k in virt if virt.get(k) != metrics.get(k))
-                raise RuntimeError(
-                    f"case {case.name!r} ({tier}) is nondeterministic: "
-                    f"virtual metrics changed across repeats "
-                    f"({', '.join(changed)})"
-                )
-            metrics = virt
+    for i in range(n):
+        t0 = time.perf_counter()
+        virt, params = runner()
+        walls.append(time.perf_counter() - t0)
+        if metrics is not None and virt != metrics:
+            changed = sorted(k for k in virt if virt.get(k) != metrics.get(k))
+            raise RuntimeError(
+                f"case {case.name!r} ({tier}) is nondeterministic: virtual "
+                f"metrics changed across repeats ({', '.join(changed)})"
+            )
+        metrics = virt
     assert metrics is not None
     out = {f"virtual:{k}": float(v) for k, v in sorted(metrics.items())}
     out["wall:seconds"] = statistics.median(walls)
     return CaseRun(case=case.name, tier=tier, seed=case.seed, repeats=n,
-                   wall_seconds=walls, metrics=out, params=params,
-                   engine=eng)
+                   wall_seconds=walls, metrics=out, params=params)
 
 
 def resolve_case(name: str) -> BenchCase:
@@ -584,25 +567,22 @@ def resolve_case(name: str) -> BenchCase:
     )
 
 
-def _run_case_named(name: str, tier: str, repeats: Optional[int],
-                    engine: Optional[str] = None) -> CaseRun:
+def _run_case_named(name: str, tier: str, repeats: Optional[int]) -> CaseRun:
     """Module-level shard worker: run one case by *name*.
 
     ``BenchCase`` runners are lambdas and cannot cross a process
     boundary; the name can (including the ``shootout@...`` form, which
     re-resolves from the name alone), and every worker rebuilds the
     registry on import — so this is the picklable unit
-    :func:`run_suite` shards.  The engine travels by name for the same
-    reason (a fresh worker process starts on the default engine).
+    :func:`run_suite` shards.
     """
-    return run_case(resolve_case(name), tier, repeats, engine=engine)
+    return run_case(resolve_case(name), tier, repeats)
 
 
 def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
               repeats: Optional[int] = None,
               progress: Optional[Callable[[str], None]] = None,
-              workers: int = 1,
-              engine: Optional[str] = None) -> SuiteResult:
+              workers: int = 1) -> SuiteResult:
     """Run the registered cases (all, or the ``names`` subset) at a tier.
 
     ``workers > 1`` shards the cases across processes via
@@ -610,10 +590,6 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
     to the serial run's (cases are seeded and independent), except that
     ``wall:seconds`` reflects a time-shared host — artifacts meant as
     wall-clock baselines should be recorded serially.
-
-    ``engine`` selects the scheduler run loop for every case (``None``
-    inherits the process default; shard workers receive it explicitly
-    because a fresh process starts on the default engine).
     """
     if names is None:
         selected = list(CASES.values())
@@ -627,8 +603,7 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
             progress(f"[{tier}] sharding {len(selected)} case(s) across "
                      f"{resolve_workers(workers)} worker(s) ...")
         runs = map_sharded(
-            functools.partial(_run_case_named, tier=tier, repeats=repeats,
-                              engine=engine),
+            functools.partial(_run_case_named, tier=tier, repeats=repeats),
             [case.name for case in selected],
             workers=workers, log=progress,
         )
@@ -637,7 +612,7 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
     for case in selected:
         if progress:
             progress(f"[{tier}] {case.name}: {case.description} ...")
-        run = run_case(case, tier, repeats, engine=engine)
+        run = run_case(case, tier, repeats)
         if progress:
             progress(f"    {run.metrics['wall:seconds']:.2f}s wall "
                      f"(median of {run.repeats})")

@@ -26,7 +26,6 @@ import sys
 import time
 from typing import List, Optional
 
-from ..sim.scheduler import ENGINES
 from ..verify.runner import SCENARIOS
 from .plan import SITES
 from .runner import (
@@ -81,11 +80,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--case", action="append", metavar="SPEC", default=None,
         help="run explicit case(s) 'scenario:seed:fault-plan' instead of "
              "a deck (repeatable)",
-    )
-    p_run.add_argument(
-        "--engine", choices=ENGINES, default="event",
-        help="scheduler run loop for deck cases (default 'event'); "
-             "explicit --case specs carry their own [/engine] qualifier",
     )
     p_run.add_argument(
         "--no-replay-check", action="store_true",
@@ -149,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as e:
             parser.error(str(e))
     else:
-        deck = deck_for(args.tier, engine=args.engine)
+        deck = deck_for(args.tier)
         if args.scenario:
             deck = [s for s in deck if s.scenario in args.scenario]
             if not deck:

@@ -25,13 +25,12 @@ assertions on top:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..sim.errors import SimError
-from ..sim.scheduler import ENGINES, use_engine
 from ..verify.perturbation import Perturbation
-from ..verify.runner import SCENARIOS, _Harness
+from ..verify.runner import SCENARIOS, _Harness, split_replay
 from .plan import FaultInjector, FaultPlan
 
 #: nominal sizes for ``run_deck(tier=...)``
@@ -51,52 +50,25 @@ class ResilSpec:
     #: in shared machinery — ``spinlock.hold`` — fire for any backend
     #: built on it; ours-specific sites only fire for ours)
     backend: str = "ours"
-    #: scheduler run loop the case executes under; part of the replay
-    #: spec so a fault trace reproduces under the engine that made it
-    engine: str = "event"
 
     @property
     def replay(self) -> str:
-        """``scenario[@backend][/engine]:seed:planspec`` — the ``replay``
-        CLI argument.  Plan specs never contain ``:``, so the triple
-        splits cleanly; the ``@backend`` and ``/engine`` qualifiers are
-        omitted for the defaults (``ours``, ``event``) so historic
-        replay strings stay valid."""
+        """``scenario[@backend]:seed:planspec`` — the ``replay`` CLI
+        argument.  Plan specs never contain ``:``, so the triple splits
+        cleanly; the ``@backend`` qualifier is omitted for ``ours`` so
+        historic replay strings stay valid."""
         scen = self.scenario
         if self.backend != "ours":
             scen = f"{scen}@{self.backend}"
-        if self.engine != "event":
-            scen = f"{scen}/{self.engine}"
         return f"{scen}:{self.seed}:{self.plan.spec}"
 
     @classmethod
     def parse(cls, replay: str) -> "ResilSpec":
-        parts = replay.split(":", 2)
-        if len(parts) < 2:
-            raise ValueError(
-                f"bad resil replay spec {replay!r} "
-                "(want scenario[@backend][/engine]:seed[:fault-plan])"
-            )
-        scenario, seed = parts[0], int(parts[1])
-        engine = "event"
-        if "/" in scenario:
-            scenario, engine = scenario.rsplit("/", 1)
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"bad resil replay spec {replay!r}: unknown engine "
-                    f"{engine!r} (choose from {', '.join(ENGINES)})"
-                )
-        backend = "ours"
-        if "@" in scenario:
-            scenario, backend = scenario.split("@", 1)
-        if not scenario or not backend:
-            raise ValueError(
-                f"bad resil replay spec {replay!r}: empty "
-                f"{'scenario' if not scenario else 'backend'} fragment "
-                "(want scenario[@backend][/engine]:seed[:fault-plan])"
-            )
-        plan = FaultPlan.parse(parts[2]) if len(parts) == 3 else FaultPlan()
-        return cls(scenario, seed, plan, backend=backend, engine=engine)
+        scenario, backend, seed, plan = split_replay(
+            replay, "resil replay spec", "fault-plan")
+        return cls(scenario, seed,
+                   FaultPlan() if plan is None else FaultPlan.parse(plan),
+                   backend=backend)
 
     def __str__(self) -> str:
         return self.replay
@@ -142,13 +114,10 @@ def _run_once(spec: ResilSpec) -> ResilResult:
     inj = FaultInjector(spec.plan, seed=spec.seed)
     result = ResilResult(spec)
     try:
-        # Pinned for the whole case (scenarios re-enter Scheduler.run),
-        # so the fault trace reproduces under the spec's engine.
-        with use_engine(spec.engine):
-            h = _Harness(spec.seed, Perturbation(), checker=None,
-                         fault_injector=inj, backend=spec.backend,
-                         **harness_kwargs)
-            scenario(h)
+        h = _Harness(spec.seed, Perturbation(), checker=None,
+                     fault_injector=inj, backend=spec.backend,
+                     **harness_kwargs)
+        scenario(h)
         # Post-fault recovery assertions.  The scenario's final
         # checkpoint already validated every structural and accounting
         # invariant after the faults; re-assert the parts the paper's
@@ -273,17 +242,12 @@ FULL_DECK: List[ResilSpec] = QUICK_DECK + [
 ]
 
 
-def deck_for(tier: str, engine: str = "event") -> List[ResilSpec]:
+def deck_for(tier: str) -> List[ResilSpec]:
     if tier == "quick":
-        deck = list(QUICK_DECK)
-    elif tier == "full":
-        deck = list(FULL_DECK)
-    else:
-        raise ValueError(
-            f"unknown tier {tier!r}; choose from {', '.join(TIERS)}")
-    if engine != "event":
-        deck = [replace(spec, engine=engine) for spec in deck]
-    return deck
+        return list(QUICK_DECK)
+    if tier == "full":
+        return list(FULL_DECK)
+    raise ValueError(f"unknown tier {tier!r}; choose from {', '.join(TIERS)}")
 
 
 def run_deck(deck: Sequence[ResilSpec], replay_check: bool = True,

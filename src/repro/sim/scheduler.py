@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heappushpop
 from types import GeneratorType as Generator
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from . import ops as _ops
 from .cost_model import DEFAULT_COST_MODEL, CostModel
@@ -49,54 +47,6 @@ _ST_CONV = 2
 _ST_DONE = 3
 
 _TIMER = -1  # sentinel tid for timer events
-
-#: sentinel tid for bucketed heap entries produced by the batch engine:
-#: ``(t, first_seq, _BATCH, [first_seq, item, ...])`` carries every
-#: event the batch engine queued for time ``t`` in one heap entry (an
-#: item is an int tid or a timer callable; see repro.sim.engine_batch)
-_BATCH = -2
-
-#: the selectable run-loop implementations (``Scheduler(engine=...)``)
-ENGINES = ("event", "batch")
-
-#: process-wide default for ``Scheduler(engine=None)`` — see
-#: :func:`set_default_engine` / :func:`use_engine`
-_DEFAULT_ENGINE = "event"
-
-
-def default_engine() -> str:
-    """The engine a ``Scheduler(engine=None)`` will resolve to."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (validated against
-    :data:`ENGINES`).  Harnesses that construct schedulers deep inside
-    bench runners use this — via :func:`use_engine` — to thread an
-    ``--engine`` flag without changing every runner signature."""
-    global _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown engine {name!r}; choose from {', '.join(ENGINES)}"
-        )
-    _DEFAULT_ENGINE = name
-
-
-@contextmanager
-def use_engine(name: Optional[str]):
-    """Scoped :func:`set_default_engine`; ``None`` is a no-op (inherit).
-
-    Schedulers constructed inside the ``with`` body with
-    ``engine=None`` resolve to ``name``; the previous default is
-    restored on exit even when the body raises.
-    """
-    prev = _DEFAULT_ENGINE
-    if name is not None:
-        set_default_engine(name)
-    try:
-        yield
-    finally:
-        set_default_engine(prev)
 
 #: effective event budget when ``run(max_events=None)`` — one compare
 #: per event against a huge int beats a per-event ``is not None`` test
@@ -280,7 +230,6 @@ class Scheduler:
         steer: int = 0,
         schedule_probe: Optional[Callable[[tuple], None]] = None,
         probe_every: int = PROBE_EVERY,
-        engine: Optional[str] = None,
     ) -> None:
         # Hostile knobs fail here, at construction, with pointed errors.
         # Accepting them used to defer the failure into the run loop
@@ -305,13 +254,6 @@ class Scheduler:
                 f"attached (got {probe_every}): anything smaller silently "
                 "degrades to probing every event"
             )
-        if engine is None:
-            engine = _DEFAULT_ENGINE
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
-            )
-        self.engine = engine
         self.memory = memory
         self.device = device
         self.cost_model = cost_model
@@ -504,10 +446,8 @@ class Scheduler:
         """Reschedule a released cohort — every tid at the same ``t``.
 
         The barrier / warp-sync / convergence handlers release whole
-        groups at one timestamp; routing those through a single call
-        (instead of per-tid :meth:`_push`) lets the batch engine absorb
-        the entire cohort with one bucket extend.  Entries keep push
-        order, so the schedule is identical to per-tid pushes.
+        groups at one timestamp.  Entries keep push order, so the
+        schedule is identical to per-tid :meth:`_push` calls.
         """
         heap = self._heap
         seq = self._seq
@@ -530,21 +470,10 @@ class Scheduler:
         tests or construction in its inner loop, while the *traced
         path* reports every event into the tracer.  Virtual results —
         cycles, events, op counts, memory effects, thread return values
-        — are bit-identical between the two (pinned by the tracer-parity
+        — are bit-identical between the two, down to the digest stream a
+        ``schedule_probe`` sees (pinned by the fast-vs-traced parity
         tests); only host wall time differs.
-
-        ``engine="batch"`` swaps both loops for the batch-stepped
-        implementations in :mod:`repro.sim.engine_batch`, which drain
-        whole same-timestamp cohorts per heap pop.  The virtual-parity
-        contract extends across engines: the same run at the same seed
-        is byte-identical in every virtual metric and schedule digest
-        no matter which engine executed it (pinned by the cross-engine
-        parity deck, ``python -m repro perf parity``).
         """
-        if self.engine == "batch":
-            from .engine_batch import run_batch
-
-            return run_batch(self, max_events)
         if self.tracer is None:
             return self._run_fast(max_events)
         return self._run_traced(max_events)
@@ -1090,37 +1019,9 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _heap_pending(self) -> Iterable[Tuple[int, int]]:
-        """The pending-event multiset as ``(time, tid)`` pairs.
-
-        Expands the batch engine's bucketed heap entries (every bucket
-        item is one pending event; timer items fold as :data:`_TIMER`,
-        exactly like the event engine's timer entries), so the digest
-        sees the same abstract multiset regardless of how the live
-        engine physically queues it.
-        """
-        for entry in self._heap:
-            tid = entry[2]
-            if tid == _BATCH:
-                t = entry[0]
-                items = entry[3]
-                for j in range(1, len(items)):
-                    item = items[j]
-                    yield (t, item) if type(item) is int else (t, _TIMER)
-            else:
-                yield entry[0], tid
-
-    def state_digest(
-        self, pending: Optional[Iterable[Tuple[int, int]]] = None
-    ) -> tuple:
+    def state_digest(self) -> tuple:
         """Cheap deterministic digest of the instantaneous scheduler
         state: ``(digest, contended)``.
-
-        ``pending`` overrides the pending-event multiset — an iterable
-        of ``(time, tid)`` pairs.  The batch engine passes its
-        composite view (remaining batch items, same-cycle buckets,
-        heap) mid-run; the default reads the heap, expanding any
-        bucketed entries.
 
         ``digest`` is a 64-bit FNV-style fold over the *abstract*
         schedule state — live-thread count, the pending-event multiset
@@ -1144,14 +1045,13 @@ class Scheduler:
         now = self._now
         h = _FNV_OFFSET
         h = ((h ^ (self._live_threads & _MASK64)) * _FNV_PRIME) & _MASK64
-        # pending-event multiset (commutative sum over entries)
-        if pending is None:
-            pending = self._heap_pending()
+        # pending-event multiset as (time, tid) pairs, timer entries
+        # folding as _TIMER (commutative sum over entries)
         acc = 0
-        for t, tid in pending:
+        for entry in self._heap:
             e = _FNV_OFFSET
-            e = ((e ^ ((t - now) & _MASK64)) * _FNV_PRIME) & _MASK64
-            e = ((e ^ (tid & _MASK64)) * _FNV_PRIME) & _MASK64
+            e = ((e ^ ((entry[0] - now) & _MASK64)) * _FNV_PRIME) & _MASK64
+            e = ((e ^ (entry[2] & _MASK64)) * _FNV_PRIME) & _MASK64
             acc = (acc + e) & _MASK64
         h = ((h ^ acc) * _FNV_PRIME) & _MASK64
         # parked threads (barrier / convergence waiters)

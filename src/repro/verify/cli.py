@@ -32,7 +32,6 @@ import sys
 import time
 from typing import List, Optional
 
-from ..sim.scheduler import ENGINES
 from .perturbation import DEFAULT_DECK, SMOKE_DECK
 from .runner import SCENARIOS, CaseResult, CaseSpec, sweep, run_case
 from .shrink import shrink_case
@@ -76,11 +75,6 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--backend", metavar="NAME", default="ours",
         help="allocator backend to explore (default 'ours')",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="event",
-        help="scheduler run loop to explore under (default 'event'); "
-             "part of every replay spec the session prints",
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="K",
@@ -132,7 +126,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
     report = explore(
         scenarios=args.scenario, budget=args.budget, backend=args.backend,
         master_seed=args.seed, workers=args.workers,
-        probe_every=args.probe_every, engine=args.engine, log=log,
+        probe_every=args.probe_every, log=log,
     )
     print()
     print(report.describe())
@@ -142,7 +136,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
         baseline = deck_coverage(
             scenarios=args.scenario, budget=args.budget,
             backend=args.backend, workers=args.workers,
-            probe_every=args.probe_every, engine=args.engine, log=log,
+            probe_every=args.probe_every, log=log,
         )
         print()
         print(baseline.describe())
@@ -202,13 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "name; default 'ours')",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default="event",
-        help="scheduler run loop to sweep under (default 'event'); "
-             "recorded in every replay spec the sweep prints",
-    )
-    parser.add_argument(
         "--replay", metavar="SPEC", default=None,
-        help="replay one failing case: 'scenario[@backend][/engine]:seed:"
+        help="replay one failing case: 'scenario[@backend]:seed:"
              "perturbation' (as printed by a failing sweep)",
     )
     parser.add_argument(
@@ -257,8 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"perturbation(s) x {len(names)} scenario(s) = {n_cases} cases")
     results = sweep(seeds, deck=deck, scenarios=names,
                     fail_fast=args.fail_fast, log=print,
-                    workers=args.workers, backend=args.backend,
-                    engine=args.engine)
+                    workers=args.workers, backend=args.backend)
     failures = [r for r in results if not r.ok]
     elapsed = time.time() - t0
     if not failures:

@@ -135,13 +135,9 @@ def run_probed(item: ExploreItem) -> ExploreOutcome:
     result = run_case(item.spec, probe=trace, probe_every=item.probe_every)
     # Seed the chain with the case identity axes that change what a
     # digest *means* (scenario workload, backend layout, probe cadence)
-    # so prefix/schedule hashes never collide across them.  The engine
-    # rides along too: cross-engine digests are parity-locked, but an
-    # exploration session is an engine-pinned artifact and its schedule
-    # identities should say so.
+    # so prefix/schedule hashes never collide across them.
     h = _fold_str(_FNV_OFFSET, item.spec.scenario)
     h = _fold_str(h, item.spec.backend)
-    h = _fold_str(h, item.spec.engine)
     h = _fold(h, item.probe_every)
     prefixes = []
     for d in trace.digests:
@@ -245,7 +241,6 @@ class Explorer:
         master_seed: int = 0,
         workers: int = 1,
         probe_every: int = PROBE_EVERY,
-        engine: str = "event",
     ) -> None:
         names = list(scenarios) if scenarios else sorted(SCENARIOS)
         for name in names:
@@ -259,7 +254,6 @@ class Explorer:
         self.scenarios = names
         self.budget = budget
         self.backend = backend
-        self.engine = engine
         self.workers = workers
         self.probe_every = probe_every
         self._rng = random.Random(0x5EED ^ (master_seed * 0x9E3779B1))
@@ -380,7 +374,7 @@ class Explorer:
         # round 0: the baseline corpus — every scenario at its first
         # seeds, unperturbed (these anchor the schedule tree's trunk)
         initial = [
-            CaseSpec(name, seed, Perturbation(), self.backend, self.engine)
+            CaseSpec(name, seed, Perturbation(), self.backend)
             for seed in (0, 1) for name in self.scenarios
         ][: self.budget]
         for spec in initial:
@@ -421,14 +415,12 @@ def explore(
     master_seed: int = 0,
     workers: int = 1,
     probe_every: int = PROBE_EVERY,
-    engine: str = "event",
     log: Optional[Callable[[str], None]] = None,
 ) -> ExploreReport:
     """Run one coverage-guided exploration session (see :class:`Explorer`)."""
     return Explorer(
         scenarios=scenarios, budget=budget, backend=backend,
         master_seed=master_seed, workers=workers, probe_every=probe_every,
-        engine=engine,
     ).run(log=log)
 
 
@@ -439,7 +431,6 @@ def deck_coverage(
     deck: Sequence[Perturbation] = DEFAULT_DECK,
     workers: int = 1,
     probe_every: int = PROBE_EVERY,
-    engine: str = "event",
     log: Optional[Callable[[str], None]] = None,
 ) -> ExploreReport:
     """Measure the random sweep's schedule coverage at an equal budget.
@@ -458,7 +449,7 @@ def deck_coverage(
     while len(specs) < budget:
         for pert in deck:
             for name in names:
-                specs.append(CaseSpec(name, seed, pert, backend, engine))
+                specs.append(CaseSpec(name, seed, pert, backend))
         seed += 1
     specs = specs[:budget]
     coverage = ScheduleCoverage()

@@ -18,7 +18,7 @@ Every failure carries its replay triple ``scenario:seed:perturbation``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import backends as backend_registry
 from ..bench import workloads
@@ -27,7 +27,7 @@ from ..sim.cost_model import DEFAULT_COST_MODEL
 from ..sim.device import GPUDevice
 from ..sim.errors import EventBudgetExceeded, SimError
 from ..sim.memory import DeviceMemory
-from ..sim.scheduler import ENGINES, PROBE_EVERY, Scheduler, use_engine
+from ..sim.scheduler import PROBE_EVERY, Scheduler
 from .perturbation import DEFAULT_DECK, Perturbation
 from .race import RaceChecker, RaceFinding
 
@@ -35,6 +35,53 @@ _NULL = DeviceMemory.NULL
 
 #: livelock guard per case (scheduler events)
 EVENT_BUDGET = 30_000_000
+
+
+#: scheduler-engine suffixes (``storm/batch:3``) that replay strings
+#: from the two-engine era may carry.  The engines were parity-locked,
+#: so the one run loop replays either engine's schedule exactly and the
+#: suffix is accepted and dropped.
+_LEGACY_ENGINES = ("event", "batch")
+
+
+def split_replay(replay: str, what: str,
+                 payload: str) -> Tuple[str, str, int, Optional[str]]:
+    """Split ``scenario[@backend]:seed[:payload]`` into
+    ``(scenario, backend, seed, payload_text)``.
+
+    The grammar shared by :class:`CaseSpec` and
+    :class:`~repro.resil.runner.ResilSpec`; they differ only in the
+    payload they parse from ``payload_text`` (``None`` when absent).
+    ``what`` and ``payload`` name the spec and its payload in error
+    messages.  A trailing ``/event`` or ``/batch`` on the scenario
+    fragment is discarded (see :data:`_LEGACY_ENGINES`); any other
+    ``/`` suffix is rejected.
+    """
+    grammar = f"(want scenario[@backend]:seed[:{payload}])"
+    parts = replay.split(":", 2)
+    if len(parts) < 2:
+        raise ValueError(f"bad {what} {replay!r} {grammar}")
+    scenario, seed = parts[0], int(parts[1])
+    if "/" in scenario:
+        scenario, engine = scenario.rsplit("/", 1)
+        if engine not in _LEGACY_ENGINES:
+            raise ValueError(
+                f"bad {what} {replay!r}: unknown engine suffix "
+                f"'/{engine}' (only the historical '/event' and '/batch' "
+                f"are accepted, and ignored) {grammar}"
+            )
+    backend = "ours"
+    if "@" in scenario:
+        scenario, backend = scenario.split("@", 1)
+    if not scenario or not backend:
+        # Catch `@:3` / `scen@:3` / `@cuda:3` here with a pointed
+        # message instead of constructing a spec that only fails
+        # later with an opaque registry/scenario KeyError.
+        raise ValueError(
+            f"bad {what} {replay!r}: empty "
+            f"{'scenario' if not scenario else 'backend'} fragment {grammar}"
+        )
+    return scenario, backend, seed, parts[2] if len(parts) == 3 else None
 
 
 @dataclass(frozen=True)
@@ -47,56 +94,24 @@ class CaseSpec:
     #: registry name of the allocator under test (scenarios drive the
     #: uniform BackendHandle, so any registered backend fits)
     backend: str = "ours"
-    #: scheduler run loop the case executes under.  Part of the replay
-    #: spec: the engines are parity-locked, but a failure found under
-    #: one must replay under that one — "same bug, other engine" is a
-    #: claim the harness proves, never assumes.
-    engine: str = "event"
 
     @property
     def replay(self) -> str:
-        """``scenario[@backend][/engine]:seed:perturbation`` — the
-        ``--replay`` argument.  The ``@backend`` and ``/engine``
-        qualifiers are omitted for the defaults (``ours``, ``event``)
-        so historic replay strings stay valid and stable."""
+        """``scenario[@backend]:seed:perturbation`` — the ``--replay``
+        argument.  The ``@backend`` qualifier is omitted for the default
+        (``ours``) so historic replay strings stay valid and stable."""
         scen = self.scenario
         if self.backend != "ours":
             scen = f"{scen}@{self.backend}"
-        if self.engine != "event":
-            scen = f"{scen}/{self.engine}"
         return f"{scen}:{self.seed}:{self.perturbation.spec}"
 
     @classmethod
     def parse(cls, replay: str) -> "CaseSpec":
-        parts = replay.split(":", 2)
-        if len(parts) < 2:
-            raise ValueError(
-                f"bad replay spec {replay!r} "
-                "(want scenario[@backend][/engine]:seed[:perturbation])"
-            )
-        scenario, seed = parts[0], int(parts[1])
-        engine = "event"
-        if "/" in scenario:
-            scenario, engine = scenario.rsplit("/", 1)
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"bad replay spec {replay!r}: unknown engine "
-                    f"{engine!r} (choose from {', '.join(ENGINES)})"
-                )
-        backend = "ours"
-        if "@" in scenario:
-            scenario, backend = scenario.split("@", 1)
-        if not scenario or not backend:
-            # Catch `@:3` / `scen@:3` / `@cuda:3` here with a pointed
-            # message instead of constructing a spec that only fails
-            # later with an opaque registry/scenario KeyError.
-            raise ValueError(
-                f"bad replay spec {replay!r}: empty "
-                f"{'scenario' if not scenario else 'backend'} fragment "
-                "(want scenario[@backend][/engine]:seed[:perturbation])"
-            )
-        pert = Perturbation.parse(parts[2]) if len(parts) == 3 else Perturbation()
-        return cls(scenario, seed, pert, backend, engine)
+        scenario, backend, seed, pert = split_replay(
+            replay, "replay spec", "perturbation")
+        return cls(scenario, seed,
+                   Perturbation() if pert is None else Perturbation.parse(pert),
+                   backend)
 
     def __str__(self) -> str:
         return self.replay
@@ -442,17 +457,12 @@ def run_case(spec: CaseSpec, check_races: bool = True,
     checker = RaceChecker() if check_races else None
     result = CaseResult(spec)
     try:
-        # The engine is pinned for the whole case, not just the harness
-        # constructor: scenarios launch follow-up kernels and re-enter
-        # Scheduler.run, and every one of those must replay the spec's
-        # engine.
-        with use_engine(spec.engine):
-            h = _Harness(spec.seed, spec.perturbation, checker,
-                         backend=spec.backend, probe=probe,
-                         probe_every=probe_every, **harness_kwargs)
-            if allocator_hook is not None:
-                allocator_hook(h)
-            scenario(h)
+        h = _Harness(spec.seed, spec.perturbation, checker,
+                     backend=spec.backend, probe=probe,
+                     probe_every=probe_every, **harness_kwargs)
+        if allocator_hook is not None:
+            allocator_hook(h)
+        scenario(h)
     except EventBudgetExceeded as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         result.budget_exhausted = True
@@ -467,8 +477,7 @@ def sweep(seeds: Sequence[int], deck: Sequence[Perturbation] = DEFAULT_DECK,
           scenarios: Optional[Sequence[str]] = None,
           fail_fast: bool = False,
           log: Optional[Callable[[str], None]] = None,
-          workers: int = 1, backend: str = "ours",
-          engine: str = "event") -> List[CaseResult]:
+          workers: int = 1, backend: str = "ours") -> List[CaseResult]:
     """Run the full seeds x deck x scenarios grid; returns all results.
 
     The seeds -> deck -> scenarios nesting order is the grid's
@@ -482,7 +491,7 @@ def sweep(seeds: Sequence[int], deck: Sequence[Perturbation] = DEFAULT_DECK,
     serial contract.
     """
     names = list(scenarios) if scenarios else list(SCENARIOS)
-    grid = [CaseSpec(name, seed, pert, backend, engine)
+    grid = [CaseSpec(name, seed, pert, backend)
             for seed in seeds for pert in deck for name in names]
     if workers > 1 and len(grid) > 1:
         from ..par.pool import map_sharded

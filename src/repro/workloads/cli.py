@@ -26,7 +26,6 @@ import time
 from typing import List, Optional
 
 from ..bench.reporting import si
-from ..sim.scheduler import ENGINES
 from . import families
 from .replay import ReplayReport, replay
 from .trace import TraceError, dump, load, validate
@@ -86,11 +85,10 @@ def _cmd_gen(args) -> int:
 
 
 def _replay_one(job) -> ReplayReport:
-    """Module-level shard worker: (path, backend, seed, lanes, pool,
-    engine)."""
-    path, backend, seed, lanes, pool, engine = job
+    """Module-level shard worker: (path, backend, seed, lanes, pool)."""
+    path, backend, seed, lanes, pool = job
     return replay(load(path), backend=backend, seed=seed,
-                  lanes_per_tenant=lanes, pool=pool, engine=engine)
+                  lanes_per_tenant=lanes, pool=pool)
 
 
 def _cmd_replay(args) -> int:
@@ -104,7 +102,7 @@ def _cmd_replay(args) -> int:
     print(f"replaying {args.trace}: {summary['events']} events, "
           f"{trace.tenants} tenant(s), lanes/tenant {args.lanes}, "
           f"seed {args.seed}, backend(s): {', '.join(roster)}")
-    jobs = [(args.trace, b, args.seed, args.lanes, args.pool, args.engine)
+    jobs = [(args.trace, b, args.seed, args.lanes, args.pool)
             for b in roster]
     t0 = time.time()
     if args.workers > 1 and len(jobs) > 1:
@@ -165,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated lanes per tenant (default 1)")
     p_rep.add_argument("--pool", type=int, default=1 << 20, metavar="BYTES",
                        help="backend heap size (default 1 MiB)")
-    p_rep.add_argument("--engine", choices=ENGINES, default=None,
-                       help="scheduler run loop (default: the process "
-                            "default); the replay report is "
-                            "engine-invariant by the parity contract")
     p_rep.add_argument("--workers", type=int, default=1, metavar="N",
                        help="shard the backend roster across N processes "
                             "(0 = one per CPU; default 1 = serial)")

@@ -225,23 +225,20 @@ def replay_on_scheduler(sched: Scheduler, handle, trace: Trace,
 
 def replay(trace: Trace, backend: str = "ours", seed: int = 0,
            lanes_per_tenant: int = 1, pool: int = 1 << 20,
-           num_sms: int = 4, checked: bool = False,
-           engine: Optional[str] = None) -> ReplayReport:
+           num_sms: int = 4, checked: bool = False) -> ReplayReport:
     """Standalone replay: build a fresh simulator, run, report.
 
     ``pool`` is the backend heap in bytes; the surrounding
     :class:`~repro.sim.memory.DeviceMemory` is sized generously around
     it (metadata, mailboxes).  Validates the trace first — a replayer
-    must never drive a backend from a malformed stream.  ``engine``
-    picks the scheduler run loop (``None`` = the process default); the
-    report is engine-invariant by the parity contract.
+    must never drive a backend from a malformed stream.
     """
     validate(trace)
     mem = DeviceMemory(pool * 4 + (8 << 20))
     device = GPUDevice(num_sms=num_sms)
     handle = backend_registry.build(backend, mem, device, pool,
                                     checked=checked)
-    sched = Scheduler(mem, device, seed=seed, engine=engine)
+    sched = Scheduler(mem, device, seed=seed)
     stats, report = replay_on_scheduler(sched, handle, trace,
                                         lanes_per_tenant)
     n_ops = sum(st.ops_completed for st in stats.values())

@@ -45,6 +45,17 @@ class TestRoundTrip:
         assert doc["cases"]["fake"]["params"] == {"n": 7}
         assert "clock_hz" in doc["cost_model"]
 
+    def test_historical_engine_field_still_loads(self, tmp_path):
+        # artifacts up to BENCH_PR10.json name the run loop per case;
+        # new ones do not, and old ones must still load and gate
+        doc = artifact.suite_to_doc(_tiny_suite(), "PR3")
+        assert "engine" not in doc["cases"]["fake"]
+        doc["cases"]["fake"]["engine"] = "event"
+        path = artifact.write_artifact(tmp_path / "BENCH_PR3.json", doc)
+        loaded = artifact.load_artifact(path)
+        assert loaded["cases"]["fake"]["engine"] == "event"
+        assert not has_regressions(compare_docs(doc, loaded))
+
     def test_twins_one_file_per_case(self, tmp_path):
         doc = artifact.suite_to_doc(_tiny_suite(), "PR3")
         twins = artifact.write_twins(doc, tmp_path / "results")

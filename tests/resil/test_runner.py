@@ -36,25 +36,18 @@ class TestResilSpec:
         with pytest.raises(ValueError, match="empty"):
             ResilSpec.parse(raw)
 
-    def test_parse_round_trips_engine_qualifier(self):
-        spec = ResilSpec.parse("storm/batch:7:site=tbuddy.split,p=0.5")
-        assert spec.engine == "batch"
-        assert spec.replay.startswith("storm/batch:7:")
-        assert ResilSpec.parse(spec.replay) == spec
-        # the default engine is elided from the canonical form
+    def test_parse_accepts_and_drops_engine_qualifier(self):
+        plan = "site=tbuddy.split,p=0.5"
+        spec = ResilSpec.parse(f"storm/batch:7:{plan}")
+        assert spec == ResilSpec.parse(f"storm:7:{plan}")
+        assert spec.replay == f"storm:7:{plan}"
+        assert ResilSpec.parse("storm@cuda/batch:7") == \
+            ResilSpec("storm", 7, backend="cuda")
         assert ResilSpec.parse("storm/event:7").replay == "storm:7:"
 
     def test_parse_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="unknown engine suffix '/vector'"):
             ResilSpec.parse("storm/vector:7")
-
-    def test_deck_for_pins_an_engine(self):
-        deck = deck_for("quick", engine="batch")
-        assert deck and all(s.engine == "batch" for s in deck)
-        # spec identity otherwise untouched
-        base = deck_for("quick")
-        assert [(s.scenario, s.seed, s.plan) for s in deck] == \
-            [(s.scenario, s.seed, s.plan) for s in base]
 
     def test_deck_covers_workload_scenarios(self):
         # the multi-tenant workload runs under faults in the smoke deck,

@@ -54,12 +54,10 @@ class TestReplayReconciliation:
         assert set(report.tenants) == set(server_stats)
         for t, st in report.tenants.items():
             ref = server_stats[t]
-            # the server never sees client-side skipped frees, so the
-            # causal sum is the comparable quantity
-            assert st.n_free + st.n_free_skipped == \
-                ref.n_free + ref.n_free_skipped
-            for f in ("n_malloc", "n_malloc_failed", "bytes_requested",
-                      "bytes_served"):
+            # the server never sees client-side skipped frees, so every
+            # field but n_free_skipped is comparable
+            for f in ("n_malloc", "n_malloc_failed", "n_free",
+                      "bytes_requested", "bytes_served"):
                 assert getattr(st, f) == getattr(ref, f), (t, f)
 
     def test_latencies_are_reported_per_request(self):
@@ -85,6 +83,24 @@ class TestQuotaUnderLoad:
         # skipped frees mirror failed mallocs for a balanced trace
         assert report.totals().n_free_skipped == \
             report.totals().n_malloc_failed
+
+    def test_server_check_passes_despite_client_skipped_frees(self):
+        # Regression: `serve bench` compared the client's
+        # n_free + n_free_skipped with the server's, but a free the
+        # client skips after a failed malloc never reaches the server,
+        # so every failed malloc read as a ledger mismatch.
+        from repro.serve.cli import _check_against_server
+
+        trace = load_bundled("mt_small")
+        srv, report = _serve(trace, quota_bytes=2 << 10)
+        assert report.totals().n_free_skipped > 0
+        assert _check_against_server(report, srv.engine) == []
+        # a genuinely corrupted client ledger is still caught
+        tenant = min(report.tenants)
+        report.tenants[tenant].n_free += 1
+        problems = _check_against_server(report, srv.engine)
+        assert len(problems) == 1
+        assert f"tenant {tenant} n_free:" in problems[0]
 
 
 class _FakeClock:

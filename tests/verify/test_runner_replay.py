@@ -42,29 +42,45 @@ class TestCaseSpec:
     def test_str_is_replay(self):
         assert str(CaseSpec("churn", 0)) == "churn:0:"
 
-    def test_parse_round_trips_engine_qualifier(self):
+    def test_parse_accepts_and_drops_engine_qualifier(self):
+        # replay strings recorded under the retired batch engine still
+        # parse; the one run loop replays their schedule exactly
         spec = CaseSpec.parse("storm/batch:3")
-        assert (spec.scenario, spec.engine, spec.seed) == ("storm", "batch", 3)
-        assert spec.replay == "storm/batch:3:"
-        assert CaseSpec.parse(spec.replay) == spec
-        # engine composes with a backend qualifier
+        assert spec == CaseSpec("storm", 3)
+        assert spec.replay == "storm:3:"
+        # the suffix composes with a backend qualifier
         both = CaseSpec.parse("storm@cuda/batch:3")
-        assert (both.backend, both.engine) == ("cuda", "batch")
-        assert CaseSpec.parse(both.replay) == both
+        assert both == CaseSpec("storm", 3, backend="cuda")
+        assert both.replay == "storm@cuda:3:"
 
     def test_event_engine_is_elided_from_replay(self):
         # historic replay strings stay valid and stay canonical: the
-        # default engine never appears in the printed spec
+        # engine suffix never appears in the printed spec
         spec = CaseSpec.parse("storm/event:3")
-        assert spec.engine == "event"
+        assert spec == CaseSpec("storm", 3)
         assert spec.replay == "storm:3:"
 
     def test_parse_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(ValueError, match="unknown engine suffix '/vector'"):
             CaseSpec.parse("storm/vector:3")
 
 
 class TestRunCase:
+    def test_batch_replay_reproduces_the_plain_schedule(self, capsys):
+        from repro.verify.explore import DigestTrace
+
+        runs = []
+        for raw in ("storm/batch:3:jitter=512", "storm:3:jitter=512"):
+            trace = DigestTrace()
+            res = run_case(CaseSpec.parse(raw), probe=trace, probe_every=64)
+            runs.append((res.kind, res.describe(), tuple(trace.digests)))
+            assert cli.main(["--replay", raw]) == (0 if res.ok else 1)
+        assert runs[0] == runs[1]
+        assert runs[0][2], "the probe never fired"
+        out = capsys.readouterr().out
+        assert out.count(f"{runs[0][1]}\n") == 2
+        assert "/batch" not in out
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_case(CaseSpec("warp_storm", 0))
