@@ -30,10 +30,6 @@ Usage::
         # under deterministic fault plans with post-fault recovery
         # assertions and byte-for-byte trace replay (see `resil --help`).
 
-    python -m repro par perf      # any deck runner sharded across worker
-        # processes with a deterministic merge; also available as
-        # --workers N on perf run / verify / resil run (see `par --help`).
-
     python -m repro backends list     # registered allocator backends
     python -m repro backends conform  # conformance deck over backends
         # (the shared contract every backend must satisfy; see
@@ -86,7 +82,6 @@ _SUBSYSTEMS = {
     "verify": ("verify", "schedule fuzzing + race detection + replay"),
     "perf": ("perf", "benchmark suite, regression gate, profiling"),
     "resil": ("resil", "fault injection with recovery assertions"),
-    "par": ("par", "sharded parallel deck execution"),
     "backends": ("backends", "allocator-backend registry + conformance"),
     "workloads": ("workloads", "workload zoo: generate + replay traces"),
     "serve": ("serve", "allocator-as-a-service: admission + batching"),

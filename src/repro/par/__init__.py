@@ -7,10 +7,10 @@ from a seed, so sharding cannot perturb results — the contract, enforced
 by tests, is that a sharded run's merged output is byte-identical to the
 serial run's, independent of worker count and completion order.
 
-:mod:`repro.par.pool` holds the sharding engine (:func:`map_sharded`);
-:mod:`repro.par.cli` is the ``python -m repro par`` front end.  The
-``perf run``, ``verify`` and ``resil run`` CLIs each take ``--workers N``
-and shard through the same engine.
+:mod:`repro.par.pool` holds the sharding engine (:func:`map_sharded`),
+the one deck loop behind ``perf run``, ``verify`` (sweep and explore),
+``resil run`` and ``workloads replay``.  Each takes ``--workers N``
+(``0`` = one worker per CPU, capped at 8; ``1`` = inline, serial).
 """
 
 from .pool import map_sharded, resolve_workers

@@ -11,6 +11,11 @@ Design constraints (why this is not just ``Pool.map``):
   the calling process with no executor, no pickling and no forked
   children — the serial path stays the reference implementation, and
   environments without working multiprocessing lose nothing.
+* **One deck loop.**  Every deck runner (verify sweep, resil deck, perf
+  suite, workloads replay) is a single :func:`map_sharded` call, so
+  ``--workers`` changes where a case runs, never which code runs it.
+  Fail-fast (``stop``) and per-case report lines (``describe``) are the
+  only caller hooks, and both behave identically on either path.
 * **Fork preferred.**  The fork start method inherits the registry
   modules (benchmark lambdas and scenario closures need never pickle);
   ``spawn`` is the fallback where fork is unavailable.  Only the worker
@@ -24,12 +29,14 @@ Design constraints (why this is not just ``Pool.map``):
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Any, Callable, List, Optional, Sequence
 
-__all__ = ["map_sharded", "resolve_workers", "preferred_start_method"]
+__all__ = ["map_sharded", "resolve_workers", "workers_arg",
+           "preferred_start_method"]
 
 
 def preferred_start_method() -> str:
@@ -52,6 +59,21 @@ def resolve_workers(workers: int = 0) -> int:
     return workers
 
 
+def workers_arg(raw: str) -> int:
+    """``argparse`` ``type=`` for every ``--workers`` option: an integer
+    ``>= 0``, so a bad value is a usage error (exit 2) at parse time
+    rather than a silent serial run or a traceback mid-deck."""
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0 (got {raw!r})") from None
+    if workers < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = one per CPU, capped at 8; got {workers})")
+    return workers
+
+
 #: seconds between liveness heartbeats while shards are in flight
 HEARTBEAT_S = 30.0
 
@@ -63,6 +85,8 @@ def map_sharded(
     log: Optional[Callable[[str], None]] = None,
     label: Callable[[Any], str] = str,
     heartbeat_s: float = HEARTBEAT_S,
+    stop: Optional[Callable[[Any], bool]] = None,
+    describe: Optional[Callable[[Any], str]] = None,
 ) -> List[Any]:
     """Apply ``fn`` to every item, sharded across worker processes.
 
@@ -82,15 +106,27 @@ def map_sharded(
     naming the still-running shards — long decks (full-tier perf,
     nightly resil) otherwise sit silent for minutes and are
     indistinguishable from a hang.
+
+    ``stop(result)`` makes the run fail-fast: the returned list ends at
+    the first result it accepts.  The inline path returns right there;
+    the pooled path cannot see one shard's failure from another, so it
+    runs every item and truncates the merged list at the same index.
+    ``describe(result)``, with ``log``, reports each returned result in
+    deck order — inline as each one finishes (in place of the
+    ``[i/n]`` progress line), pooled after the merge.
     """
     n = len(items)
     workers = resolve_workers(workers)
     if workers <= 1 or n <= 1:
         results = []
         for i, item in enumerate(items):
-            results.append(fn(item))
+            result = fn(item)
+            results.append(result)
             if log is not None:
-                log(f"  [{i + 1}/{n}] {label(item)}")
+                log(describe(result) if describe is not None
+                    else f"  [{i + 1}/{n}] {label(item)}")
+            if stop is not None and stop(result):
+                break
         if n == 0 and log is not None:
             log("  [0/0] empty deck — nothing to run")
         return results
@@ -131,4 +167,12 @@ def map_sharded(
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
+    if stop is not None:
+        for i, result in enumerate(results):
+            if stop(result):
+                results = results[:i + 1]
+                break
+    if describe is not None and log is not None:
+        for result in results:
+            log(describe(result))
     return results

@@ -5,7 +5,7 @@ Usage::
     python -m repro perf run --quick            # CI tier, ~seconds
     python -m repro perf run --full             # paper-scale, ~minutes
     python -m repro perf run --quick --case fig5 --case shootout
-    python -m repro perf run --quick --workers 4   # shard cases (see par)
+    python -m repro perf run --quick --workers 4   # shard cases
     python -m repro perf compare                # latest BENCH_* vs previous
     python -m repro perf compare --current /tmp/now.json \\
                                  --baseline BENCH_PR3.json --no-gate-wall
@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..bench.reporting import format_table, si
+from ..par.pool import workers_arg
 from . import artifact, compare, profile as profiling
 from .suite import CASES, run_suite
 
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--repeats", type=int, default=None,
                        help="wall-clock repeats per case (default: 3 quick, "
                             "1 full)")
-    p_run.add_argument("--workers", type=int, default=1, metavar="N",
+    p_run.add_argument("--workers", type=workers_arg, default=1, metavar="N",
                        help="shard cases across N worker processes "
                             "(0 = one per CPU; default 1 = serial). "
                             "Virtual metrics are identical either way; "

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..bench import (ablations, fig5, fig6, fig7, fragmentation, lockstep,
                      shootout)
 from ..bench.reporting import geometric_mean
+from ..par import pool
 from ..resil import bench as resil_bench
 from ..sim.trace import Tracer
 
@@ -585,36 +586,25 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
               workers: int = 1) -> SuiteResult:
     """Run the registered cases (all, or the ``names`` subset) at a tier.
 
-    ``workers > 1`` shards the cases across processes via
-    :func:`repro.par.pool.map_sharded`; the merged result is identical
-    to the serial run's (cases are seeded and independent), except that
-    ``wall:seconds`` reflects a time-shared host — artifacts meant as
-    wall-clock baselines should be recorded serially.
+    Cases go through :func:`repro.par.pool.map_sharded` by name
+    (``workers`` as there: ``1`` inline, ``0`` one per CPU); the result
+    is identical at any worker count (cases are seeded and independent),
+    except that ``wall:seconds`` reflects a time-shared host when
+    sharded — artifacts meant as wall-clock baselines should be
+    recorded serially.
     """
     if names is None:
-        selected = list(CASES.values())
+        names = list(CASES)
     else:
-        selected = [resolve_case(n) for n in names]
-    result = SuiteResult(tier=tier)
-    if workers > 1 and len(selected) > 1:
-        from ..par.pool import map_sharded, resolve_workers
-
-        if progress:
-            progress(f"[{tier}] sharding {len(selected)} case(s) across "
-                     f"{resolve_workers(workers)} worker(s) ...")
-        runs = map_sharded(
-            functools.partial(_run_case_named, tier=tier, repeats=repeats),
-            [case.name for case in selected],
-            workers=workers, log=progress,
-        )
-        result.cases.extend(runs)
-        return result
-    for case in selected:
-        if progress:
-            progress(f"[{tier}] {case.name}: {case.description} ...")
-        run = run_case(case, tier, repeats)
-        if progress:
-            progress(f"    {run.metrics['wall:seconds']:.2f}s wall "
-                     f"(median of {run.repeats})")
-        result.cases.append(run)
-    return result
+        names = [resolve_case(n).name for n in names]  # fail before running
+    if progress:
+        progress(f"[{tier}] {len(names)} case(s) on "
+                 f"{pool.resolve_workers(workers)} worker(s) ...")
+    runs = pool.map_sharded(
+        functools.partial(_run_case_named, tier=tier, repeats=repeats),
+        names, workers=workers, log=progress,
+        describe=lambda run: (
+            f"[{tier}] {run.case}: {run.metrics['wall:seconds']:.2f}s wall "
+            f"(median of {run.repeats})"),
+    )
+    return SuiteResult(tier=tier, cases=runs)

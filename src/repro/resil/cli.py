@@ -4,7 +4,7 @@ Usage::
 
     python -m repro resil run --tier quick      # CI smoke deck
     python -m repro resil run --tier full       # nightly deck
-    python -m repro resil run --workers 4       # shard the deck (see par)
+    python -m repro resil run --workers 4       # shard the deck
     python -m repro resil run --scenario churn  # restrict scenarios
     python -m repro resil run --case 'storm:1:site=tbuddy.split,p=0.5'
     python -m repro resil replay 'storm:1:site=tbuddy.split,p=0.5,max=8'
@@ -26,6 +26,7 @@ import sys
 import time
 from typing import List, Optional
 
+from ..par.pool import workers_arg
 from ..verify.runner import SCENARIOS
 from .plan import SITES
 from .runner import (
@@ -91,7 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stop at the first failing case",
     )
     p_run.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=workers_arg, default=1, metavar="N",
         help="shard the deck across N worker processes (0 = one per "
              "CPU; default 1 = serial); results merge in deck order and "
              "are identical to a serial run",

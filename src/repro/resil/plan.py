@@ -55,6 +55,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..verify.perturbation import format_float
+
 #: site name -> (fault kind, human description)
 SITES: Dict[str, Tuple[str, str]] = {
     "tbuddy.alloc": (
@@ -158,7 +160,8 @@ class FaultRule:
         for key in ("p", "every", "max", "after", "cycles", "detail"):
             value = getattr(self, key)
             if value != _RULE_DEFAULTS[key]:
-                parts.append(f"p={value:g}" if key == "p" else f"{key}={value}")
+                parts.append(f"p={format_float(value)}" if key == "p"
+                             else f"{key}={value}")
         return ",".join(parts)
 
     @classmethod

@@ -14,7 +14,7 @@ assertions on top:
 * the host pressure gauge must agree with the quiescent tree — the
   semaphore ledgers and the tree shape reconcile byte-for-byte, and a
   leak-free scenario ends with the whole pool free;
-* the case must actually inject (``min_injected``) — a plan whose site
+* the case must actually inject (:data:`MIN_INJECTED`) — a plan whose site
   is never reached verifies nothing and is reported as a failure, not
   silently passed;
 * replaying the same ``(scenario, seed, plan)`` must reproduce the
@@ -28,50 +28,35 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..par import pool
 from ..sim.errors import SimError
 from ..verify.perturbation import Perturbation
-from ..verify.runner import SCENARIOS, _Harness, split_replay
+from ..verify.runner import SCENARIOS, ReplaySpec, _Harness
 from .plan import FaultInjector, FaultPlan
 
 #: nominal sizes for ``run_deck(tier=...)``
 TIERS = ("quick", "full")
 
+#: a case fails unless at least this many faults were injected
+MIN_INJECTED = 1
+
 
 @dataclass(frozen=True)
-class ResilSpec:
-    """One replayable resilience case."""
+class ResilSpec(ReplaySpec):
+    """One replayable resilience case (``scenario[@backend]:seed:plan``;
+    plan specs never contain ``:``, so the string splits cleanly)."""
 
     scenario: str
     seed: int
     plan: FaultPlan = FaultPlan()
-    #: fail the case unless at least this many faults were injected
-    min_injected: int = 1
     #: registry name of the allocator under test (fault sites that live
     #: in shared machinery — ``spinlock.hold`` — fire for any backend
     #: built on it; ours-specific sites only fire for ours)
     backend: str = "ours"
 
-    @property
-    def replay(self) -> str:
-        """``scenario[@backend]:seed:planspec`` — the ``replay`` CLI
-        argument.  Plan specs never contain ``:``, so the triple splits
-        cleanly; the ``@backend`` qualifier is omitted for ``ours`` so
-        historic replay strings stay valid."""
-        scen = self.scenario
-        if self.backend != "ours":
-            scen = f"{scen}@{self.backend}"
-        return f"{scen}:{self.seed}:{self.plan.spec}"
-
-    @classmethod
-    def parse(cls, replay: str) -> "ResilSpec":
-        scenario, backend, seed, plan = split_replay(
-            replay, "resil replay spec", "fault-plan")
-        return cls(scenario, seed,
-                   FaultPlan() if plan is None else FaultPlan.parse(plan),
-                   backend=backend)
-
-    def __str__(self) -> str:
-        return self.replay
+    _payload_field = "plan"
+    _payload_type = FaultPlan
+    _what = "resil replay spec"
 
 
 @dataclass
@@ -105,11 +90,6 @@ class ResilResult:
 
 def _run_once(spec: ResilSpec) -> ResilResult:
     """Execute the case once and apply the recovery assertions."""
-    if spec.scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {spec.scenario!r}; "
-            f"choose from {', '.join(sorted(SCENARIOS))}"
-        )
     harness_kwargs, scenario = SCENARIOS[spec.scenario]
     inj = FaultInjector(spec.plan, seed=spec.seed)
     result = ResilResult(spec)
@@ -138,9 +118,9 @@ def _run_once(spec: ResilSpec) -> ResilResult:
                 f"only {gauge.free_bytes}/{h.cfg.pool_size} bytes free "
                 "after a leak-free scenario: fault recovery lost supply"
             )
-        assert inj.n_injected >= spec.min_injected, (
+        assert inj.n_injected >= MIN_INJECTED, (
             f"only {inj.n_injected} faults injected "
-            f"(expected >= {spec.min_injected}): the plan's sites were "
+            f"(expected >= {MIN_INJECTED}): the plan's sites were "
             "not reached and the case verified nothing"
         )
     except (SimError, AssertionError) as exc:
@@ -170,9 +150,8 @@ def run_case(spec: ResilSpec, replay_check: bool = True) -> ResilResult:
 # decks
 # ----------------------------------------------------------------------
 def _spec(scenario: str, seed: int, planspec: str,
-          min_injected: int = 1, backend: str = "ours") -> ResilSpec:
-    return ResilSpec(scenario, seed, FaultPlan.parse(planspec),
-                     min_injected, backend)
+          backend: str = "ours") -> ResilSpec:
+    return ResilSpec(scenario, seed, FaultPlan.parse(planspec), backend)
 
 
 #: CI smoke deck — covers all four fault kinds (renege, null-alloc,
@@ -254,40 +233,20 @@ def run_deck(deck: Sequence[ResilSpec], replay_check: bool = True,
              fail_fast: bool = False,
              log: Optional[Callable[[str], None]] = None,
              workers: int = 1) -> List[ResilResult]:
-    """Run every case in ``deck``; returns all results.
+    """Run every case in ``deck``; returns all results in deck order.
 
-    ``workers > 1`` shards the deck across processes.  Every case is
+    The deck goes through :func:`repro.par.pool.map_sharded` (``workers``
+    as there: ``1`` inline, ``0`` one per CPU).  Every case is
     self-contained (seeded simulator + deterministic fault plan), so
-    the merged results — returned in deck order, the canonical order —
-    are identical to a serial run's.  A sharded ``fail_fast`` run still
-    executes the whole deck but truncates the returned list at the
-    first failure, preserving the serial contract.
+    results are identical at any worker count; ``fail_fast`` ends the
+    returned list at the first failure either way.
     """
-    if workers > 1 and len(deck) > 1:
-        from ..par.pool import map_sharded
-
-        results = map_sharded(
-            functools.partial(run_case, replay_check=replay_check),
-            list(deck), workers=workers, log=log,
-            label=lambda s: s.replay,
-        )
-        if log is not None:
-            for res in results:
-                log(res.describe())
-        if fail_fast:
-            for i, res in enumerate(results):
-                if not res.ok:
-                    return results[:i + 1]
-        return results
-    results: List[ResilResult] = []
-    for spec in deck:
-        res = run_case(spec, replay_check=replay_check)
-        results.append(res)
-        if log is not None:
-            log(res.describe())
-        if fail_fast and not res.ok:
-            break
-    return results
+    return pool.map_sharded(
+        functools.partial(run_case, replay_check=replay_check),
+        list(deck), workers=workers, log=log,
+        stop=(lambda res: not res.ok) if fail_fast else None,
+        describe=ResilResult.describe,
+    )
 
 
 def kinds_injected(results: Sequence[ResilResult]) -> Dict[str, int]:

@@ -6,7 +6,7 @@ Usage::
     python -m repro verify --smoke            # reduced CI sweep
     python -m repro verify --seeds 8          # more seeds
     python -m repro verify --scenario churn   # restrict scenarios
-    python -m repro verify --workers 4        # shard the grid (see par)
+    python -m repro verify --workers 4        # shard the grid
     python -m repro verify --replay 'storm:3:atomic_latency=4,jitter=512'
     python -m repro verify --replay ... --shrink
     python -m repro verify explore --budget 64      # coverage-guided
@@ -32,6 +32,7 @@ import sys
 import time
 from typing import List, Optional
 
+from ..par.pool import workers_arg
 from .perturbation import DEFAULT_DECK, SMOKE_DECK
 from .runner import SCENARIOS, CaseResult, CaseSpec, sweep, run_case
 from .shrink import shrink_case
@@ -82,7 +83,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              "failures are deterministic in (budget, scenarios, seed)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=workers_arg, default=1, metavar="N",
         help="shard each steering batch across N worker processes "
              "(0 = one per CPU; default 1); the explored sequence is "
              "identical at any worker count",
@@ -210,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stop the sweep at the first failing case",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=workers_arg, default=1, metavar="N",
         help="shard the sweep grid across N worker processes "
              "(0 = one per CPU; default 1 = serial); results are merged "
              "in canonical grid order and identical to a serial sweep",

@@ -55,8 +55,13 @@ _INT_KNOBS = frozenset({JITTER_KNOB, STEER_KNOB})
 _VALID = frozenset(COST_KNOBS) | _INT_KNOBS
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def format_float(value: float) -> str:
+    """Spec text for a float that parses back to exactly ``value``:
+    the short ``%g`` form wherever that is exact (every deck value),
+    else ``repr``.  ``%g`` alone keeps six digits, so ``1234567`` or
+    ``1/3`` used to print a spec that replayed a different case."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class Perturbation:
     @property
     def spec(self) -> str:
         """Canonical ``knob=value,knob=value`` string (empty = baseline)."""
-        return ",".join(f"{n}={_fmt(v)}" for n, v in self.items)
+        return ",".join(f"{n}={format_float(v)}" for n, v in self.items)
 
     @classmethod
     def parse(cls, spec: str) -> "Perturbation":

@@ -18,10 +18,12 @@ Every failure carries its replay triple ``scenario:seed:perturbation``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, ClassVar, Dict, List, Optional, Sequence, Type,
+                    TypeVar)
 
 from .. import backends as backend_registry
 from ..bench import workloads
+from ..par import pool
 from ..sim import ops
 from ..sim.cost_model import DEFAULT_COST_MODEL
 from ..sim.device import GPUDevice
@@ -43,49 +45,97 @@ EVENT_BUDGET = 30_000_000
 #: suffix is accepted and dropped.
 _LEGACY_ENGINES = ("event", "batch")
 
+_Spec = TypeVar("_Spec", bound="ReplaySpec")
 
-def split_replay(replay: str, what: str,
-                 payload: str) -> Tuple[str, str, int, Optional[str]]:
-    """Split ``scenario[@backend]:seed[:payload]`` into
-    ``(scenario, backend, seed, payload_text)``.
 
-    The grammar shared by :class:`CaseSpec` and
-    :class:`~repro.resil.runner.ResilSpec`; they differ only in the
-    payload they parse from ``payload_text`` (``None`` when absent).
-    ``what`` and ``payload`` name the spec and its payload in error
-    messages.  A trailing ``/event`` or ``/batch`` on the scenario
-    fragment is discarded (see :data:`_LEGACY_ENGINES`); any other
-    ``/`` suffix is rejected.
+class ReplaySpec:
+    """The replay grammar ``scenario[@backend]:seed[:payload]``.
+
+    One core for :class:`CaseSpec` and
+    :class:`~repro.resil.runner.ResilSpec`: both are frozen dataclasses
+    with fields ``(scenario, seed, <payload>, backend)`` and differ only
+    in the payload class (anything with a ``.spec`` string and a
+    ``.parse`` inverse that maps ``""`` to the empty payload).  Construction validates the scenario and the
+    backend; :meth:`parse` also rejects any seed fragment that would
+    not print back unchanged, so ``str(parse(s)) == s`` for every
+    string this class prints.  The ``@backend`` qualifier is omitted
+    for the default (``ours``) so historic replay strings stay valid.
     """
-    grammar = f"(want scenario[@backend]:seed[:{payload}])"
-    parts = replay.split(":", 2)
-    if len(parts) < 2:
-        raise ValueError(f"bad {what} {replay!r} {grammar}")
-    scenario, seed = parts[0], int(parts[1])
-    if "/" in scenario:
-        scenario, engine = scenario.rsplit("/", 1)
-        if engine not in _LEGACY_ENGINES:
+
+    #: dataclass field holding the payload, and the payload's class
+    _payload_field: ClassVar[str]
+    _payload_type: ClassVar[type]
+    #: what error messages call the spec
+    _what: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
             raise ValueError(
-                f"bad {what} {replay!r}: unknown engine suffix "
-                f"'/{engine}' (only the historical '/event' and '/batch' "
-                f"are accepted, and ignored) {grammar}"
+                f"unknown scenario {self.scenario!r}; "
+                f"choose from {', '.join(sorted(SCENARIOS))}"
             )
-    backend = "ours"
-    if "@" in scenario:
-        scenario, backend = scenario.split("@", 1)
-    if not scenario or not backend:
-        # Catch `@:3` / `scen@:3` / `@cuda:3` here with a pointed
-        # message instead of constructing a spec that only fails
-        # later with an opaque registry/scenario KeyError.
-        raise ValueError(
-            f"bad {what} {replay!r}: empty "
-            f"{'scenario' if not scenario else 'backend'} fragment {grammar}"
-        )
-    return scenario, backend, seed, parts[2] if len(parts) == 3 else None
+        try:
+            backend_registry.get(self.backend)
+        except backend_registry.UnknownBackend as exc:
+            raise ValueError(exc.args[0]) from None
+
+    @property
+    def replay(self) -> str:
+        """``scenario[@backend]:seed:payload`` — the replay argument."""
+        scen = self.scenario
+        if self.backend != "ours":
+            scen = f"{scen}@{self.backend}"
+        payload = getattr(self, self._payload_field)
+        return f"{scen}:{self.seed}:{payload.spec}"
+
+    def __str__(self) -> str:
+        return self.replay
+
+    @classmethod
+    def parse(cls: Type[_Spec], replay: str) -> _Spec:
+        """Inverse of :attr:`replay`.  A trailing ``/event`` or
+        ``/batch`` on the scenario fragment is discarded (see
+        :data:`_LEGACY_ENGINES`).  Every malformed string raises a
+        ``ValueError`` naming it and the grammar."""
+        grammar = f"(want scenario[@backend]:seed[:{cls._payload_field}])"
+
+        def bad(why: str) -> ValueError:
+            return ValueError(f"bad {cls._what} {replay!r}: {why} {grammar}")
+
+        parts = replay.split(":", 2)
+        if len(parts) < 2:
+            raise bad("missing ':seed'")
+        scenario, seed_text = parts[0], parts[1]
+        try:
+            seed = int(seed_text)
+        except ValueError:
+            raise bad(f"seed {seed_text!r} is not an integer") from None
+        if seed_text != str(seed):
+            # ` 3`, `+3`, `1_0`, `٣` all parse as ints but would print
+            # back as a different string than the one replayed.
+            raise bad(f"seed {seed_text!r} is not written as {str(seed)!r}")
+        if "/" in scenario:
+            scenario, engine = scenario.rsplit("/", 1)
+            if engine not in _LEGACY_ENGINES:
+                raise bad(f"unknown engine suffix '/{engine}' (only the "
+                          "historical '/event' and '/batch' are accepted, "
+                          "and ignored)")
+        backend = "ours"
+        if "@" in scenario:
+            scenario, backend = scenario.split("@", 1)
+        if not scenario or not backend:
+            raise bad(f"empty {'scenario' if not scenario else 'backend'} "
+                      "fragment")
+        try:
+            payload = cls._payload_type.parse(parts[2] if len(parts) == 3
+                                              else "")
+            return cls(scenario, seed, payload, backend)
+        except ValueError as exc:
+            raise bad(str(exc)) from None
 
 
 @dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(ReplaySpec):
     """One replayable verification case."""
 
     scenario: str
@@ -95,26 +145,9 @@ class CaseSpec:
     #: uniform BackendHandle, so any registered backend fits)
     backend: str = "ours"
 
-    @property
-    def replay(self) -> str:
-        """``scenario[@backend]:seed:perturbation`` — the ``--replay``
-        argument.  The ``@backend`` qualifier is omitted for the default
-        (``ours``) so historic replay strings stay valid and stable."""
-        scen = self.scenario
-        if self.backend != "ours":
-            scen = f"{scen}@{self.backend}"
-        return f"{scen}:{self.seed}:{self.perturbation.spec}"
-
-    @classmethod
-    def parse(cls, replay: str) -> "CaseSpec":
-        scenario, backend, seed, pert = split_replay(
-            replay, "replay spec", "perturbation")
-        return cls(scenario, seed,
-                   Perturbation() if pert is None else Perturbation.parse(pert),
-                   backend)
-
-    def __str__(self) -> str:
-        return self.replay
+    _payload_field = "perturbation"
+    _payload_type = Perturbation
+    _what = "replay spec"
 
 
 @dataclass
@@ -448,11 +481,6 @@ def run_case(spec: CaseSpec, check_races: bool = True,
     allocator's invariants, and downstream consumers (explorer,
     shrinker) must not chase it as one.
     """
-    if spec.scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {spec.scenario!r}; "
-            f"choose from {', '.join(sorted(SCENARIOS))}"
-        )
     harness_kwargs, scenario = SCENARIOS[spec.scenario]
     checker = RaceChecker() if check_races else None
     result = CaseResult(spec)
@@ -482,36 +510,17 @@ def sweep(seeds: Sequence[int], deck: Sequence[Perturbation] = DEFAULT_DECK,
 
     The seeds -> deck -> scenarios nesting order is the grid's
     *canonical* order: replay listings, failure reports and sharded
-    merges all follow it.  ``workers > 1`` fans the grid out across
-    processes (each case builds its own seeded simulator, so results
-    are identical to the serial sweep's and are merged back in
-    canonical order).  A sharded ``fail_fast`` sweep still runs every
-    case — shards cannot see each other's failures — but the returned
-    list is truncated at the first failure so callers observe the
-    serial contract.
+    merges all follow it.  The grid goes through
+    :func:`repro.par.pool.map_sharded` (``workers`` as there: ``1``
+    inline, ``0`` one per CPU); each case builds its own seeded
+    simulator, so results are identical at any worker count, and
+    ``fail_fast`` ends the returned list at the first failure either way.
     """
     names = list(scenarios) if scenarios else list(SCENARIOS)
     grid = [CaseSpec(name, seed, pert, backend)
             for seed in seeds for pert in deck for name in names]
-    if workers > 1 and len(grid) > 1:
-        from ..par.pool import map_sharded
-
-        results = map_sharded(run_case, grid, workers=workers,
-                              log=log, label=lambda s: s.replay)
-        if log is not None:
-            for res in results:
-                log(res.describe())
-        if fail_fast:
-            for i, res in enumerate(results):
-                if not res.ok:
-                    return results[:i + 1]
-        return results
-    results: List[CaseResult] = []
-    for spec in grid:
-        res = run_case(spec)
-        results.append(res)
-        if log is not None:
-            log(res.describe())
-        if fail_fast and not res.ok:
-            return results
-    return results
+    return pool.map_sharded(
+        run_case, grid, workers=workers, log=log,
+        stop=(lambda res: not res.ok) if fail_fast else None,
+        describe=CaseResult.describe,
+    )

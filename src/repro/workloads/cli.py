@@ -26,6 +26,7 @@ import time
 from typing import List, Optional
 
 from ..bench.reporting import si
+from ..par.pool import map_sharded, workers_arg
 from . import families
 from .replay import ReplayReport, replay
 from .trace import TraceError, dump, load, validate
@@ -105,13 +106,8 @@ def _cmd_replay(args) -> int:
     jobs = [(args.trace, b, args.seed, args.lanes, args.pool)
             for b in roster]
     t0 = time.time()
-    if args.workers > 1 and len(jobs) > 1:
-        from ..par.pool import map_sharded
-
-        reports = map_sharded(_replay_one, jobs, workers=args.workers,
-                              log=print, label=lambda j: j[1])
-    else:
-        reports = [_replay_one(j) for j in jobs]
+    reports = map_sharded(_replay_one, jobs, workers=args.workers,
+                          log=print, label=lambda j: j[1])
     for rep in reports:
         totals = rep.totals
         print(f"\n== {rep.backend} ==")
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated lanes per tenant (default 1)")
     p_rep.add_argument("--pool", type=int, default=1 << 20, metavar="BYTES",
                        help="backend heap size (default 1 MiB)")
-    p_rep.add_argument("--workers", type=int, default=1, metavar="N",
+    p_rep.add_argument("--workers", type=workers_arg, default=1, metavar="N",
                        help="shard the backend roster across N processes "
                             "(0 = one per CPU; default 1 = serial)")
     p_rep.set_defaults(func=_cmd_replay)

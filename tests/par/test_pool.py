@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import time
 
 import pytest
 
-from repro.par.pool import map_sharded, preferred_start_method, resolve_workers
+import repro.__main__ as repro_main
+from repro.par.pool import (
+    map_sharded,
+    preferred_start_method,
+    resolve_workers,
+    workers_arg,
+)
 
 
 def _square(x: int) -> int:
@@ -45,6 +52,38 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-1)
+
+
+class TestWorkersArg:
+    def test_non_negative_is_literal(self):
+        assert workers_arg("0") == 0
+        assert workers_arg("3") == 3
+
+    @pytest.mark.parametrize("raw", ["-1", "x", ""])
+    def test_bad_value_is_argument_error(self, raw):
+        with pytest.raises(argparse.ArgumentTypeError):
+            workers_arg(raw)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["verify", "explore"],
+        ["resil", "run"],
+        ["perf", "run"],
+        ["workloads", "replay", "unused.jsonl"],
+    ])
+    def test_negative_workers_exit_2_on_every_command(self, argv, capsys):
+        # negative counts used to run serially (or, in `verify explore`,
+        # raise a traceback from deep inside the pool)
+        with pytest.raises(SystemExit) as exc:
+            repro_main.main(argv + ["--workers", "-1"])
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 0" in capsys.readouterr().err
+
+    def test_par_is_not_a_command(self):
+        # every deck command takes --workers itself
+        with pytest.raises(SystemExit) as exc:
+            repro_main.main(["par", "probe"])
+        assert exc.value.code == 2
 
 
 class TestMapSharded:
@@ -102,6 +141,35 @@ class TestMapSharded:
         assert len(lines) == 3
         # progress lines carry completion counters over the full deck size
         assert all("/3]" in line for line in lines)
+
+    def test_inline_stop_returns_at_first_hit(self):
+        seen = []
+
+        def record(x):
+            seen.append(x)
+            return x
+
+        out = map_sharded(record, [1, 2, 3, 4], workers=1,
+                          stop=lambda r: r == 2)
+        assert out == [1, 2] and seen == [1, 2]
+
+    def test_pooled_stop_truncates_the_merge(self):
+        out = map_sharded(_square, [1, 2, 3, 4], workers=2,
+                          stop=lambda r: r == 4)
+        assert out == map_sharded(_square, [1, 2, 3, 4], workers=1,
+                                  stop=lambda r: r == 4) == [1, 4]
+
+    def test_describe_reports_results_in_deck_order(self):
+        inline: list = []
+        pooled: list = []
+        map_sharded(_square, [3, 1, 2], workers=1, log=inline.append,
+                    describe=lambda r: f"= {r}")
+        map_sharded(_square, [3, 1, 2], workers=2, log=pooled.append,
+                    describe=lambda r: f"= {r}", stop=lambda r: r == 1)
+        assert inline == ["= 9", "= 1", "= 4"]
+        # pooled: [k/n] completion lines first, then the truncated deck
+        assert [ln for ln in pooled if ln.startswith("=")] == ["= 9", "= 1"]
+        assert sum("/3]" in ln for ln in pooled) == 3
 
     def test_preferred_start_method_is_known(self):
         assert preferred_start_method() in ("fork", "spawn")

@@ -42,6 +42,26 @@ class TestVerifyShardedParity:
         assert [r.spec for r in serial] == [r.spec for r in sharded]
         assert len(sharded) == 2 and not sharded[-1].ok
 
+    def test_workers_0_reaches_the_pool(self, monkeypatch):
+        # `--workers 0` (one per CPU) used to run serially: the sweep
+        # only sharded on workers > 1.  Pin two CPUs so the auto count
+        # shards on any host.
+        from repro.par import pool
+
+        pools = []
+
+        class SpyPool(pool.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", SpyPool)
+        results = sweep(seeds=[0], deck=SMOKE_DECK[:2], scenarios=["churn"],
+                        workers=0)
+        assert pools == [2]
+        assert all(r.ok for r in results)
+
 
 class TestResilShardedParity:
     def test_deck_matches_serial(self):

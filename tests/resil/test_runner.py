@@ -1,8 +1,15 @@
 """Resil runner: specs, decks, recovery assertions, replay, bench."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import backends
 from repro.resil import ALL_KINDS, FaultPlan
+from repro.resil import cli
+from repro.resil.plan import SITES, FaultRule
 from repro.resil.runner import (
     FULL_DECK,
     QUICK_DECK,
@@ -11,6 +18,24 @@ from repro.resil.runner import (
     kinds_injected,
     run_case,
     run_deck,
+)
+from repro.verify.runner import SCENARIOS
+
+fault_rules = st.builds(
+    FaultRule,
+    site=st.sampled_from(sorted(SITES)),
+    p=st.floats(min_value=0, max_value=1, exclude_min=True),
+    every=st.integers(min_value=0, max_value=10 ** 6),
+    max=st.integers(min_value=0, max_value=10 ** 6),
+    after=st.integers(min_value=0, max_value=10 ** 6),
+    cycles=st.integers(min_value=1, max_value=10 ** 9),
+    detail=st.none() | st.integers(min_value=-4, max_value=64),
+)
+
+resil_specs = st.builds(
+    ResilSpec, st.sampled_from(sorted(SCENARIOS)), st.integers(),
+    st.lists(fault_rules, max_size=3).map(lambda rs: FaultPlan(tuple(rs))),
+    st.sampled_from(backends.names()),
 )
 
 
@@ -49,6 +74,50 @@ class TestResilSpec:
         with pytest.raises(ValueError, match="unknown engine suffix '/vector'"):
             ResilSpec.parse("storm/vector:7")
 
+    @settings(max_examples=200, deadline=None)
+    @given(resil_specs)
+    def test_print_parse_round_trip(self, spec):
+        text = str(spec)
+        assert ResilSpec.parse(text) == spec
+        assert str(ResilSpec.parse(text)) == text
+
+    def test_every_scenario_and_backend_round_trips(self):
+        plan = FaultPlan.parse("site=tbuddy.split,p=0.5,max=8")
+        for scenario in SCENARIOS:
+            for backend in backends.names():
+                spec = ResilSpec(scenario, 3, plan, backend)
+                assert ResilSpec.parse(spec.replay) == spec
+                assert ResilSpec.parse(spec.replay).replay == spec.replay
+
+    def test_deck_replays_round_trip_byte_for_byte(self):
+        for spec in FULL_DECK:
+            assert ResilSpec.parse(spec.replay) == spec
+            assert ResilSpec.parse(spec.replay).replay == spec.replay
+
+    @pytest.mark.parametrize("raw,why", [
+        ("storm: 1:", "seed ' 1'"),
+        ("storm:+1:", "seed '+1'"),
+        ("storm:1_0:", "seed '1_0'"),
+        ("storm:\u0663:", "seed '\u0663'"),
+        ("storm:abc", "seed 'abc' is not an integer"),
+        ("nosuch:1", "unknown scenario 'nosuch'"),
+        ("storm@nosuch:1", "unknown backend 'nosuch'"),
+        ("storm:1:site=nowhere", "unknown fault site 'nowhere'"),
+    ])
+    def test_malformed_fragment_names_the_spec(self, raw, why):
+        with pytest.raises(ValueError) as exc:
+            ResilSpec.parse(raw)
+        msg = str(exc.value)
+        assert f"bad resil replay spec {raw!r}" in msg
+        assert why in msg
+        assert "scenario[@backend]:seed[:plan]" in msg
+
+    def test_min_injected_is_not_a_spec_field(self):
+        # it never reached the replay string, so any value but the
+        # module constant silently failed to round-trip
+        names = [f.name for f in dataclasses.fields(ResilSpec)]
+        assert names == ["scenario", "seed", "plan", "backend"]
+
     def test_deck_covers_workload_scenarios(self):
         # the multi-tenant workload runs under faults in the smoke deck,
         # and the recorded-trace replay in the nightly deck
@@ -78,6 +147,20 @@ class TestDecks:
         assert len(replays) == len(set(replays))
 
 
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["replay", "nosuch:1"],
+        ["replay", "storm@nosuch:1"],
+        ["run", "--case", "storm:+3"],
+        ["run", "--case", "nosuch:1:site=tbuddy.split"],
+    ])
+    def test_bad_spec_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"bad resil replay spec {argv[-1]!r}" in capsys.readouterr().err
+
+
 class TestRunCase:
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError):
@@ -94,7 +177,7 @@ class TestRunCase:
         assert res.describe().startswith("PASS")
 
     def test_unreached_plan_fails_the_case(self):
-        # A plan that never fires verifies nothing: min_injected trips.
+        # A plan that never fires verifies nothing: MIN_INJECTED trips.
         spec = ResilSpec("storm", 1,
                          FaultPlan.parse("site=tbuddy.split,after=1000000"))
         res = run_case(spec, replay_check=False)

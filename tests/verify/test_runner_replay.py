@@ -1,12 +1,70 @@
 """Runner, replay specs, sweep and the ``verify`` CLI surface."""
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.__main__ as repro_main
+from repro import backends
+from repro.resil import cli as resil_cli
+from repro.resil.runner import ResilSpec
 from repro.verify import CaseSpec, Perturbation, run_case, sweep
 from repro.verify import cli
-from repro.verify.perturbation import deck
+from repro.verify.perturbation import COST_KNOBS, JITTER_KNOB, STEER_KNOB, deck
 from repro.verify.runner import SCENARIOS, CaseResult
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: knob -> strategy for values the knob accepts (cost knobs scale, so
+#: any positive finite float; jitter is >= 1; steer salts are integers)
+_KNOB_VALUES = {
+    **{k: st.floats(min_value=1e-6, max_value=1e6) for k in COST_KNOBS},
+    JITTER_KNOB: st.floats(min_value=1, max_value=1e9),
+    STEER_KNOB: st.integers(min_value=1, max_value=2 ** 53).map(float),
+}
+
+perturbations = st.lists(
+    st.sampled_from(sorted(_KNOB_VALUES)), unique=True, max_size=4,
+).flatmap(lambda names: st.tuples(
+    *(st.tuples(st.just(n), _KNOB_VALUES[n]) for n in names)
+)).map(Perturbation)
+
+case_specs = st.builds(
+    CaseSpec, st.sampled_from(sorted(SCENARIOS)), st.integers(),
+    perturbations, st.sampled_from(backends.names()),
+)
+
+#: (malformed replay string, fragment of the expected error)
+MALFORMED = [
+    ("storm", "missing ':seed'"),
+    ("storm: 3:", "seed ' 3'"),
+    ("storm:+3:", "seed '+3'"),
+    ("storm:1_0:", "seed '1_0'"),
+    ("storm:\u0663:", "seed '\u0663'"),
+    ("storm:03:", "seed '03'"),
+    ("storm:abc", "seed 'abc' is not an integer"),
+    ("storm::", "seed '' is not an integer"),
+    ("nosuch:1", "unknown scenario 'nosuch'"),
+    ("storm@nosuch:1", "unknown backend 'nosuch'"),
+    ("@cuda:1", "empty scenario"),
+    ("storm@:1", "empty backend"),
+    ("storm/vector:1", "unknown engine suffix '/vector'"),
+]
+
+
+def _documented_replays():
+    """Every full ``scenario:seed:payload`` string quoted in the docs and
+    the verify/resil CLI docstrings, paired with its spec class."""
+    texts = [(ROOT / name).read_text(encoding="utf-8")
+             for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    texts += [cli.__doc__, resil_cli.__doc__]
+    found = re.findall(r"[`']([a-z_]+(?:@[a-z-]+)?:\d+:[^'`\s]*)[`']",
+                       "\n".join(texts))
+    return sorted({(raw, ResilSpec if "site=" in raw else CaseSpec)
+                   for raw in found})
 
 
 class TestCaseSpec:
@@ -63,6 +121,67 @@ class TestCaseSpec:
     def test_parse_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine suffix '/vector'"):
             CaseSpec.parse("storm/vector:3")
+
+
+class TestReplayGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(case_specs)
+    def test_print_parse_round_trip(self, spec):
+        text = str(spec)
+        assert CaseSpec.parse(text) == spec
+        assert str(CaseSpec.parse(text)) == text
+
+    def test_every_scenario_and_backend_round_trips(self):
+        pert = Perturbation.parse("atomic_latency=4,jitter=512")
+        for scenario in SCENARIOS:
+            for backend in backends.names():
+                spec = CaseSpec(scenario, 7, pert, backend)
+                assert CaseSpec.parse(spec.replay) == spec
+                assert CaseSpec.parse(spec.replay).replay == spec.replay
+
+    def test_lossy_payload_values_round_trip(self):
+        # %g keeps six digits: these used to print a different case
+        for value in (1234567.0, 1 / 3, 0.1 + 0.2):
+            spec = CaseSpec("storm", 1, Perturbation((("atomic_latency", value),)))
+            assert CaseSpec.parse(spec.replay) == spec
+
+    @pytest.mark.parametrize("raw,why", MALFORMED)
+    def test_malformed_fragment_names_the_spec(self, raw, why):
+        with pytest.raises(ValueError) as exc:
+            CaseSpec.parse(raw)
+        msg = str(exc.value)
+        assert f"bad replay spec {raw!r}" in msg
+        assert why in msg
+        assert "scenario[@backend]:seed[:perturbation]" in msg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers().map(str),
+                     st.text(max_size=6).filter(lambda t: ":" not in t)))
+    def test_seed_fragment_must_print_back_unchanged(self, fragment):
+        raw = f"storm:{fragment}:"
+        try:
+            canonical = str(int(fragment)) == fragment
+        except ValueError:
+            canonical = False
+        if canonical:
+            assert CaseSpec.parse(raw).replay == raw
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(raw))):
+                CaseSpec.parse(raw)
+
+    def test_bad_payload_names_the_spec(self):
+        with pytest.raises(ValueError, match="bad replay spec 'storm:1:warp=9'"):
+            CaseSpec.parse("storm:1:warp=9")
+
+    def test_documented_replay_strings_round_trip(self):
+        documented = _documented_replays()
+        assert {cls for _, cls in documented} == {CaseSpec, ResilSpec}
+        for raw, cls in documented:
+            assert cls.parse(raw).replay == raw
+
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown backend 'nosuch'"):
+            CaseSpec("storm", 0, backend="nosuch")
 
 
 class TestRunCase:
@@ -164,6 +283,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--replay", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("raw", ["nosuch:1", "storm@nosuch:1", "storm:+3"])
+    def test_replay_unrunnable_spec_is_usage_error(self, raw, capsys):
+        # these used to parse, then end in a traceback (or replay a
+        # different seed string than the one given)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--replay", raw])
+        assert exc.value.code == 2
+        assert f"bad replay spec {raw!r}" in capsys.readouterr().err
 
     def test_small_sweep_exits_zero(self, capsys):
         rc = cli.main(["--scenario", "churn", "--seeds", "1"])
