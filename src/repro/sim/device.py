@@ -9,13 +9,15 @@ queued block behind them.
 
 :class:`ThreadCtx` is the device-code view of "who am I": global thread
 id, block id, lane, warp, SM, plus a deterministic per-thread RNG used
-for scattered (hashed) data-structure traversals as in ScatterAlloc.
+for scattered (hashed) data-structure traversals as in ScatterAlloc,
+seeded on first use.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class GPUDevice:
 DEFAULT_DEVICE = GPUDevice()
 
 
-@dataclass
 class ThreadCtx:
     """Identity of one simulated GPU thread, passed to kernels.
 
@@ -57,8 +58,14 @@ class ThreadCtx:
     sm: SM the owning block is placed on.
     nthreads: total threads in the launch.
     block_dim: threads per block for this launch.
-    rng: deterministic per-thread RNG (seeded from the scheduler seed and
-        ``tid``); use for hashed traversal start points.
+    rng: deterministic per-thread RNG; use for hashed traversal start
+        points.  Unless one is passed in, it is built on first read as
+        ``random.Random(rng_seed)``, so a thread that never draws never
+        pays for seeding one.
+    rng_seed: seed of the lazily built ``rng``.  The scheduler passes
+        ``(seed << 20) ^ (tid * 0x9E3779B9)``; the default 0 makes a
+        ctx built without an rng (host tests, ad-hoc harnesses) draw
+        ``random.Random(0)``'s stream.
     trace: the scheduler's :class:`~repro.sim.trace.Tracer`, or ``None``
         when tracing is off.  Device-side primitives report telemetry
         through it, guarded by ``if ctx.trace is not None``.
@@ -68,26 +75,49 @@ class ThreadCtx:
         this is set, so unfaulted runs pay nothing.
     """
 
-    tid: int
-    block: int
-    tid_in_block: int
-    lane: int
-    warp: int
-    sm: int
-    nthreads: int
-    block_dim: int
     # RNG-ownership contract (the replay guarantee): every draw on a
     # core path — allocator backoff, scattered traversals, robust-malloc
-    # retries — goes through this per-thread RNG, which the scheduler
-    # seeds from (scenario seed, tid).  Nothing in device code may touch
-    # module-level ``random``.  The default factory is *seeded* so a
-    # ThreadCtx constructed without an explicit rng (host tests, ad-hoc
-    # harnesses) is still deterministic instead of silently drawing
-    # OS entropy and breaking byte-for-byte replay.
-    rng: random.Random = field(repr=False,
-                               default_factory=lambda: random.Random(0))
-    trace: object = field(repr=False, default=None, compare=False)
-    fault: object = field(repr=False, default=None, compare=False)
+    # retries — goes through ``rng``, which the scheduler seeds from
+    # (scenario seed, tid).  Nothing in device code may touch
+    # module-level ``random``.  The default seed is fixed, so a ctx
+    # never silently draws OS entropy and breaks byte-for-byte replay.
+    # ``rng`` is a slot left unset until first read: the read misses,
+    # ``__getattr__`` seeds and stores it, and later reads are plain
+    # slot loads.
+    __slots__ = ("tid", "block", "tid_in_block", "lane", "warp", "sm",
+                 "nthreads", "block_dim", "rng", "rng_seed", "trace",
+                 "fault")
+
+    def __init__(self, tid: int, block: int, tid_in_block: int, lane: int,
+                 warp: int, sm: int, nthreads: int, block_dim: int,
+                 rng: Optional[random.Random] = None, trace: object = None,
+                 fault: object = None, rng_seed: int = 0) -> None:
+        self.tid = tid
+        self.block = block
+        self.tid_in_block = tid_in_block
+        self.lane = lane
+        self.warp = warp
+        self.sm = sm
+        self.nthreads = nthreads
+        self.block_dim = block_dim
+        if rng is not None:
+            self.rng = rng
+        self.rng_seed = rng_seed
+        self.trace = trace
+        self.fault = fault
+
+    def __getattr__(self, name: str):
+        if name != "rng":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        rng = self.rng = random.Random(self.rng_seed)
+        return rng
+
+    def __repr__(self) -> str:
+        return (f"ThreadCtx(tid={self.tid}, block={self.block}, "
+                f"tid_in_block={self.tid_in_block}, lane={self.lane}, "
+                f"warp={self.warp}, sm={self.sm}, nthreads={self.nthreads}, "
+                f"block_dim={self.block_dim})")
 
     def is_warp_leader_of(self, mask: frozenset) -> bool:
         """True if this thread is the elected leader of converged ``mask``."""

@@ -6,13 +6,15 @@ quiescence (no kernel running), e.g. for deferred-reclamation drains,
 host-side garbage collection sweeps, and unit tests that exercise
 device logic sequentially.
 
-Blocking ops (barriers, warp convergence) are meaningless host-side and
-raise :class:`~repro.sim.errors.InvalidOp`.
+The cooperative ops (barriers, warp convergence, match, sync and
+broadcast) run with single-thread semantics: a lone host driver converges
+with itself and passes barriers trivially.  Sleeps, yields and fault
+probes are no-ops.  Only an unknown opcode raises
+:class:`~repro.sim.errors.InvalidOp`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Generator
 
 from . import ops
@@ -25,7 +27,7 @@ def host_ctx(seed: int = 0, sm: int = 0) -> ThreadCtx:
     """A placeholder thread context for host-driven device code."""
     return ThreadCtx(
         tid=-1, block=-1, tid_in_block=0, lane=0, warp=0, sm=sm,
-        nthreads=0, block_dim=1, rng=random.Random(seed),
+        nthreads=0, block_dim=1, rng_seed=seed,
     )
 
 

@@ -1,10 +1,15 @@
 """Flat simulated device memory.
 
-Device memory is a byte-addressed flat space backed by an ``array('Q')``
-of 64-bit words.  Device code accesses it through op tuples
-(:mod:`repro.sim.ops`) executed by the scheduler; the host may read and
-write it directly (analogous to ``cudaMemcpy`` while no kernel is
-running).
+Device memory is a byte-addressed flat space of 64-bit words, held in a
+private anonymous ``mmap`` viewed as a ``'Q'`` memoryview.  The kernel
+zero-fills each page on first touch, so building a memory costs nothing
+and a run pays only for the pages it touches: a 16 MiB memory whose run
+touches a few hundred pages never faults in the rest.  The mapping is
+``MAP_PRIVATE`` (``mmap``'s default is ``MAP_SHARED``), so a forked
+worker's writes stay copy-on-write in that worker.  Device code accesses
+memory through op tuples (:mod:`repro.sim.ops`) executed by the
+scheduler; the host may read and write it directly (analogous to
+``cudaMemcpy`` while no kernel is running).
 
 A small *metadata* region can be carved from the top of memory with
 :meth:`DeviceMemory.host_alloc` during host-side setup — the analogue of
@@ -15,11 +20,20 @@ allocator under test manages.
 
 from __future__ import annotations
 
+import mmap
 from array import array
 
 from .errors import MisalignedAccess, OutOfBoundsAccess
 
 _MASK64 = (1 << 64) - 1
+
+
+def _count(name: str, n: object) -> int:
+    """Return ``n`` if it is a non-negative ``int`` (not a ``bool``),
+    else raise :class:`ValueError` naming the argument."""
+    if type(n) is bool or not isinstance(n, int) or n < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {n!r}")
+    return n
 
 
 class DeviceMemory:
@@ -34,14 +48,15 @@ class DeviceMemory:
     #: Null pointer sentinel: never a valid address.
     NULL = _MASK64
 
-    __slots__ = ("size", "words", "_meta_brk")
+    __slots__ = ("size", "words", "_map", "_meta_brk")
 
     def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError("memory size must be positive")
+        if type(size) is bool or not isinstance(size, int) or size <= 0:
+            raise ValueError(f"size must be a positive int, got {size!r}")
         size = (size + 7) & ~7
         self.size = size
-        self.words = array("Q", bytes(size))
+        self._map = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        self.words = memoryview(self._map).cast("Q")
         # Host metadata allocations grow downward from the top.
         self._meta_brk = size
 
@@ -55,8 +70,7 @@ class DeviceMemory:
         the base address.  Raises :class:`OutOfBoundsAccess` when memory
         is exhausted.
         """
-        if nbytes < 0:
-            raise ValueError("negative allocation")
+        _count("nbytes", nbytes)
         if align <= 0 or (align & (align - 1)):
             raise ValueError("alignment must be a positive power of two")
         base = (self._meta_brk - nbytes) & ~(align - 1)
@@ -174,25 +188,27 @@ class DeviceMemory:
     # ------------------------------------------------------------------
     # Host-side byte-range helpers (cudaMemcpy analogue)
     # ------------------------------------------------------------------
+    # Counts must be non-negative ints (ValueError otherwise).  A
+    # zero-length access at any address in ``0..size`` is a no-op.
     def read_bytes(self, addr: int, nbytes: int) -> bytes:
         """Copy ``nbytes`` starting at ``addr`` out of device memory."""
-        if addr < 0 or addr + nbytes > self.size:
+        if addr < 0 or addr + _count("nbytes", nbytes) > self.size:
             raise OutOfBoundsAccess(addr, self.size)
-        view = memoryview(self.words).cast("B")
-        return bytes(view[addr : addr + nbytes])
+        return self._map[addr : addr + nbytes]
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Copy ``data`` into device memory starting at ``addr``."""
         if addr < 0 or addr + len(data) > self.size:
             raise OutOfBoundsAccess(addr, self.size)
-        view = memoryview(self.words).cast("B")
-        view[addr : addr + len(data)] = data
+        self._map[addr : addr + len(data)] = data
 
     def fill_words(self, addr: int, nwords: int, value: int) -> None:
         """Host-side fill of ``nwords`` consecutive words with ``value``."""
+        if _count("nwords", nwords) == 0:
+            if addr < 0 or addr > self.size:
+                raise OutOfBoundsAccess(addr, self.size)
+            return
         i = self._windex(addr)
         if addr + 8 * nwords > self.size:
             raise OutOfBoundsAccess(addr + 8 * nwords - 8, self.size)
-        value &= _MASK64
-        for k in range(i, i + nwords):
-            self.words[k] = value
+        self.words[i : i + nwords] = array("Q", [value & _MASK64]) * nwords

@@ -378,7 +378,7 @@ class Scheduler:
                     sm=sm,
                     nthreads=nthreads,
                     block_dim=block,
-                    rng=random.Random((self.seed << 20) ^ (tid * 0x9E3779B9)),
+                    rng_seed=(self.seed << 20) ^ (tid * 0x9E3779B9),
                     trace=self.tracer,
                     fault=self.fault_injector,
                 )

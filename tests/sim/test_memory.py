@@ -17,6 +17,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DeviceMemory(-8)
 
+    @pytest.mark.parametrize("size", [True, 8.0, "64", None])
+    def test_rejects_non_int_size(self, size):
+        with pytest.raises(ValueError, match="size"):
+            DeviceMemory(size)
+
     def test_starts_zeroed(self):
         mem = DeviceMemory(64)
         assert all(mem.load_word(a) == 0 for a in range(0, 64, 8))
@@ -137,3 +142,37 @@ class TestByteRanges:
         mem = DeviceMemory(64)
         mem.fill_words(8, 3, 0xAB)
         assert [mem.load_word(a) for a in range(0, 40, 8)] == [0, 0xAB, 0xAB, 0xAB, 0]
+
+
+class TestHostileCounts:
+    def test_negative_read_count_raises(self):
+        mem = DeviceMemory(64)
+        with pytest.raises(ValueError, match="nbytes"):
+            mem.read_bytes(8, -4)
+
+    def test_negative_fill_count_raises(self):
+        mem = DeviceMemory(64)
+        with pytest.raises(ValueError, match="nwords"):
+            mem.fill_words(0, -3, 1)
+        assert mem.load_word(0) == 0
+
+    def test_negative_host_alloc_names_its_argument(self):
+        with pytest.raises(ValueError, match="nbytes"):
+            DeviceMemory(64).host_alloc(-1)
+
+    @pytest.mark.parametrize("addr", [0, 5, 56, 60, 64])
+    def test_zero_length_access_is_a_noop(self, addr):
+        mem = DeviceMemory(64)
+        mem.fill_words(0, 8, 0x55)
+        mem.fill_words(addr, 0, 0xFF)
+        mem.write_bytes(addr, b"")
+        assert mem.read_bytes(addr, 0) == b""
+        assert all(mem.load_word(a) == 0x55 for a in range(0, 64, 8))
+
+    @pytest.mark.parametrize("addr", [-8, 72])
+    def test_zero_length_access_outside_memory_raises(self, addr):
+        mem = DeviceMemory(64)
+        with pytest.raises(OutOfBoundsAccess):
+            mem.fill_words(addr, 0, 1)
+        with pytest.raises(OutOfBoundsAccess):
+            mem.read_bytes(addr, 0)
