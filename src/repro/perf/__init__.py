@@ -1,4 +1,4 @@
-"""``repro.perf`` — performance benchmark, profiling & regression gate.
+"""``repro.perf`` — benchmark registry, exact regression gate, profiling.
 
 The paper's whole argument is throughput, so this repo needs a perf
 story that survives across PRs.  This package provides it:
@@ -6,21 +6,20 @@ story that survives across PRs.  This package provides it:
 * :mod:`repro.perf.suite` — a registry of :class:`~repro.perf.suite.BenchCase`
   entries wrapping the existing fig5/fig6/fig7, shootout, fragmentation
   and ablation runners behind one interface, each recording **virtual**
-  throughput (simulated cycles via the cost model) and **host
-  wall-clock** (how fast the pure-Python simulator itself runs — the
-  binding constraint on every sweep in this repo).
+  throughput (simulated cycles via the cost model), seeded and
+  bit-deterministic; every case runs twice and the runs must agree.
 * :mod:`repro.perf.artifact` — a versioned, deterministically-serialized
   JSON schema; ``BENCH_PR<k>.json`` files at the repo root form the perf
-  trajectory, with machine-readable twins next to ``results/*.txt``.
-* :mod:`repro.perf.compare` — loads prior artifacts, computes per-metric
-  deltas with noise-aware tolerances (virtual metrics are deterministic
-  and gated tightly; wall-clock is noisy and gated loosely or not at
-  all), and exits nonzero on regression.
+  trajectory.
+* :mod:`repro.perf.compare` — the gate: exact equality on every
+  ``virtual:*`` metric against a baseline artifact; any change or
+  missing metric exits nonzero.
 * :mod:`repro.perf.profile` — cProfile hotspot attribution per case plus
   tracer-derived hot-word/telemetry stats, so optimization PRs know
   where to aim.
 
-CLI: ``python -m repro perf run|compare|profile`` (see
+Host wall-clock is measured by ``benchmark/`` (interleaved A/B pairs),
+not here.  CLI: ``python -m repro perf run|compare|profile`` (see
 :mod:`repro.perf.cli`).
 """
 

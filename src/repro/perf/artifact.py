@@ -2,15 +2,14 @@
 
 One ``perf run`` produces one JSON document.  The copy committed at the
 repo root as ``BENCH_PR<k>.json`` is the perf trajectory: one artifact
-per PR, comparable pairwise by :mod:`repro.perf.compare`.  Per-case
-twins are also written next to the human tables in ``results/`` (those
-are build droppings — gitignored; only the root ``BENCH_PR<k>.json``
-baselines are tracked).
+per PR, comparable pairwise by :mod:`repro.perf.compare`.
 
-Serialization is deterministic modulo the measurement itself: keys are
-sorted, indentation is fixed, seeds and bench parameters are recorded,
-and no timestamps are embedded — re-running the same code on the same
-host differs only in the ``wall_seconds`` samples.
+Serialization is deterministic: keys are sorted, indentation is fixed,
+seeds and bench parameters are recorded, and no timestamps are
+embedded — re-running the same code yields the same bytes apart from
+the host ``environment`` block.  Artifacts up to ``BENCH_PR10.json``
+also carry per-case ``repeats``/``wall_seconds`` and a
+``wall:seconds`` metric; they still load, and the gate ignores them.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ def suite_to_doc(result: SuiteResult, label: str,
     for run in result.cases:
         cases[run.case] = {
             "seed": run.seed,
-            "repeats": run.repeats,
-            "wall_seconds": [round(w, 6) for w in run.wall_seconds],
             "metrics": dict(run.metrics),
             "params": dict(run.params),
         }
@@ -96,7 +93,7 @@ def validate(doc: object, *, path: Union[str, Path, None] = None) -> dict:
     for name, case in doc["cases"].items():
         if not isinstance(case, dict):
             raise ArtifactError(f"case {name!r} is not an object{where}")
-        for key in ("seed", "repeats", "metrics"):
+        for key in ("seed", "metrics"):
             if key not in case:
                 raise ArtifactError(f"case {name!r} missing {key!r}{where}")
         metrics = case["metrics"]
@@ -128,31 +125,6 @@ def load_artifact(path: Union[str, Path]) -> dict:
     except json.JSONDecodeError as e:
         raise ArtifactError(f"artifact {path} is not valid JSON: {e}") from None
     return validate(doc, path=path)
-
-
-def write_twins(doc: dict, results_dir: Union[str, Path]) -> List[Path]:
-    """Write one machine-readable twin per case into ``results/``.
-
-    Each twin repeats the run-level context (schema, label, tier, cost
-    model) so a single file is self-describing next to its ``.txt``
-    sibling.
-    """
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, case in doc["cases"].items():
-        twin = {
-            "schema": SCHEMA,
-            "label": doc["label"],
-            "tier": doc["tier"],
-            "cost_model": doc["cost_model"],
-            "case": name,
-            **case,
-        }
-        out = results_dir / f"{name}.json"
-        out.write_text(json.dumps(twin, sort_keys=True, indent=2) + "\n")
-        written.append(out)
-    return written
 
 
 def _sort_key(path: Path):

@@ -7,15 +7,14 @@ Usage::
     python -m repro perf run --quick --case fig5 --case shootout
     python -m repro perf run --quick --workers 4   # shard cases
     python -m repro perf compare                # latest BENCH_* vs previous
-    python -m repro perf compare --current /tmp/now.json \\
-                                 --baseline BENCH_PR3.json --no-gate-wall
+    python -m repro perf compare --current /tmp/now.json  # vs newest BENCH_*
     python -m repro perf profile                # hotspots for fig5 + shootout
     python -m repro perf profile --case fig7 --top 20
 
 ``run`` writes the trajectory artifact ``BENCH_<label>.json`` at the
-repo root (label defaults to the next free ``PR<k>``) plus per-case
-JSON twins under ``results/``.  ``compare`` exits nonzero on any gated
-regression — wire it into CI after a quick run to gate perf.
+repo root (label defaults to the next free ``PR<k>``).  ``compare``
+exits 1 when any ``virtual:*`` metric differs from the baseline or is
+missing, and 2 when the artifacts cannot be compared.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import List, Optional
 from ..bench.reporting import format_table, si
 from ..par.pool import workers_arg
 from . import artifact, compare, profile as profiling
-from .suite import CASES, run_suite
+from .suite import CASES, UnknownCase, resolve_case, run_suite
 
 
 def _cmd_run(args) -> int:
@@ -45,15 +44,16 @@ def _cmd_run(args) -> int:
         names += ["shootout@" + "+".join(
             b.strip() for b in spec.split(",") if b.strip()
         ) for spec in args.backends]
-    suite = run_suite(tier, names=names, repeats=args.repeats,
-                      progress=print, workers=args.workers)
+    try:
+        suite = run_suite(tier, names=names, progress=print,
+                          workers=args.workers)
+    except UnknownCase as e:
+        print(f"perf run: {e.args[0]}", file=sys.stderr)
+        return 2
     doc = artifact.suite_to_doc(suite, label)
     artifact.write_artifact(out, doc)
     print(f"\nartifact: {out} (schema {artifact.SCHEMA}, tier {tier}, "
           f"label {label})")
-    if not args.no_results:
-        twins = artifact.write_twins(doc, Path(args.results_dir))
-        print(f"twins: {len(twins)} case file(s) under {args.results_dir}/")
     rows = []
     for run in suite.cases:
         for metric, value in run.metrics.items():
@@ -87,12 +87,7 @@ def _cmd_compare(args) -> int:
         cur_path, base_path = _pick_pair(root, args.current, args.baseline)
         cur = artifact.load_artifact(cur_path)
         base = artifact.load_artifact(base_path)
-        deltas = compare.compare_docs(
-            cur, base,
-            virtual_tol=args.virtual_tol,
-            wall_tol=args.wall_tol,
-            gate_wall=not args.no_gate_wall,
-        )
+        deltas = compare.compare_docs(cur, base)
     except (artifact.ArtifactError, compare.CompareError) as e:
         print(f"perf compare: {e}", file=sys.stderr)
         return 2
@@ -101,9 +96,7 @@ def _cmd_compare(args) -> int:
           f"tier {base['tier']})")
     if base_path.resolve() == cur_path.resolve():
         print("note: single-artifact trajectory — comparing against itself")
-    gates = (f"virtual ±{args.virtual_tol:.0%}, wall "
-             + ("ungated" if args.no_gate_wall else f"±{args.wall_tol:.0%}"))
-    print(f"tolerances: {gates}\n")
+    print("gate: exact equality on every virtual:* metric\n")
     print(compare.render_deltas(deltas, only_interesting=args.brief))
     print(f"\nverdict: {compare.summarize(deltas)}")
     if compare.has_regressions(deltas):
@@ -114,15 +107,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    names = args.case or ["fig5", "shootout"]
-    unknown = [n for n in names if n not in CASES]
-    if unknown:
-        print(f"perf profile: unknown case(s) {unknown}; registered: "
-              f"{sorted(CASES)}", file=sys.stderr)
+    try:
+        cases = [resolve_case(n) for n in args.case or ["fig5", "shootout"]]
+    except UnknownCase as e:
+        print(f"perf profile: {e.args[0]}", file=sys.stderr)
         return 2
-    for name in names:
-        case = CASES[name]
-        print(f"== {name}: top {args.top} host hotspots "
+    for case in cases:
+        print(f"== {case.name}: top {args.top} host hotspots "
               f"({args.tier} tier, cProfile by own time) ==")
         report = profiling.profile_case(case, tier=args.tier, top=args.top)
         print(report.table())
@@ -133,6 +124,18 @@ def _cmd_profile(args) -> int:
                 print(trace)
                 print()
     return 0
+
+
+def _positive_int(raw: str) -> int:
+    """``argparse`` ``type=`` for ``--top``: an integer ``>= 1``."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1 (got {raw!r})") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,43 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact label (default: next free PR<k>)")
     p_run.add_argument("--out", default=None, metavar="PATH",
                        help="artifact path (default: <root>/BENCH_<label>.json)")
-    p_run.add_argument("--repeats", type=int, default=None,
-                       help="wall-clock repeats per case (default: 3 quick, "
-                            "1 full)")
     p_run.add_argument("--workers", type=workers_arg, default=1, metavar="N",
                        help="shard cases across N worker processes "
-                            "(0 = one per CPU; default 1 = serial). "
-                            "Virtual metrics are identical either way; "
-                            "wall:seconds reflects a time-shared host, so "
-                            "record committed baselines serially")
+                            "(0 = one per CPU; default 1 = serial); "
+                            "the artifact is identical either way")
     p_run.add_argument("--root", default=".",
                        help="repo root holding the BENCH_* trajectory")
-    p_run.add_argument("--results-dir", default="results",
-                       help="directory for per-case JSON twins")
-    p_run.add_argument("--no-results", action="store_true",
-                       help="skip writing the results/ twins")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="diff two artifacts, exit nonzero "
-                                           "on regression")
+                                           "on any virtual-metric change")
     p_cmp.add_argument("--current", default=None, metavar="PATH",
                        help="artifact under test (default: newest BENCH_*)")
     p_cmp.add_argument("--baseline", default=None, metavar="PATH",
                        help="reference artifact (default: previous BENCH_*)")
     p_cmp.add_argument("--root", default=".",
                        help="repo root holding the BENCH_* trajectory")
-    p_cmp.add_argument("--virtual-tol", type=float,
-                       default=compare.DEFAULT_VIRTUAL_TOL,
-                       help="allowed fractional worsening for virtual "
-                            "metrics (default %(default)s)")
-    p_cmp.add_argument("--wall-tol", type=float,
-                       default=compare.DEFAULT_WALL_TOL,
-                       help="allowed fractional worsening for wall-clock "
-                            "(default %(default)s)")
-    p_cmp.add_argument("--no-gate-wall", action="store_true",
-                       help="report wall-clock deltas but never fail on them "
-                            "(use across machines, e.g. CI vs a committed "
-                            "baseline)")
     p_cmp.add_argument("--brief", action="store_true",
                        help="hide metrics whose status is plain ok")
     p_cmp.set_defaults(func=_cmd_compare)
@@ -209,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--case", action="append", metavar="NAME",
                         help="case to profile (repeatable; default: fig5 and "
                              "shootout)")
-    p_prof.add_argument("--top", type=int, default=10,
+    p_prof.add_argument("--top", type=_positive_int, default=10,
                         help="rows in the hotspot table (default %(default)s)")
     p_prof.add_argument("--tier", choices=("quick", "full"), default="quick")
     p_prof.add_argument("--no-trace", action="store_true",

@@ -1,60 +1,39 @@
-"""Pairwise artifact comparison: the perf regression gate.
+"""Pairwise artifact comparison: the exact virtual-metric gate.
 
-Deltas are computed per (case, metric) with *noise-aware* tolerances:
+Only ``virtual:*`` metrics are compared.  They come from the seeded
+simulator and are bit-deterministic, so the gate is exact equality:
+any difference, in either direction, is a behavior change that must be
+declared by committing a new baseline.  Each (case, metric) row is one
+of
 
-* ``virtual:*`` metrics come from the seeded simulator and are
-  bit-deterministic, so any delta is a real behavior change.  The
-  default tolerance (10%) is slack for *intentional* drift — a cost
-  model tweak, a workload rebalance — not for measurement noise.
-* ``wall:seconds`` measures the host, which is noisy and
-  machine-dependent.  It gets a loose tolerance (default: 50% slower
-  fails) and can be excluded from gating entirely (``gate_wall=False``)
-  for cross-machine comparisons like CI against a committed baseline.
+* ``ok`` — bit-equal;
+* ``changed`` — any difference (fails the gate);
+* ``gone`` — in the baseline, missing from the current run, whether
+  one metric or a whole case (fails the gate);
+* ``new`` — in the current run only (informational).
 
-Direction is inferred from the metric name (see
-:mod:`repro.perf.suite`): ``seconds``/``cycles``/``overhead``/
-``failure``/``reserved``/``wait`` metrics are lower-is-better,
-everything else higher-is-better.
+Other keys in an artifact's metrics — the ``wall:seconds`` that
+artifacts up to ``BENCH_PR10.json`` carry — are ignored.  Wall-clock
+claims come from ``benchmark/``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..bench.reporting import format_table, si, signed_pct
 
-#: substrings marking a lower-is-better metric (after the class prefix)
-LOWER_BETTER_MARKERS = ("seconds", "cycles", "overhead", "failure",
-                        "reserved", "wait")
+#: prefix of the gated metric class
+VIRTUAL = "virtual:"
 
-#: default allowed fractional worsening per metric class
-DEFAULT_VIRTUAL_TOL = 0.10
-DEFAULT_WALL_TOL = 0.50
-
-#: denominator floor for wall-clock deltas: a baseline wall below timer
-#: resolution must not turn a microseconds-level jitter into an
-#: infinite (or astronomically large) "regression"
-WALL_FLOOR_SECONDS = 1e-6
-
-#: synthetic per-artifact row: the sum of every case's wall:seconds —
-#: the deck's end-to-end host cost, the metric sharding improves
-DECK_CASE = "(deck)"
+#: row statuses that fail the gate
+FAILING = ("changed", "gone")
 
 
 class CompareError(ValueError):
     """The two artifacts cannot be meaningfully compared."""
-
-
-def metric_class(name: str) -> str:
-    """'virtual:mean_speedup' -> 'virtual'; 'wall:seconds' -> 'wall'."""
-    return name.split(":", 1)[0] if ":" in name else "virtual"
-
-
-def lower_is_better(name: str) -> bool:
-    base = name.split(":", 1)[-1]
-    return any(marker in base for marker in LOWER_BETTER_MARKERS)
 
 
 @dataclass
@@ -63,45 +42,31 @@ class Delta:
 
     case: str
     metric: str
-    baseline: float
-    current: float
-    #: signed fractional *worsening* (+0.2 = 20% worse, -0.1 = 10% better)
-    worsening: float
-    klass: str        # "virtual" | "wall"
-    gated: bool       # does this row participate in the pass/fail verdict
-    status: str       # "ok" | "regression" | "improved" | "new" | "gone"
+    baseline: float   # nan on a "new" row
+    current: float    # nan on a "gone" row
+    status: str       # "ok" | "changed" | "gone" | "new"
+
+    @property
+    def change(self) -> float:
+        """Signed fractional change of current vs baseline (display only;
+        ``±inf`` when a metric moves off zero)."""
+        if self.baseline == self.current:
+            return 0.0
+        if self.baseline == 0:
+            return math.copysign(math.inf, self.current)
+        return (self.current - self.baseline) / abs(self.baseline)
 
 
-def _worsening(baseline: float, current: float, lower_better: bool,
-               floor: float = 0.0) -> float:
-    """Signed fractional worsening of ``current`` relative to ``baseline``.
-
-    ``floor`` clamps the denominator: wall-clock metrics use
-    :data:`WALL_FLOOR_SECONDS` so a sub-resolution baseline (a case so
-    fast the timer reads ~0) yields a large-but-finite delta instead of
-    ``inf`` / a zero-division — those rows should read as noise against
-    the wall tolerance, not explode the gate.
-    """
-    if baseline == current:
-        return 0.0
-    denom = max(abs(baseline), floor)
-    if denom == 0:
-        # a metric appearing from zero: worse iff it moved the bad way
-        worse = current > 0 if lower_better else current < 0
-        return math.inf if worse else -math.inf
-    frac = (current - baseline) / denom
-    return frac if lower_better else -frac
+def _virtual(case: dict) -> Dict[str, float]:
+    return {k: v for k, v in case.get("metrics", {}).items()
+            if k.startswith(VIRTUAL)}
 
 
-def compare_docs(current: dict, baseline: dict, *,
-                 virtual_tol: float = DEFAULT_VIRTUAL_TOL,
-                 wall_tol: float = DEFAULT_WALL_TOL,
-                 gate_wall: bool = True) -> List[Delta]:
-    """Per-metric deltas of ``current`` against ``baseline``.
+def compare_docs(current: dict, baseline: dict) -> List[Delta]:
+    """Per-metric rows of ``current`` against ``baseline``.
 
-    Both documents must be the same tier — a quick run regressing
-    against a full baseline would compare different workloads and
-    produce nonsense deltas.
+    Both documents must be the same tier — a quick run against a full
+    baseline would compare different workloads.
     """
     if current.get("tier") != baseline.get("tier"):
         raise CompareError(
@@ -109,75 +74,28 @@ def compare_docs(current: dict, baseline: dict, *,
             f"is {baseline.get('tier')!r} — artifacts compare only within "
             "a tier"
         )
-    tols = {"virtual": virtual_tol, "wall": wall_tol}
     deltas: List[Delta] = []
     cur_cases: Dict[str, dict] = current["cases"]
     base_cases: Dict[str, dict] = baseline["cases"]
     for case in sorted(set(cur_cases) | set(base_cases)):
-        cur_metrics = cur_cases.get(case, {}).get("metrics", {})
-        base_metrics = base_cases.get(case, {}).get("metrics", {})
+        cur_metrics = _virtual(cur_cases.get(case, {}))
+        base_metrics = _virtual(base_cases.get(case, {}))
         for metric in sorted(set(cur_metrics) | set(base_metrics)):
-            klass = metric_class(metric)
-            gated = klass != "wall" or gate_wall
-            cur = cur_metrics.get(metric)
-            base = base_metrics.get(metric)
-            if base is None or cur is None:
-                deltas.append(Delta(
-                    case=case, metric=metric,
-                    baseline=base if base is not None else math.nan,
-                    current=cur if cur is not None else math.nan,
-                    worsening=0.0, klass=klass, gated=False,
-                    status="new" if base is None else "gone",
-                ))
-                continue
-            floor = WALL_FLOOR_SECONDS if klass == "wall" else 0.0
-            worsening = _worsening(base, cur, lower_is_better(metric), floor)
-            tol = tols[klass]
-            if gated and worsening > tol:
-                status = "regression"
-            elif worsening < -tol:
-                status = "improved"
+            cur = cur_metrics.get(metric, math.nan)
+            base = base_metrics.get(metric, math.nan)
+            if metric not in base_metrics:
+                status = "new"
+            elif metric not in cur_metrics:
+                status = "gone"
             else:
-                status = "ok"
-            deltas.append(Delta(case=case, metric=metric, baseline=base,
-                                current=cur, worsening=worsening,
-                                klass=klass, gated=gated, status=status))
-    deck = _deck_delta(cur_cases, base_cases, wall_tol, gate_wall)
-    if deck is not None:
-        deltas.append(deck)
+                status = "ok" if cur == base else "changed"
+            deltas.append(Delta(case, metric, base, cur, status))
     return deltas
 
 
-def _deck_delta(cur_cases: Dict[str, dict], base_cases: Dict[str, dict],
-                wall_tol: float, gate_wall: bool) -> "Optional[Delta]":
-    """The synthetic ``(deck)`` row: summed ``wall:seconds`` per side.
-
-    Reported only when both artifacts cover the *same* multi-case set —
-    a partial run's deck total would compare different workloads, and a
-    single-case artifact's total is just that case again.  The row is
-    informational (never gated): per-case walls already gate, and the
-    total exists to make end-to-end deck cost — the thing ``--workers``
-    and scheduler work improve — visible in one line.
-    """
-    if set(cur_cases) != set(base_cases) or len(cur_cases) < 2:
-        return None
-    sums = []
-    for cases in (cur_cases, base_cases):
-        walls = [c.get("metrics", {}).get("wall:seconds") for c in cases.values()]
-        if any(w is None for w in walls):
-            return None
-        sums.append(float(sum(walls)))
-    cur_sum, base_sum = sums
-    worsening = _worsening(base_sum, cur_sum, lower_better=True,
-                           floor=WALL_FLOOR_SECONDS)
-    status = "improved" if worsening < -wall_tol else "ok"
-    return Delta(case=DECK_CASE, metric="wall:seconds", baseline=base_sum,
-                 current=cur_sum, worsening=worsening, klass="wall",
-                 gated=False, status=status)
-
-
 def has_regressions(deltas: List[Delta]) -> bool:
-    return any(d.status == "regression" for d in deltas)
+    """True when any row fails the gate (``changed`` or ``gone``)."""
+    return any(d.status in FAILING for d in deltas)
 
 
 def _fmt_value(v: float) -> str:
@@ -191,28 +109,25 @@ def _fmt_value(v: float) -> str:
 
 
 def render_deltas(deltas: List[Delta], *, only_interesting: bool = False) -> str:
-    """The delta table (via :mod:`repro.bench.reporting`).
+    """The comparison table (via :mod:`repro.bench.reporting`).
 
-    ``only_interesting`` drops rows whose status is plain ``ok`` —
-    useful when a full-tier artifact has dozens of flat metrics.
+    ``changed`` rows print both values exactly (``repr``), so a 1-ulp
+    move is visible.  ``only_interesting`` drops the ``ok`` rows.
     """
     rows = []
     for d in deltas:
         if only_interesting and d.status == "ok":
             continue
-        arrow = "better" if d.worsening < 0 else ("worse" if d.worsening > 0 else "=")
+        fmt = repr if d.status == "changed" else _fmt_value
         rows.append([
-            d.case, d.metric, _fmt_value(d.baseline), _fmt_value(d.current),
-            signed_pct(d.worsening) if d.worsening else "0.0%",
-            arrow if d.status not in ("new", "gone") else "",
-            d.status if d.gated or d.status in ("new", "gone")
-            else f"{d.status} (ungated)",
+            d.case, d.metric, fmt(d.baseline), fmt(d.current),
+            signed_pct(d.change) if d.status == "changed" else "",
+            d.status,
         ])
     if not rows:
         return "(no deltas to show)"
     return format_table(
-        ["case", "metric", "baseline", "current", "delta", "", "status"],
-        rows,
+        ["case", "metric", "baseline", "current", "delta", "status"], rows,
     )
 
 
@@ -221,6 +136,6 @@ def summarize(deltas: List[Delta]) -> str:
     counts: Dict[str, int] = {}
     for d in deltas:
         counts[d.status] = counts.get(d.status, 0) + 1
-    bits = [f"{counts[k]} {k}" for k in
-            ("regression", "improved", "ok", "new", "gone") if k in counts]
+    bits = [f"{counts[k]} {k}" for k in ("changed", "gone", "ok", "new")
+            if k in counts]
     return ", ".join(bits) if bits else "no comparable metrics"

@@ -69,7 +69,7 @@ def profile_case(case: BenchCase, tier: str = "quick",
     prof = cProfile.Profile()
     prof.enable()
     try:
-        runner()
+        runner(case.seed)
     finally:
         prof.disable()
     stats = pstats.Stats(prof)
@@ -92,5 +92,5 @@ def trace_report(case: BenchCase, top: int = 10) -> Optional[str]:
     if case.traced_quick is None:
         return None
     tracer = Tracer()
-    case.traced_quick(tracer)
+    case.traced_quick(case.seed, tracer)
     return trace_summary(tracer, top=top)

@@ -2,42 +2,24 @@
 
 Every :class:`BenchCase` wraps one of the repo's evaluation harnesses
 (:mod:`repro.bench.fig5` … :mod:`repro.bench.ablations`) and reduces its
-result object to a flat ``{metric: float}`` dict.  Two metric classes
-are recorded, distinguished by prefix:
-
-``virtual:*``
-    Simulated-throughput metrics derived from the cost model (ops per
-    virtual second, cycle totals, speedups, overhead ratios).  These
-    are **deterministic**: the simulator is seeded, so the same code at
-    the same seed produces bit-identical values — any delta across PRs
-    is a real behavior change.
-
-``wall:seconds``
-    Host wall-clock for one run of the case — how fast the pure-Python
-    simulator itself executes the workload.  This is the binding
-    constraint on every sweep in this repo (a fig7 full sweep is
-    minutes of host time for milliseconds of virtual time), so it is
-    tracked as a first-class metric, but it is *noisy* and
-    machine-dependent; :mod:`repro.perf.compare` gates it with a loose
-    tolerance that can be disabled entirely for cross-machine runs.
+result object to a flat ``{metric: float}`` dict, recorded under the
+``virtual:`` prefix: simulated-throughput metrics derived from the cost
+model (ops per virtual second, cycle totals, speedups, overhead
+ratios).  The simulator is seeded — each case's one ``seed`` is passed
+to its runner — so the same code produces bit-identical values, and
+:mod:`repro.perf.compare` gates them on exact equality.
 
 Each case has a ``quick`` tier (seconds of host time — CI smoke and the
-regression gate) and a ``full`` tier (the paper-scale sweeps behind
-EXPERIMENTS.md).  Wall-clock is measured per repeat and the median is
-recorded; virtual metrics must agree across repeats, and a mismatch
-raises — determinism is part of the simulator's contract.
-
-Metric-name convention (relied on by :mod:`repro.perf.compare` to pick
-a comparison direction): names containing ``seconds``, ``cycles``,
-``overhead``, ``failure``, ``reserved`` or ``wait`` are lower-is-better;
-everything else (throughput, speedup) is higher-is-better.
+gate) and a ``full`` tier (the paper-scale sweeps behind
+EXPERIMENTS.md).  Every case runs twice at either tier, and the two
+runs' metrics must agree exactly; a mismatch raises — determinism is
+part of the simulator's contract.  Host wall-clock is measured by
+``benchmark/``, not here.
 """
 
 from __future__ import annotations
 
 import functools
-import statistics
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,10 +33,14 @@ from ..sim.trace import Tracer
 #: (metrics, params) as produced by one tier-runner invocation
 RunnerOutput = Tuple[Dict[str, float], Dict[str, object]]
 
-#: default wall-clock repeats per tier (median is recorded)
-DEFAULT_REPEATS = {"quick": 3, "full": 1}
+#: a tier runner: called with the case's seed
+Runner = Callable[[int], RunnerOutput]
 
 TIERS = ("quick", "full")
+
+
+class UnknownCase(KeyError):
+    """A case name that neither the registry nor ``shootout@`` resolves."""
 
 
 @dataclass(frozen=True)
@@ -64,13 +50,13 @@ class BenchCase:
     name: str
     seed: int
     description: str
-    quick: Callable[[], RunnerOutput]
-    full: Callable[[], RunnerOutput]
-    #: optional quick-tier runner that accepts a Tracer, for
+    quick: Runner
+    full: Runner
+    #: optional quick-tier runner that takes the seed and a Tracer, for
     #: tracer-derived profiling (only fig5/6/7 support tracing today)
-    traced_quick: Optional[Callable[[Tracer], object]] = None
+    traced_quick: Optional[Callable[[int, Tracer], object]] = None
 
-    def runner(self, tier: str) -> Callable[[], RunnerOutput]:
+    def runner(self, tier: str) -> Runner:
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r} (expected one of {TIERS})")
         return self.quick if tier == "quick" else self.full
@@ -83,9 +69,7 @@ class CaseRun:
     case: str
     tier: str
     seed: int
-    repeats: int
-    wall_seconds: List[float]          # one entry per repeat
-    metrics: Dict[str, float]          # "virtual:*" plus "wall:seconds"
+    metrics: Dict[str, float]          # "virtual:*"
     params: Dict[str, object] = field(default_factory=dict)
 
 
@@ -114,8 +98,9 @@ def _slug(name: str) -> str:
 # ----------------------------------------------------------------------
 # per-bench metric extractors
 # ----------------------------------------------------------------------
-def _fig5(thread_counts: Sequence[int], batch: int = 512) -> RunnerOutput:
-    res = fig5.run(thread_counts=thread_counts, batch=batch)
+def _fig5(seed: int, thread_counts: Sequence[int],
+          batch: int = 512) -> RunnerOutput:
+    res = fig5.run(thread_counts=thread_counts, batch=batch, seed=seed)
     peak = thread_counts[-1]
     c = res.counting.y_at(peak)
     b = res.bulk.y_at(peak)
@@ -127,12 +112,13 @@ def _fig5(thread_counts: Sequence[int], batch: int = 512) -> RunnerOutput:
     return metrics, {"thread_counts": list(thread_counts), "batch": batch}
 
 
-def _fig5_traced(tracer: Tracer) -> object:
-    return fig5.run(thread_counts=(256, 1024), tracer=tracer)
+def _fig5_traced(seed: int, tracer: Tracer) -> object:
+    return fig5.run(thread_counts=(256, 1024), seed=seed, tracer=tracer)
 
 
-def _fig6(ratios: Sequence[int], thread_targets: Sequence[int]) -> RunnerOutput:
-    res = fig6.run(ratios=ratios, thread_targets=thread_targets)
+def _fig6(seed: int, ratios: Sequence[int],
+          thread_targets: Sequence[int]) -> RunnerOutput:
+    res = fig6.run(ratios=ratios, thread_targets=thread_targets, seed=seed)
     speedups = [p.speedup for p in res.points]
     metrics = {
         "delegation_speedup_gmean": geometric_mean(speedups),
@@ -144,12 +130,13 @@ def _fig6(ratios: Sequence[int], thread_targets: Sequence[int]) -> RunnerOutput:
                      "points": len(res.points)}
 
 
-def _fig6_traced(tracer: Tracer) -> object:
-    return fig6.run(ratios=(32,), thread_targets=(1024,), tracer=tracer)
+def _fig6_traced(seed: int, tracer: Tracer) -> object:
+    return fig6.run(ratios=(32,), thread_targets=(1024,), seed=seed,
+                    tracer=tracer)
 
 
-def _fig7(sizes: Sequence[int]) -> RunnerOutput:
-    res = fig7.run(sizes=sizes)
+def _fig7(seed: int, sizes: Sequence[int]) -> RunnerOutput:
+    res = fig7.run(sizes=sizes, seed=seed)
     ours = [p for p in res.points if p.allocator == "ours"]
     cuda = [p for p in res.points if p.allocator == "cuda"]
     metrics = {
@@ -162,11 +149,11 @@ def _fig7(sizes: Sequence[int]) -> RunnerOutput:
     return metrics, {"sizes": list(sizes)}
 
 
-def _fig7_traced(tracer: Tracer) -> object:
-    return fig7.run(sizes=(64, 4096), tracer=tracer)
+def _fig7_traced(seed: int, tracer: Tracer) -> object:
+    return fig7.run(sizes=(64, 4096), seed=seed, tracer=tracer)
 
 
-def _shootout(nthreads: int, iters: int, seed: int = 9,
+def _shootout(seed: int, nthreads: int, iters: int,
               backends: Optional[Sequence[str]] = None) -> RunnerOutput:
     res = shootout.run(nthreads=nthreads, iters=iters, seed=seed,
                        which=backends)
@@ -184,9 +171,10 @@ def _shootout(nthreads: int, iters: int, seed: int = 9,
     return metrics, params
 
 
-def _lockstep(nthreads: int, rounds: int, plain_rounds: int) -> RunnerOutput:
+def _lockstep(seed: int, nthreads: int, rounds: int,
+              plain_rounds: int) -> RunnerOutput:
     res = lockstep.run(nthreads=nthreads, rounds=rounds,
-                       plain_rounds=plain_rounds)
+                       plain_rounds=plain_rounds, seed=seed)
     metrics = {
         "coalesced_slots_per_s": res.coalesced.slots_per_s,
         "plain_slots_per_s": res.plain.slots_per_s,
@@ -198,8 +186,8 @@ def _lockstep(nthreads: int, rounds: int, plain_rounds: int) -> RunnerOutput:
                      "plain_rounds": plain_rounds}
 
 
-def _fragmentation(rounds: int, nthreads: int) -> RunnerOutput:
-    res = fragmentation.run(rounds=rounds, nthreads=nthreads)
+def _fragmentation(seed: int, rounds: int, nthreads: int) -> RunnerOutput:
+    res = fragmentation.run(rounds=rounds, nthreads=nthreads, seed=seed)
     o, b = res.ours[-1], res.bump[-1]
     metrics = {
         "ours_overhead_final": o.overhead,
@@ -209,8 +197,8 @@ def _fragmentation(rounds: int, nthreads: int) -> RunnerOutput:
     return metrics, {"rounds": rounds, "nthreads": nthreads}
 
 
-def _resil(nthreads: int, iters: int) -> RunnerOutput:
-    res = resil_bench.run(nthreads=nthreads, iters=iters)
+def _resil(seed: int, nthreads: int, iters: int) -> RunnerOutput:
+    res = resil_bench.run(nthreads=nthreads, iters=iters, seed=seed)
     heavy = res.point("heavy")
     metrics = {
         "pairs_per_s_clean": res.point("clean").throughput,
@@ -235,9 +223,7 @@ def _resil(nthreads: int, iters: int) -> RunnerOutput:
 def _workload_metrics(metrics: Dict[str, float], report,
                       backend_key: str) -> None:
     """Fold one :class:`~repro.workloads.replay.ReplayReport` into the
-    case's metric dict under the backend's slug.  Metric names follow
-    the module convention: ``failure`` keys gate lower-is-better,
-    ``ops_per_s``/``fairness`` higher-is-better."""
+    case's metric dict under the backend's slug."""
     slug = _slug(backend_key)
     totals = report.totals
     metrics[f"ops_per_s_{slug}"] = report.ops_per_s
@@ -247,62 +233,42 @@ def _workload_metrics(metrics: Dict[str, float], report,
         st.failure_rate for st in report.tenants.values())
 
 
-def _workload_family(family: str, seed: int, events: int,
-                     lanes: int = 2,
-                     backends: Sequence[str] = ("ours",),
-                     **overrides) -> RunnerOutput:
-    """Generate a workload-family trace and replay it per backend."""
-    from ..workloads import families as workload_families
-    from ..workloads.replay import replay as replay_trace
-
-    trace = workload_families.generate(family, seed, events=events,
-                                       **overrides)
-    metrics: Dict[str, float] = {}
-    for b in backends:
-        rep = replay_trace(trace, backend=b, seed=seed,
-                           lanes_per_tenant=lanes)
-        _workload_metrics(metrics, rep, b)
-    params: Dict[str, object] = {
-        "family": family, "events": len(trace.events),
-        "tenants": trace.tenants, "lanes_per_tenant": lanes,
-        "backends": list(backends),
-    }
-    params.update(overrides)
-    return metrics, params
-
-
-def _workload_trace(name: str, seed: int, lanes: int = 1,
-                    backends: Sequence[str] = ("ours",)) -> RunnerOutput:
-    """Replay a bundled recorded trace per backend — the committed
-    fixture makes the workload identical on every machine, so the
-    ``virtual:*`` metrics gate exactly across the trajectory."""
-    from ..workloads.replay import replay as replay_trace
+def _workload(seed: int, *, lanes: int,
+              backends: Sequence[str] = ("ours",),
+              trace: Optional[str] = None, family: Optional[str] = None,
+              **family_args) -> RunnerOutput:
+    """Replay one workload per backend: a bundled recorded ``trace``
+    (the committed fixture is identical on every machine), or a
+    ``family`` trace generated from the seed with ``family_args``."""
+    from ..workloads import families
+    from ..workloads.replay import replay
     from ..workloads.trace import load_bundled
 
-    trace = load_bundled(name)
+    params: Dict[str, object]
+    if family is not None:
+        wl = families.generate(family, seed, **family_args)
+        params = {"family": family, **family_args}
+    else:
+        wl = load_bundled(trace)
+        params = {"trace": trace}
     metrics: Dict[str, float] = {}
     for b in backends:
-        rep = replay_trace(trace, backend=b, seed=seed,
-                           lanes_per_tenant=lanes)
+        rep = replay(wl, backend=b, seed=seed, lanes_per_tenant=lanes)
         _workload_metrics(metrics, rep, b)
-    params: Dict[str, object] = {
-        "trace": name, "events": len(trace.events),
-        "tenants": trace.tenants, "lanes_per_tenant": lanes,
-        "backends": list(backends),
-    }
+    params.update(events=len(wl.events), tenants=wl.tenants,
+                  lanes_per_tenant=lanes, backends=list(backends))
     return metrics, params
 
 
-def _serve_replay(name: str, seed: int, batch_max: int = 16,
+def _serve_replay(seed: int, name: str, batch_max: int = 16,
                   quota_bytes: Optional[int] = None,
                   pool: int = 1 << 20,
                   backends: Sequence[str] = ("ours",)) -> RunnerOutput:
     """Serve a bundled trace through the allocator service's
     deterministic feeder, per backend: admission control (quota +
     pressure) in front of episode batching over a persistent heap.
-    Latency percentiles are virtual cycles (lower-is-better by the
-    metric-name convention), and the admission split is gated separately
-    from backend NULLs."""
+    Latency percentiles are virtual cycles, and the admission split is
+    recorded separately from backend NULLs."""
     from ..serve.bench import run_backend as serve_one_backend
     from ..workloads.trace import load_bundled
 
@@ -326,8 +292,8 @@ def _serve_replay(name: str, seed: int, batch_max: int = 16,
     return metrics, params
 
 
-def _ablation_buddy(thread_counts: Sequence[int]) -> RunnerOutput:
-    res = ablations.run_buddy_ablation(thread_counts=thread_counts)
+def _ablation_buddy(seed: int, thread_counts: Sequence[int]) -> RunnerOutput:
+    res = ablations.run_buddy_ablation(thread_counts=thread_counts, seed=seed)
     peak = thread_counts[-1]
     ratios = [t / l for t, l in zip(res.tbuddy.ys, res.lock_buddy.ys) if l]
     metrics = {
@@ -338,8 +304,10 @@ def _ablation_buddy(thread_counts: Sequence[int]) -> RunnerOutput:
     return metrics, {"thread_counts": list(thread_counts)}
 
 
-def _ablation_collective(thread_counts: Sequence[int]) -> RunnerOutput:
-    res = ablations.run_collective_ablation(thread_counts=thread_counts)
+def _ablation_collective(seed: int,
+                         thread_counts: Sequence[int]) -> RunnerOutput:
+    res = ablations.run_collective_ablation(thread_counts=thread_counts,
+                                            seed=seed)
     peak = thread_counts[-1]
     ratios = [c / p for c, p in zip(res.collective.ys, res.plain.ys) if p]
     metrics = {
@@ -367,8 +335,8 @@ _register(BenchCase(
     name="fig5",
     seed=1,
     description="two-stage allocation ceiling: counting vs bulk semaphores",
-    quick=lambda: _fig5((256, 1024)),
-    full=lambda: _fig5((256, 1024, 4096, 16384)),
+    quick=lambda seed: _fig5(seed, (256, 1024)),
+    full=lambda seed: _fig5(seed, (256, 1024, 4096, 16384)),
     traced_quick=_fig5_traced,
 ))
 
@@ -376,8 +344,9 @@ _register(BenchCase(
     name="fig6",
     seed=3,
     description="RCU delegation speedup over classical barriers",
-    quick=lambda: _fig6((32, 128), (1024,)),
-    full=lambda: _fig6((32, 128, 512, 2048), (1024, 4096, 12288)),
+    quick=lambda seed: _fig6(seed, (32, 128), (1024,)),
+    full=lambda seed: _fig6(seed, (32, 128, 512, 2048),
+                            (1024, 4096, 12288)),
     traced_quick=_fig6_traced,
 ))
 
@@ -385,8 +354,8 @@ _register(BenchCase(
     name="fig7",
     seed=7,
     description="allocator throughput & failure rate across sizes",
-    quick=lambda: _fig7((64, 4096, 65536)),
-    full=lambda: _fig7(fig7.PAPER_SIZES),
+    quick=lambda seed: _fig7(seed, (64, 4096, 65536)),
+    full=lambda seed: _fig7(seed, fig7.PAPER_SIZES),
     traced_quick=_fig7_traced,
 ))
 
@@ -394,8 +363,8 @@ _register(BenchCase(
     name="shootout",
     seed=9,
     description="cross-allocator churn shootout (§2.2 designs)",
-    quick=lambda: _shootout(nthreads=512, iters=1),
-    full=lambda: _shootout(nthreads=2048, iters=2),
+    quick=lambda seed: _shootout(seed, nthreads=512, iters=1),
+    full=lambda seed: _shootout(seed, nthreads=2048, iters=2),
 ))
 
 _register(BenchCase(
@@ -403,40 +372,42 @@ _register(BenchCase(
     seed=13,
     description="whole-warp coalesced allocation ceiling (§4.2 "
                 "aggregation vs per-lane atomics)",
-    quick=lambda: _lockstep(nthreads=4096, rounds=48, plain_rounds=6),
-    full=lambda: _lockstep(nthreads=16384, rounds=64, plain_rounds=8),
+    quick=lambda seed: _lockstep(seed, nthreads=4096, rounds=48,
+                                 plain_rounds=6),
+    full=lambda seed: _lockstep(seed, nthreads=16384, rounds=64,
+                                plain_rounds=8),
 ))
 
 _register(BenchCase(
     name="fragmentation",
     seed=23,
     description="live vs reserved bytes over churn rounds",
-    quick=lambda: _fragmentation(rounds=2, nthreads=256),
-    full=lambda: _fragmentation(rounds=6, nthreads=1024),
+    quick=lambda seed: _fragmentation(seed, rounds=2, nthreads=256),
+    full=lambda seed: _fragmentation(seed, rounds=6, nthreads=1024),
 ))
 
 _register(BenchCase(
     name="resil",
     seed=17,
     description="throughput degradation under injected fault plans",
-    quick=lambda: _resil(nthreads=128, iters=2),
-    full=lambda: _resil(nthreads=512, iters=3),
+    quick=lambda seed: _resil(seed, nthreads=128, iters=2),
+    full=lambda seed: _resil(seed, nthreads=512, iters=3),
 ))
 
 _register(BenchCase(
     name="ablation_buddy",
     seed=5,
     description="TBuddy vs global-lock buddy (order-0 storm)",
-    quick=lambda: _ablation_buddy((64, 256)),
-    full=lambda: _ablation_buddy((64, 256, 1024)),
+    quick=lambda seed: _ablation_buddy(seed, (64, 256)),
+    full=lambda seed: _ablation_buddy(seed, (64, 256, 1024)),
 ))
 
 _register(BenchCase(
     name="ablation_collective",
     seed=6,
     description="collective vs per-thread mutex (list pop)",
-    quick=lambda: _ablation_collective((64, 256)),
-    full=lambda: _ablation_collective((64, 256, 1024)),
+    quick=lambda seed: _ablation_collective(seed, (64, 256)),
+    full=lambda seed: _ablation_collective(seed, (64, 256, 1024)),
 ))
 
 _register(BenchCase(
@@ -444,18 +415,20 @@ _register(BenchCase(
     seed=29,
     description="multi-tenant Zipfian contention: per-tenant QoS under "
                 "one shared pool",
-    quick=lambda: _workload_family("multi_tenant_zipf", 29, events=600),
-    full=lambda: _workload_family("multi_tenant_zipf", 29, events=2400,
-                                  tenants=8),
+    quick=lambda seed: _workload(seed, lanes=2, family="multi_tenant_zipf",
+                                 events=600),
+    full=lambda seed: _workload(seed, lanes=2, family="multi_tenant_zipf",
+                                events=2400, tenants=8),
 ))
 
 _register(BenchCase(
     name="workload_diurnal",
     seed=31,
     description="bursty open-loop diurnal arrivals (triangle-wave rate)",
-    quick=lambda: _workload_family("diurnal_burst", 31, events=600),
-    full=lambda: _workload_family("diurnal_burst", 31, events=2400,
-                                  tenants=4),
+    quick=lambda seed: _workload(seed, lanes=2, family="diurnal_burst",
+                                 events=600),
+    full=lambda seed: _workload(seed, lanes=2, family="diurnal_burst",
+                                events=2400, tenants=4),
 ))
 
 _register(BenchCase(
@@ -463,10 +436,10 @@ _register(BenchCase(
     seed=37,
     description="bundled recorded-trace replay across backends "
                 "(committed fixture)",
-    quick=lambda: _workload_trace("mt_small", 37,
-                                  backends=("ours", "cuda")),
-    full=lambda: _workload_trace("mt_small", 37, lanes=2,
-                                 backends=("ours", "cuda", "hostbased")),
+    quick=lambda seed: _workload(seed, lanes=1, trace="mt_small",
+                                 backends=("ours", "cuda")),
+    full=lambda seed: _workload(seed, lanes=2, trace="mt_small",
+                                backends=("ours", "cuda", "hostbased")),
 ))
 
 #: roster for the host-based backend case: the paper allocator, the two
@@ -479,11 +452,12 @@ _register(BenchCase(
     seed=41,
     description="allocator-as-a-service: admission (quota+pressure) + "
                 "episode batching over the bundled trace",
-    quick=lambda: _serve_replay("mt_small", 41, quota_bytes=16 << 10,
-                                backends=("ours", "cuda")),
-    full=lambda: _serve_replay("serve_small", 41, batch_max=32,
-                               quota_bytes=16 << 10,
-                               backends=("ours", "cuda", "hostbased")),
+    quick=lambda seed: _serve_replay(seed, "mt_small",
+                                     quota_bytes=16 << 10,
+                                     backends=("ours", "cuda")),
+    full=lambda seed: _serve_replay(seed, "serve_small", batch_max=32,
+                                    quota_bytes=16 << 10,
+                                    backends=("ours", "cuda", "hostbased")),
 ))
 
 _register(BenchCase(
@@ -491,47 +465,35 @@ _register(BenchCase(
     seed=11,
     description="registry shootout incl. the host-based backend "
                 "[Bell et al. 2024]",
-    quick=lambda: _shootout(nthreads=256, iters=1, seed=11,
-                            backends=_HOSTBASED_ROSTER),
-    full=lambda: _shootout(nthreads=1024, iters=2, seed=11,
-                           backends=_HOSTBASED_ROSTER),
+    quick=lambda seed: _shootout(seed, nthreads=256, iters=1,
+                                 backends=_HOSTBASED_ROSTER),
+    full=lambda seed: _shootout(seed, nthreads=1024, iters=2,
+                                backends=_HOSTBASED_ROSTER),
 ))
 
 
 # ----------------------------------------------------------------------
 # running
 # ----------------------------------------------------------------------
-def run_case(case: BenchCase, tier: str = "quick",
-             repeats: Optional[int] = None) -> CaseRun:
-    """Run one case: ``repeats`` timed repetitions, median wall-clock.
+def run_case(case: BenchCase, tier: str = "quick") -> CaseRun:
+    """Run one case twice; both runs' metrics must agree exactly.
 
-    Virtual metrics are required to be identical across repeats — the
-    simulator is seeded, so any drift means nondeterminism crept into a
-    bench runner, which would silently poison the perf trajectory.
+    The simulator is seeded, so any drift means nondeterminism crept
+    into a bench runner, which would silently poison the perf trajectory.
     """
     runner = case.runner(tier)
-    n = repeats if repeats is not None else DEFAULT_REPEATS[tier]
-    if n < 1:
-        raise ValueError(f"repeats must be >= 1 (got {n})")
-    walls: List[float] = []
-    metrics: Optional[Dict[str, float]] = None
-    params: Dict[str, object] = {}
-    for i in range(n):
-        t0 = time.perf_counter()
-        virt, params = runner()
-        walls.append(time.perf_counter() - t0)
-        if metrics is not None and virt != metrics:
-            changed = sorted(k for k in virt if virt.get(k) != metrics.get(k))
-            raise RuntimeError(
-                f"case {case.name!r} ({tier}) is nondeterministic: virtual "
-                f"metrics changed across repeats ({', '.join(changed)})"
-            )
-        metrics = virt
-    assert metrics is not None
+    metrics, params = runner(case.seed)
+    again, _ = runner(case.seed)
+    if again != metrics:
+        changed = sorted(k for k in metrics.keys() | again.keys()
+                         if again.get(k) != metrics.get(k))
+        raise RuntimeError(
+            f"case {case.name!r} ({tier}) is nondeterministic: virtual "
+            f"metrics changed between two runs ({', '.join(changed)})"
+        )
     out = {f"virtual:{k}": float(v) for k, v in sorted(metrics.items())}
-    out["wall:seconds"] = statistics.median(walls)
-    return CaseRun(case=case.name, tier=tier, seed=case.seed, repeats=n,
-                   wall_seconds=walls, metrics=out, params=params)
+    return CaseRun(case=case.name, tier=tier, seed=case.seed, metrics=out,
+                   params=params)
 
 
 def resolve_case(name: str) -> BenchCase:
@@ -550,25 +512,27 @@ def resolve_case(name: str) -> BenchCase:
         raw = [b.strip() for b in name.split("@", 1)[1].split("+")]
         roster = tuple(b for b in raw if b)
         if not roster:
-            raise KeyError(f"case {name!r} names no backends")
+            raise UnknownCase(f"case {name!r} names no backends")
         try:
             labels = ", ".join(get_backend(b).name for b in roster)
         except UnknownBackend as exc:
-            raise KeyError(f"case {name!r}: {exc.args[0]}") from None
+            raise UnknownCase(f"case {name!r}: {exc.args[0]}") from None
         return BenchCase(
             name=name,
             seed=9,
             description=f"parameterized churn shootout over {labels}",
-            quick=lambda: _shootout(nthreads=512, iters=1, backends=roster),
-            full=lambda: _shootout(nthreads=2048, iters=2, backends=roster),
+            quick=lambda seed: _shootout(seed, nthreads=512, iters=1,
+                                         backends=roster),
+            full=lambda seed: _shootout(seed, nthreads=2048, iters=2,
+                                        backends=roster),
         )
-    raise KeyError(
+    raise UnknownCase(
         f"unknown case {name!r}; registered: {sorted(CASES)} "
         "(or 'shootout@b1+b2' to parameterize the shootout by backend)"
     )
 
 
-def _run_case_named(name: str, tier: str, repeats: Optional[int]) -> CaseRun:
+def _run_case_named(name: str, tier: str) -> CaseRun:
     """Module-level shard worker: run one case by *name*.
 
     ``BenchCase`` runners are lambdas and cannot cross a process
@@ -577,21 +541,17 @@ def _run_case_named(name: str, tier: str, repeats: Optional[int]) -> CaseRun:
     registry on import — so this is the picklable unit
     :func:`run_suite` shards.
     """
-    return run_case(resolve_case(name), tier, repeats)
+    return run_case(resolve_case(name), tier)
 
 
 def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
-              repeats: Optional[int] = None,
               progress: Optional[Callable[[str], None]] = None,
               workers: int = 1) -> SuiteResult:
     """Run the registered cases (all, or the ``names`` subset) at a tier.
 
     Cases go through :func:`repro.par.pool.map_sharded` by name
     (``workers`` as there: ``1`` inline, ``0`` one per CPU); the result
-    is identical at any worker count (cases are seeded and independent),
-    except that ``wall:seconds`` reflects a time-shared host when
-    sharded — artifacts meant as wall-clock baselines should be
-    recorded serially.
+    is identical at any worker count (cases are seeded and independent).
     """
     if names is None:
         names = list(CASES)
@@ -601,10 +561,10 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
         progress(f"[{tier}] {len(names)} case(s) on "
                  f"{pool.resolve_workers(workers)} worker(s) ...")
     runs = pool.map_sharded(
-        functools.partial(_run_case_named, tier=tier, repeats=repeats),
+        functools.partial(_run_case_named, tier=tier),
         names, workers=workers, log=progress,
         describe=lambda run: (
-            f"[{tier}] {run.case}: {run.metrics['wall:seconds']:.2f}s wall "
-            f"(median of {run.repeats})"),
+            f"[{tier}] {run.case}: {len(run.metrics)} metric(s), "
+            "reproduced"),
     )
     return SuiteResult(tier=tier, cases=runs)

@@ -1,4 +1,4 @@
-"""The regression gate: directions, tolerance classes, statuses."""
+"""The regression gate: exact equality on virtual metrics, row statuses."""
 
 import math
 
@@ -14,7 +14,7 @@ def _doc(metrics, tier="quick", case="fake"):
         "label": "T",
         "tier": tier,
         "cost_model": {},
-        "cases": {case: {"seed": 1, "repeats": 1, "metrics": dict(metrics)}},
+        "cases": {case: {"seed": 1, "metrics": dict(metrics)}},
     }
 
 
@@ -24,67 +24,43 @@ def _one(deltas, metric):
 
 
 class TestDirections:
+    """A move in either direction is a change, and every change fails."""
+
     def test_throughput_drop_is_regression(self):
         base = _doc({"virtual:ops_per_s": 100.0})
-        cur = _doc({"virtual:ops_per_s": 80.0})
-        d = _one(compare.compare_docs(cur, base), "virtual:ops_per_s")
-        assert d.status == "regression"
-        assert d.worsening == pytest.approx(0.2)
+        cur = _doc({"virtual:ops_per_s": 91.0})
+        deltas = compare.compare_docs(cur, base)
+        d = _one(deltas, "virtual:ops_per_s")
+        assert d.status == "changed"
+        assert d.change == pytest.approx(-0.09)
+        assert compare.has_regressions(deltas)
 
-    def test_throughput_gain_is_improvement(self):
+    def test_throughput_gain_also_fails(self):
         base = _doc({"virtual:ops_per_s": 100.0})
         cur = _doc({"virtual:ops_per_s": 150.0})
-        d = _one(compare.compare_docs(cur, base), "virtual:ops_per_s")
-        assert d.status == "improved"
-        assert d.worsening == pytest.approx(-0.5)
+        deltas = compare.compare_docs(cur, base)
+        d = _one(deltas, "virtual:ops_per_s")
+        assert d.status == "changed"
+        assert d.change == pytest.approx(0.5)
+        assert compare.has_regressions(deltas)
 
-    def test_lower_better_metrics_invert(self):
-        for metric in ("virtual:total_cycles", "virtual:overhead_final",
-                       "virtual:failure_rate_mean", "wall:seconds"):
-            base = _doc({metric: 100.0})
-            worse = _doc({metric: 200.0})
-            d = _one(compare.compare_docs(worse, base), metric)
-            assert d.worsening == pytest.approx(1.0), metric
-            assert d.status == "regression", metric
-
-    def test_within_tolerance_is_ok(self):
-        base = _doc({"virtual:ops_per_s": 100.0})
-        cur = _doc({"virtual:ops_per_s": 95.0})  # 5% < 10% default
-        d = _one(compare.compare_docs(cur, base), "virtual:ops_per_s")
-        assert d.status == "ok"
+    def test_one_ulp_change_fails(self):
+        base = _doc({"virtual:mean_speedup": 3.25})
+        cur = _doc({"virtual:mean_speedup": math.nextafter(3.25, 0.0)})
+        deltas = compare.compare_docs(cur, base)
+        assert _one(deltas, "virtual:mean_speedup").status == "changed"
+        assert compare.has_regressions(deltas)
+        # the table prints changed values exactly, so the ulp is visible
+        assert repr(math.nextafter(3.25, 0.0)) in compare.render_deltas(deltas)
 
     def test_zero_baseline_appearing_failure_is_regression(self):
         base = _doc({"virtual:failure_rate_mean": 0.0})
         cur = _doc({"virtual:failure_rate_mean": 0.25})
-        d = _one(compare.compare_docs(cur, base), "virtual:failure_rate_mean")
-        assert d.status == "regression"
-        assert d.worsening == math.inf
-
-
-class TestToleranceClasses:
-    def test_wall_gets_looser_tolerance(self):
-        base = _doc({"virtual:ops_per_s": 100.0, "wall:seconds": 1.0})
-        cur = _doc({"virtual:ops_per_s": 100.0, "wall:seconds": 1.3})
-        deltas = compare.compare_docs(cur, base)  # wall 30% < 50% default
-        assert _one(deltas, "wall:seconds").status == "ok"
-        cur2 = _doc({"virtual:ops_per_s": 100.0, "wall:seconds": 2.0})
-        deltas2 = compare.compare_docs(cur2, base)
-        assert _one(deltas2, "wall:seconds").status == "regression"
-
-    def test_gate_wall_off_reports_but_never_fails(self):
-        base = _doc({"wall:seconds": 1.0})
-        cur = _doc({"wall:seconds": 10.0})
-        deltas = compare.compare_docs(cur, base, gate_wall=False)
-        d = _one(deltas, "wall:seconds")
-        assert d.status == "ok" and not d.gated
-        assert d.worsening == pytest.approx(9.0)  # still reported
-        assert not compare.has_regressions(deltas)
-
-    def test_custom_tolerances(self):
-        base = _doc({"virtual:ops_per_s": 100.0})
-        cur = _doc({"virtual:ops_per_s": 95.0})
-        deltas = compare.compare_docs(cur, base, virtual_tol=0.01)
-        assert _one(deltas, "virtual:ops_per_s").status == "regression"
+        deltas = compare.compare_docs(cur, base)
+        d = _one(deltas, "virtual:failure_rate_mean")
+        assert d.status == "changed"
+        assert d.change == math.inf
+        assert compare.has_regressions(deltas)
 
 
 class TestStructure:
@@ -92,13 +68,15 @@ class TestStructure:
         with pytest.raises(compare.CompareError, match="tier"):
             compare.compare_docs(_doc({}, tier="quick"), _doc({}, tier="full"))
 
-    def test_new_and_gone_metrics_flagged_not_gated(self):
-        base = _doc({"virtual:old": 1.0})
-        cur = _doc({"virtual:new": 1.0})
+    def test_gone_metric_fails_new_metric_does_not(self):
+        base = _doc({"virtual:old": 1.0, "virtual:kept": 2.0})
+        cur = _doc({"virtual:new": 1.0, "virtual:kept": 2.0})
         deltas = compare.compare_docs(cur, base)
         assert _one(deltas, "virtual:new").status == "new"
         assert _one(deltas, "virtual:old").status == "gone"
-        assert not compare.has_regressions(deltas)
+        assert compare.has_regressions(deltas)
+        only_new = compare.compare_docs(cur, _doc({"virtual:kept": 2.0}))
+        assert not compare.has_regressions(only_new)
 
     def test_new_case_appears_as_new_metrics(self):
         base = _doc({"virtual:x": 1.0}, case="a")
@@ -107,110 +85,38 @@ class TestStructure:
                     for d in compare.compare_docs(cur, base)}
         assert statuses == {("a", "gone"), ("b", "new")}
 
+    def test_wall_metrics_are_ignored(self):
+        # artifacts up to BENCH_PR10.json carry wall:seconds; it is
+        # neither compared nor reported as gone when the current run
+        # lacks it
+        base = _doc({"virtual:a": 3.5, "wall:seconds": 0.2})
+        cur = _doc({"virtual:a": 3.5})
+        deltas = compare.compare_docs(cur, base)
+        assert [(d.metric, d.status) for d in deltas] == [("virtual:a", "ok")]
+        slower = _doc({"virtual:a": 3.5, "wall:seconds": 20.0})
+        assert not compare.has_regressions(compare.compare_docs(slower, base))
+
     def test_render_and_summary(self):
-        base = _doc({"virtual:ops_per_s": 100.0, "wall:seconds": 1.0})
-        cur = _doc({"virtual:ops_per_s": 50.0, "wall:seconds": 1.0})
+        base = _doc({"virtual:ops_per_s": 100.0, "virtual:flat": 1.0})
+        cur = _doc({"virtual:ops_per_s": 50.0, "virtual:flat": 1.0})
         deltas = compare.compare_docs(cur, base)
         table = compare.render_deltas(deltas)
-        assert "virtual:ops_per_s" in table and "regression" in table
+        assert "virtual:ops_per_s" in table and "changed" in table
+        assert "-50.0%" in table
         brief = compare.render_deltas(deltas, only_interesting=True)
-        assert "wall:seconds" not in brief
-        assert "1 regression" in compare.summarize(deltas)
+        assert "virtual:flat" not in brief
+        assert compare.summarize(deltas) == "1 changed, 1 ok"
 
     def test_identical_docs_all_ok(self):
-        doc = _doc({"virtual:a": 3.5, "wall:seconds": 0.2})
+        doc = _doc({"virtual:a": 3.5, "virtual:b": 0.0})
         deltas = compare.compare_docs(doc, doc)
-        assert all(d.status == "ok" and d.worsening == 0.0 for d in deltas)
-
-
-def _multi_doc(case_metrics, tier="quick"):
-    return {
-        "schema": SCHEMA,
-        "label": "T",
-        "tier": tier,
-        "cost_model": {},
-        "cases": {case: {"seed": 1, "repeats": 1, "metrics": dict(m)}
-                  for case, m in case_metrics.items()},
-    }
-
-
-class TestWallFloor:
-    """A ~0 wall baseline must never explode the gate (inf / div-zero)."""
-
-    def test_zero_wall_baseline_stays_finite(self):
-        base = _doc({"wall:seconds": 0.0})
-        cur = _doc({"wall:seconds": 0.004})
-        d = _one(compare.compare_docs(cur, base), "wall:seconds")
-        assert math.isfinite(d.worsening)
-        assert d.worsening == pytest.approx(
-            0.004 / compare.WALL_FLOOR_SECONDS)
-
-    def test_subresolution_wall_baseline_uses_floor(self):
-        base = _doc({"wall:seconds": 1e-9})
-        cur = _doc({"wall:seconds": 2e-9})
-        d = _one(compare.compare_docs(cur, base), "wall:seconds")
-        # raw ratio would be +100%; the floored denominator reads the
-        # nanosecond jitter as the noise it is
-        assert d.worsening == pytest.approx(1e-9 / compare.WALL_FLOOR_SECONDS)
-        assert d.status == "ok"
-
-    def test_virtual_zero_baseline_still_infinite(self):
-        # the floor is a wall-class concession; virtual metrics are
-        # deterministic, so appearing-from-zero stays an inf-class event
-        base = _doc({"virtual:failure_rate_mean": 0.0})
-        cur = _doc({"virtual:failure_rate_mean": 0.1})
-        d = _one(compare.compare_docs(cur, base), "virtual:failure_rate_mean")
-        assert d.worsening == math.inf
-
-    def test_zero_to_zero_wall_is_flat(self):
-        base = _doc({"wall:seconds": 0.0})
-        d = _one(compare.compare_docs(base, base), "wall:seconds")
-        assert d.worsening == 0.0 and d.status == "ok"
-
-
-class TestDeckRow:
-    """The synthetic (deck) row: summed wall across a multi-case deck."""
-
-    def test_deck_row_sums_walls(self):
-        base = _multi_doc({"a": {"wall:seconds": 1.0},
-                           "b": {"wall:seconds": 3.0}})
-        cur = _multi_doc({"a": {"wall:seconds": 0.4},
-                          "b": {"wall:seconds": 1.2}})
-        (deck,) = [d for d in compare.compare_docs(cur, base)
-                   if d.case == compare.DECK_CASE]
-        assert deck.baseline == pytest.approx(4.0)
-        assert deck.current == pytest.approx(1.6)
-        assert deck.worsening == pytest.approx(-0.6)
-        assert deck.status == "improved"
-        assert not deck.gated
-
-    def test_deck_row_never_gates(self):
-        base = _multi_doc({"a": {"wall:seconds": 1.0},
-                           "b": {"wall:seconds": 1.0}})
-        cur = _multi_doc({"a": {"wall:seconds": 1.2},
-                          "b": {"wall:seconds": 1.2}})
-        deltas = compare.compare_docs(cur, base)
-        (deck,) = [d for d in deltas if d.case == compare.DECK_CASE]
-        assert deck.status == "ok"
+        assert all(d.status == "ok" and d.change == 0.0 for d in deltas)
         assert not compare.has_regressions(deltas)
-
-    def test_no_deck_row_for_single_case(self):
-        doc = _doc({"wall:seconds": 1.0})
-        assert not [d for d in compare.compare_docs(doc, doc)
-                    if d.case == compare.DECK_CASE]
-
-    def test_no_deck_row_for_mismatched_case_sets(self):
-        base = _multi_doc({"a": {"wall:seconds": 1.0},
-                           "b": {"wall:seconds": 1.0}})
-        cur = _multi_doc({"a": {"wall:seconds": 1.0},
-                          "c": {"wall:seconds": 1.0}})
-        assert not [d for d in compare.compare_docs(cur, base)
-                    if d.case == compare.DECK_CASE]
 
 
 class TestInfinityRows:
-    """Appearing-from-zero virtual metrics produce ±inf worsenings; the
-    verdict, both renderers and the summary line must all digest them."""
+    """Metrics moving off zero produce ±inf changes; the verdict, the
+    renderer and the summary line must all digest them."""
 
     def _inf_deltas(self):
         base = _doc({"virtual:failure_rate_mean": 0.0})
@@ -218,30 +124,28 @@ class TestInfinityRows:
         return compare.compare_docs(cur, base)
 
     def _neg_inf_deltas(self):
-        # higher-is-better metric appearing from zero with a positive
-        # value: infinitely *better*
         base = _doc({"virtual:ops_per_s": 0.0})
-        cur = _doc({"virtual:ops_per_s": 50.0})
+        cur = _doc({"virtual:ops_per_s": -50.0})
         return compare.compare_docs(cur, base)
 
     def test_inf_worsening_gates_as_regression(self):
         deltas = self._inf_deltas()
         d = _one(deltas, "virtual:failure_rate_mean")
-        assert d.worsening == math.inf
-        assert d.status == "regression"
+        assert d.change == math.inf
+        assert d.status == "changed"
         assert compare.has_regressions(deltas)
 
-    def test_neg_inf_worsening_reads_as_improved(self):
+    def test_neg_inf_change_also_fails(self):
         deltas = self._neg_inf_deltas()
         d = _one(deltas, "virtual:ops_per_s")
-        assert d.worsening == -math.inf
-        assert d.status == "improved"
-        assert not compare.has_regressions(deltas)
+        assert d.change == -math.inf
+        assert d.status == "changed"
+        assert compare.has_regressions(deltas)
 
     def test_render_deltas_survives_inf_rows(self):
         for deltas in (self._inf_deltas(), self._neg_inf_deltas()):
             table = compare.render_deltas(deltas)
-            assert "inf%" in table          # the worsening column
+            assert "inf%" in table          # the delta column
             assert "infG" not in table      # si() must not scale inf
             table = compare.render_deltas(deltas, only_interesting=True)
             assert "inf%" in table
@@ -253,5 +157,5 @@ class TestInfinityRows:
         assert compare._fmt_value(1500.0) == "1.50K"
 
     def test_summarize_counts_inf_rows(self):
-        assert "1 regression" in compare.summarize(self._inf_deltas())
-        assert "1 improved" in compare.summarize(self._neg_inf_deltas())
+        assert compare.summarize(self._inf_deltas()) == "1 changed"
+        assert compare.summarize(self._neg_inf_deltas()) == "1 changed"

@@ -1,12 +1,13 @@
 """Trajectory parity: adjacent BENCH artifacts must agree exactly.
 
-PR6 rewired every bench through :mod:`repro.backends`; PR7 added the
-workload-zoo cases; PR8 added the allocator-service case (and a
-cold-path scheduler extension — per-thread finish times — that must not
-move a single pre-existing number).  None of these change how the
-pre-existing cases execute, so every case two adjacent artifacts share
-must agree on every ``virtual:*`` metric *exactly* — not within
-tolerance.  Wall-clock metrics are machine-dependent and exempt.
+Every adjacent pair of committed ``BENCH_*.json`` artifacts, oldest
+first, goes through the same exact gate as CI (:func:`compare_docs`):
+no ``virtual:*`` metric may change and none may disappear; new cases
+and metrics are fine.  A PR that moves virtual numbers on purpose
+commits a new ``BENCH_PRn.json`` and declares the break in
+:data:`BREAKS` with a one-line reason, so the chain records every
+intentional move.  A declared break whose pair is in fact identical
+fails as stale.
 """
 
 from __future__ import annotations
@@ -16,15 +17,29 @@ from pathlib import Path
 
 import pytest
 
+from repro.perf.artifact import find_artifacts, label_of, load_artifact
+from repro.perf.compare import FAILING, compare_docs, render_deltas
+
 ROOT = Path(__file__).resolve().parents[2]
-PR5 = ROOT / "BENCH_PR5.json"
 PR6 = ROOT / "BENCH_PR6.json"
 PR7 = ROOT / "BENCH_PR7.json"
 PR8 = ROOT / "BENCH_PR8.json"
 PR10 = ROOT / "BENCH_PR10.json"
 
+ARTIFACTS = find_artifacts(ROOT)
+
 #: adjacent (baseline, current) artifact pairs along the trajectory
-PAIRS = [(PR5, PR6), (PR6, PR7), (PR7, PR8), (PR8, PR10)]
+PAIRS = list(zip(ARTIFACTS, ARTIFACTS[1:]))
+
+#: (baseline label, current label) -> why its virtual metrics moved
+BREAKS = {
+    ("PR3", "PR4"): "BulkSemaphore.wait backoff-reset fix moved fig7, "
+                    "shootout and ablation_buddy",
+}
+
+
+def _labels(baseline: Path, current: Path):
+    return label_of(baseline), label_of(current)
 
 
 def _virtual_metrics(path: Path):
@@ -40,18 +55,21 @@ def _virtual_metrics(path: Path):
     "baseline, current", PAIRS,
     ids=[f"{b.stem}-vs-{c.stem}" for b, c in PAIRS])
 def test_shared_cases_are_byte_identical(baseline, current):
-    if not (baseline.exists() and current.exists()):
-        pytest.skip("committed BENCH artifacts not present")
-    base = _virtual_metrics(baseline)
-    cur = _virtual_metrics(current)
-    shared = sorted(set(base) & set(cur))
-    assert shared, "artifacts share no cases — wrong trajectory?"
-    for name in shared:
-        assert cur[name] == base[name], (
-            f"case {name!r}: virtual metrics moved between "
-            f"{baseline.name} and {current.name}\n"
-            f"base: {base[name]}\ncur:  {cur[name]}"
-        )
+    deltas = compare_docs(load_artifact(current), load_artifact(baseline))
+    failing = [d for d in deltas if d.status in FAILING]
+    pair = _labels(baseline, current)
+    if pair in BREAKS:
+        assert failing, (f"declared break {pair} is stale: the pair is "
+                         f"identical; remove it from BREAKS")
+    else:
+        assert not failing, (
+            f"virtual metrics moved between {baseline.name} and "
+            f"{current.name} with no declared break:\n"
+            + render_deltas(failing))
+
+
+def test_breaks_name_adjacent_pairs():
+    assert set(BREAKS) <= {_labels(b, c) for b, c in PAIRS}
 
 
 @pytest.mark.skipif(not PR6.exists(),
