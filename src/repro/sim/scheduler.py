@@ -321,7 +321,8 @@ class Scheduler:
         # contention telemetry: word index -> atomic op count
         self.track_contention = track_contention
         self._word_ops: Dict[int, int] = {}
-        # structured tracing/telemetry (opt-in; None costs one test per event)
+        # structured tracing/telemetry (opt-in; run() picks its loop by
+        # one `tracer is None` test per run)
         self.tracer = tracer
         if tracer is not None:
             tracer._attach(self)
@@ -465,14 +466,16 @@ class Scheduler:
         ``max_events`` bounds the number of scheduler events (a livelock
         guard for tests); exceeding it raises :class:`DeadlockError`.
 
-        Two loop implementations execute the identical event protocol:
-        the *fast path* (no tracer attached) carries zero telemetry
-        tests or construction in its inner loop, while the *traced
-        path* reports every event into the tracer.  Virtual results —
-        cycles, events, op counts, memory effects, thread return values
-        — are bit-identical between the two, down to the digest stream a
-        ``schedule_probe`` sees (pinned by the fast-vs-traced parity
-        tests); only host wall time differs.
+        Two loops of the same shape execute the identical event
+        protocol, chosen here by one ``tracer is None`` test per run.
+        The *fast path* (no tracer attached) carries zero telemetry
+        tests or construction in its inner loop.  The *traced path*
+        binds the tracer's hooks once per run and skips every hook the
+        tracer sets to ``None`` (see :mod:`repro.sim.trace`).  Virtual
+        results — cycles, events, op counts, memory effects, thread
+        return values — are bit-identical between the two, down to the
+        digest stream a ``schedule_probe`` sees (pinned by the
+        fast-vs-traced parity tests); only host wall time differs.
         """
         if self.tracer is None:
             return self._run_fast(max_events)
@@ -653,31 +656,53 @@ class Scheduler:
         return self._finish_report()
 
     def _run_traced(self, max_events: Optional[int]) -> SimReport:
-        """Instrumented loop: identical event protocol to
-        :meth:`_run_fast`, plus tracer reporting per event."""
+        """Instrumented loop: :meth:`_run_fast`'s structure and event
+        protocol, plus the tracer's hooks.
+
+        The loop shape is the fast loop's: the deferred ``heappushpop``
+        entry, ``now``/``seq``/``events`` in locals synchronized only
+        around the timer, probe, finish and park paths, and constants
+        bound once.  The tracer's hooks are bound once per run too, and
+        a hook the tracer sets to ``None`` is skipped: ``mem_op`` is
+        ``None`` on the plain :class:`Tracer`, ``atomic_issued`` on the
+        race checker (which never reads ``word_stats``), and
+        ``op_executed`` is called only when the tracer records a
+        timeline.  Without a timeline its one effect is noting the op's
+        completion time; a local running max replaces it, folded into
+        the tracer once in the ``finally``, so the tracer's latest
+        timestamp (each run's ``t1``, the next run's offset) stays exact
+        even after a budget trip.  Unlike the fast loop, every resume
+        writes ``th.clock``: :meth:`Tracer.now` reads it.
+        """
         cm = self.cost_model
         mem = self.memory
         heap = self._heap
         threads = self._threads
         word_avail = self._word_avail
+        word_avail_get = word_avail.get
         counts = self._op_counts
-        tracer = self.tracer
-        # Optional per-memory-op verification hook (None on the plain
-        # Tracer; RaceChecker and friends override it with a method).
-        mem_hook = tracer.mem_op
         atomic_service = cm.atomic_service
         atomic_latency = cm.atomic_latency
         load_latency = cm.load_latency
         store_latency = cm.store_latency
         step_cost = cm.step_cost
-        cas_word = mem.cas_word
+        yield_cost = cm.yield_cost
         load_word = mem.load_word
         store_word = mem.store_word
+        cas_word = mem.cas_word
         atomic_exec = self._atomic_exec
         park_get = self._park_dispatch.get
+        track = self.track_contention
+        word_ops = self._word_ops
+        _pop = heappop
+        _pushpop = heappushpop
         budget = max_events if max_events is not None else _NO_BUDGET
         probe = self.schedule_probe
         probe_every = self.probe_every
+        tracer = self.tracer
+        mem_hook = tracer.mem_op
+        atomic_hook = tracer.atomic_issued
+        op_hook = tracer.op_executed if tracer.timeline else None
 
         OP_SLEEP = _ops.OP_SLEEP
         OP_LOAD = _ops.OP_LOAD
@@ -686,107 +711,136 @@ class Scheduler:
         OP_YIELD = _ops.OP_YIELD
 
         events = self._events
+        seq = self._seq
+        now = self._now
         next_probe = events + probe_every if probe is not None else _NO_BUDGET
-        while heap:
-            entry = heappop(heap)
-            t = entry[0]
-            tid = entry[2]
-            self._now = t
-            events += 1
-            if events > budget:
-                self._events = events
-                raise EventBudgetExceeded(
-                    f"exceeded event budget {max_events} "
-                    f"({self._live_threads} threads still live)"
-                )
-            if events >= next_probe:
-                next_probe = events + probe_every
-                probe(self.state_digest())
-            if tid == _TIMER:
-                entry[3](t)
-                continue
-            th = threads[tid]
-            op = th.pending
-            resume_at = t
-            result: Any = None
-            if op is not None:
-                code = op[0]
-                counts[code] += 1
-                if code >= OP_CAS:
-                    if code != OP_CAS:
-                        result = atomic_exec[code](op[1], op[2])
-                    else:
-                        result = cas_word(op[1], op[2], op[3])
-                    resume_at = t + atomic_latency
-                elif code == OP_LOAD:
-                    result = load_word(op[1])
-                    resume_at = t + load_latency
+        deferred = None  # single pending push, resolved by heappushpop
+        hi = 0  # latest memory-op completion time (run-local, untraced)
+        try:
+            while True:
+                if deferred is not None:
+                    entry = _pushpop(heap, deferred) if heap else deferred
+                    deferred = None
+                elif heap:
+                    entry = _pop(heap)
                 else:
-                    store_word(op[1], op[2])
-                    resume_at = t + store_latency
-                th.pending = None
-                tracer.op_executed(th, code, t, resume_at - t)
-                if mem_hook is not None:
-                    mem_hook(th, op, t, result)
-            else:
-                result = th.inbox
-                th.inbox = None
+                    break
+                t = entry[0]
+                tid = entry[2]
+                now = t
+                events += 1
+                if events > budget:
+                    raise EventBudgetExceeded(
+                        f"exceeded event budget {max_events} "
+                        f"({self._live_threads} threads still live)"
+                    )
+                if events >= next_probe:
+                    next_probe = events + probe_every
+                    self._now = now
+                    probe(self.state_digest())
+                if tid == _TIMER:
+                    self._seq, self._now = seq, now
+                    entry[3](t)
+                    seq = self._seq
+                    continue
+                th = threads[tid]
+                op = th.pending
+                resume_at = t
+                if op is not None:
+                    code = op[0]
+                    counts[code] += 1
+                    if code >= OP_CAS:
+                        if code != OP_CAS:
+                            result = atomic_exec[code](op[1], op[2])
+                        else:
+                            result = cas_word(op[1], op[2], op[3])
+                        resume_at = t + atomic_latency
+                    elif code == OP_LOAD:
+                        result = load_word(op[1])
+                        resume_at = t + load_latency
+                    else:
+                        store_word(op[1], op[2])
+                        resume_at = t + store_latency
+                        result = None
+                    th.pending = None
+                    if op_hook is not None:
+                        op_hook(th, code, t, resume_at - t)
+                    elif resume_at > hi:
+                        hi = resume_at
+                    if mem_hook is not None:
+                        mem_hook(th, op, t, result)
+                else:
+                    result = th.inbox
+                    th.inbox = None
 
-            # Resume the generator and classify its next op.
-            th.clock = resume_at
-            try:
-                nxt = th.send(result)
-            except StopIteration as stop:
-                th.retval = stop.value
-                self._events = events
-                self._finish_thread(th, resume_at)
-                continue
-            except Exception as exc:
-                exc.add_note(
-                    f"raised in device thread tid={th.tid} "
-                    f"block={th.ctx.block} lane={th.ctx.lane} "
-                    f"at cycle {resume_at}"
-                )
-                raise
-            if type(nxt) is not tuple or not nxt:
-                raise InvalidOp(
-                    f"device thread {th.tid} yielded {nxt!r}; expected an "
-                    "op tuple from repro.sim.ops"
-                )
-            code = nxt[0]
-            if OP_LOAD <= code <= OP_MIN:
-                th.pending = nxt
-                exec_at = resume_at + step_cost
-                if code >= OP_CAS:
-                    waddr = nxt[1] >> 3
-                    avail = word_avail.get(waddr, 0)
-                    if avail > exec_at:
-                        exec_at = avail
-                    word_avail[waddr] = exec_at + atomic_service
-                    if self.track_contention:
-                        self._word_ops[waddr] = self._word_ops.get(waddr, 0) + 1
-                    # serialization stall: how long the word's FIFO
-                    # queue pushed this atomic past its issue slot
-                    tracer.atomic_issued(waddr, exec_at - resume_at - step_cost)
-                self._push(exec_at, tid)
-                continue
-            if code == OP_SLEEP:
-                counts[OP_SLEEP] += 1
-                self._push(resume_at + step_cost + nxt[1], tid)
-                continue
-            if code == OP_YIELD:
-                counts[OP_YIELD] += 1
-                self._push(resume_at + cm.yield_cost, tid)
-                continue
-            handler = park_get(code)
-            if handler is None:
-                raise InvalidOp(
-                    f"device thread {th.tid} yielded unknown op {nxt!r}"
-                )
-            counts[code] += 1
-            handler(th, nxt, resume_at)
-
-        self._events = events
+                # Resume the generator and classify its next op.
+                th.clock = resume_at
+                try:
+                    nxt = th.send(result)
+                except StopIteration as stop:
+                    th.retval = stop.value
+                    self._seq, self._now = seq, now
+                    self._finish_thread(th, resume_at)
+                    seq = self._seq
+                    continue
+                except Exception as exc:
+                    exc.add_note(
+                        f"raised in device thread tid={th.tid} "
+                        f"block={th.ctx.block} lane={th.ctx.lane} "
+                        f"at cycle {resume_at}"
+                    )
+                    raise
+                if type(nxt) is not tuple or not nxt:
+                    raise InvalidOp(
+                        f"device thread {th.tid} yielded {nxt!r}; expected an "
+                        "op tuple from repro.sim.ops"
+                    )
+                code = nxt[0]
+                if OP_LOAD <= code <= OP_MIN:
+                    th.pending = nxt
+                    exec_at = resume_at + step_cost
+                    if code >= OP_CAS:
+                        waddr = nxt[1] >> 3
+                        avail = word_avail_get(waddr, 0)
+                        if avail > exec_at:
+                            exec_at = avail
+                        word_avail[waddr] = exec_at + atomic_service
+                        if track:
+                            word_ops[waddr] = word_ops.get(waddr, 0) + 1
+                        if atomic_hook is not None:
+                            # serialization stall: how long the word's FIFO
+                            # queue pushed this atomic past its issue slot
+                            atomic_hook(waddr, exec_at - resume_at - step_cost)
+                    seq += 1
+                    deferred = (exec_at, seq, tid)
+                    continue
+                if code == OP_SLEEP:
+                    counts[OP_SLEEP] += 1
+                    seq += 1
+                    deferred = (resume_at + step_cost + nxt[1], seq, tid)
+                    continue
+                if code == OP_YIELD:
+                    counts[OP_YIELD] += 1
+                    seq += 1
+                    deferred = (resume_at + yield_cost, seq, tid)
+                    continue
+                handler = park_get(code)
+                if handler is None:
+                    raise InvalidOp(
+                        f"device thread {th.tid} yielded unknown op {nxt!r}"
+                    )
+                counts[code] += 1
+                self._seq, self._now = seq, now
+                handler(th, nxt, resume_at)
+                seq = self._seq
+        finally:
+            if deferred is not None:
+                heappush(heap, deferred)
+            if seq > self._seq:
+                self._seq = seq
+            self._events = events
+            self._now = now
+            tracer._note(hi + tracer._offset)
         return self._finish_report()
 
     def _finish_report(self) -> SimReport:

@@ -30,10 +30,20 @@ One tracer may observe several consecutive schedulers (as the benches
 do when sweeping configurations); each run is shifted onto a common
 timeline, and :meth:`Tracer.begin_run` labels the next run.
 
-Overhead: when no tracer is attached, the scheduler's hot loop pays one
-``is not None`` test per event and device-side primitives one attribute
-test per call — measured under 1% on the Figure 5 bench.  All
-collection costs are incurred only when a tracer is attached.
+Overhead: :meth:`Scheduler.run <repro.sim.scheduler.Scheduler.run>`
+tests ``tracer is None`` once per run and picks one of two loops of the
+same shape.  With no tracer, the fast loop carries no telemetry code at
+all; device-side primitives pay one ``ctx.trace`` attribute test per
+call.  With a tracer, the traced loop binds the hooks once per run and
+pays per memory op an ``is not None`` test for each of ``op_executed``,
+``mem_op`` and (atomics only) ``atomic_issued``, plus one ``th.clock``
+write per resume.  The convention: **a hook set to ``None`` is
+skipped**.  ``mem_op`` is ``None`` here, ``atomic_issued`` is ``None`` on
+the race checker, and ``op_executed`` counts as ``None`` when
+``timeline`` is off (the loop then keeps the latest completion time in a
+local and folds it in once per run).  A subclass that needs a hook
+overrides it with a method; one that does not read a hook's telemetry
+sets it to ``None``.
 """
 
 from __future__ import annotations
@@ -102,10 +112,11 @@ class Tracer:
     """
 
     #: Per-memory-op verification hook.  ``None`` on the base tracer so
-    #: the scheduler's hot loop skips the call entirely; subclasses that
-    #: need word-level visibility (``repro.verify.RaceChecker``) override
-    #: it with a method ``mem_op(th, op, t, result)`` receiving the full
-    #: op tuple (opcode, byte address, operands) and the op's result.
+    #: the scheduler's traced loop skips the call entirely; subclasses
+    #: that need word-level visibility (``repro.verify.RaceChecker``)
+    #: override it with a method ``mem_op(th, op, t, result)`` receiving
+    #: the full op tuple (opcode, byte address, operands) and the op's
+    #: result.  Fires exactly once per executed load, store and atomic.
     mem_op = None
 
     def __init__(self, timeline: bool = True,
@@ -188,16 +199,19 @@ class Tracer:
             self.dropped_events += 1
 
     def op_executed(self, th, code: int, t: int, dur: int) -> None:
-        """A memory op executed at ``t``, its result ready after ``dur``."""
-        ts = t + self._offset
-        self._note(ts + dur)
-        if self.timeline:
-            self._emit({"name": _ops.OP_NAMES.get(code, f"op{code}"),
-                        "ph": "X", "cat": "op", "ts": ts, "dur": dur,
-                        "pid": th.ctx.sm, "tid": th.tid})
+        """A memory op executed at ``t``, its result ready after ``dur``.
+
+        The scheduler calls it only while :attr:`timeline` is on; without
+        a timeline it notes the run's latest completion time itself."""
+        self._emit({"name": _ops.OP_NAMES.get(code, f"op{code}"),
+                    "ph": "X", "cat": "op", "ts": t + self._offset,
+                    "dur": dur, "pid": th.ctx.sm, "tid": th.tid})
 
     def atomic_issued(self, waddr: int, stall: int) -> None:
-        """An atomic reserved its word's service slot, ``stall`` cycles late."""
+        """An atomic reserved its word's service slot, ``stall`` cycles late.
+
+        Feeds :attr:`word_stats`; a subclass that never reads it sets
+        this hook to ``None`` and the scheduler skips the call."""
         st = self.word_stats.get(waddr)
         if st is None:
             self.word_stats[waddr] = [1, stall]

@@ -32,10 +32,38 @@ import sys
 import time
 from typing import List, Optional
 
+from .. import backends as backend_registry
 from ..par.pool import workers_arg
 from .perturbation import DEFAULT_DECK, SMOKE_DECK
 from .runner import SCENARIOS, CaseResult, CaseSpec, sweep, run_case
 from .shrink import shrink_case
+
+
+def _int_at_least(lo: int):
+    """``argparse`` ``type=`` for an integer ``>= lo``: a bad value is a
+    usage error (exit 2) at parse time, not a vacuous pass (no seeds
+    means no cases) or a ``ValueError`` traceback mid-run."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo} (got {raw!r})") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo} (got {value})")
+        return value
+
+    return parse
+
+
+def _backend_arg(raw: str) -> str:
+    """``argparse`` ``type=`` for ``--backend``: a registered backend name,
+    display label or alias (``python -m repro backends list``)."""
+    try:
+        backend_registry.get(raw)
+    except backend_registry.UnknownBackend as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return raw
 
 
 def _report_failures(failures: List[CaseResult], do_shrink: bool) -> None:
@@ -64,7 +92,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
                     "state digests; report distinct schedules visited.",
     )
     parser.add_argument(
-        "--budget", type=int, default=64, metavar="N",
+        "--budget", type=_int_at_least(1), default=64, metavar="N",
         help="number of cases to explore (default 64)",
     )
     parser.add_argument(
@@ -74,7 +102,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              f"default all: {', '.join(sorted(SCENARIOS))}",
     )
     parser.add_argument(
-        "--backend", metavar="NAME", default="ours",
+        "--backend", type=_backend_arg, metavar="NAME", default="ours",
         help="allocator backend to explore (default 'ours')",
     )
     parser.add_argument(
@@ -89,13 +117,14 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              "identical at any worker count",
     )
     parser.add_argument(
-        "--probe-every", type=int, default=PROBE_EVERY, metavar="E",
+        "--probe-every", type=_int_at_least(1), default=PROBE_EVERY,
+        metavar="E",
         help="scheduler events between digest probes (default "
              f"{PROBE_EVERY}; smaller = finer schedule distinctions, "
              "more probe overhead)",
     )
     parser.add_argument(
-        "--min-coverage", type=int, default=0, metavar="S",
+        "--min-coverage", type=_int_at_least(0), default=0, metavar="S",
         help="fail (exit 1) when fewer than S distinct schedules were "
              "visited — the CI floor that keeps the explorer honest",
     )
@@ -174,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "detection and invariant checkpoints.",
     )
     parser.add_argument(
-        "--seeds", type=int, default=4, metavar="N",
+        "--seeds", type=_int_at_least(1), default=4, metavar="N",
         help="number of scheduler seeds to sweep (default 4)",
     )
     parser.add_argument(
@@ -192,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              f"default all: {', '.join(sorted(SCENARIOS))}",
     )
     parser.add_argument(
-        "--backend", metavar="NAME", default="ours",
+        "--backend", type=_backend_arg, metavar="NAME", default="ours",
         help="allocator backend to sweep (a repro.backends registry "
              "name; default 'ours')",
     )

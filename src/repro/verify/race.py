@@ -113,6 +113,10 @@ class RaceChecker(Tracer):
     checkpoints.
     """
 
+    #: The checker never reads ``word_stats``, so the traced run loop
+    #: skips the per-atomic stall hook (it skips any hook set to ``None``).
+    atomic_issued = None
+
     def __init__(self, max_findings: int = 64):
         super().__init__(timeline=False)
         self.max_findings = max_findings

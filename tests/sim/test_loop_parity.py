@@ -10,6 +10,12 @@ time is the only permitted difference.  Benches time the fast loop while
 verify and explore run the traced one (the race checker is a tracer),
 so these microkernels are what ties their findings together; each one
 fails fast and points at the divergent primitive.
+
+The traced loop binds the tracer's hooks once per run and skips the
+ones left as ``None``, so every binding it can take runs here: a plain
+tracer with and without a timeline (``op_executed`` called or replaced
+by a local running max) and the race checker (``mem_op`` bound,
+``atomic_issued`` skipped).
 """
 
 from __future__ import annotations
@@ -19,15 +25,27 @@ import pytest
 from repro.sim import DeviceMemory, Scheduler, ops
 from repro.sim.errors import EventBudgetExceeded
 from repro.sim.trace import Tracer
+from repro.sync import BulkSemaphore, SpinLock
+from repro.verify.race import RaceChecker
 
 WORDS = 4  # contended-word count for the atomics microkernels
 
-#: the two loops, keyed by the tracer that selects them
-LOOPS = {"fast": lambda: None, "traced": Tracer}
+#: the loops and hook bindings, keyed by the tracer that selects them;
+#: "fast" is the reference every other outcome must equal
+LOOPS = {
+    "fast": lambda: None,
+    "traced": Tracer,
+    "traced-no-timeline": lambda: Tracer(timeline=False),
+    "race-checker": RaceChecker,
+}
+
+#: the memory opcodes: every one executes at its own heap event
+MEM_OPS = range(ops.OP_LOAD, ops.OP_MIN + 1)
 
 
-def _run_pair(build, *, seed=0, probe=False, **sched_kw):
-    """Run the same build on both loops; return the two outcomes.
+def _run_all(build, *, seed=0, probe=False, **sched_kw):
+    """Run the same build under every entry of :data:`LOOPS`; return the
+    outcomes in that order.
 
     ``build(scheduler, memory)`` launches kernels and returns a
     function extracting the kernel-visible effects (results, memory
@@ -54,8 +72,9 @@ def _run_pair(build, *, seed=0, probe=False, **sched_kw):
 
 
 def _assert_parity(build, probe=False, **kw):
-    fast, traced = _run_pair(build, probe=probe, **kw)
-    assert traced == fast
+    fast, *traced = _run_all(build, probe=probe, **kw)
+    for name, outcome in zip(list(LOOPS)[1:], traced):
+        assert outcome == fast, name
     if probe:
         assert fast[-1], "the probe never fired; the digest check is void"
 
@@ -177,7 +196,8 @@ class TestMicrokernelParity:
                     s.now, mem.load_word(word))
 
         fast = run(LOOPS["fast"])
-        assert run(LOOPS["traced"]) == fast
+        for name, make_tracer in LOOPS.items():
+            assert run(make_tracer) == fast, name
         assert fast[-1] == 64
 
 
@@ -200,7 +220,8 @@ class TestBudgetParity:
 
     def test_budget_trips_at_the_same_event_count(self):
         needed = self._events_needed(LOOPS["fast"])
-        assert needed == self._events_needed(LOOPS["traced"])
+        for make_tracer in LOOPS.values():
+            assert self._events_needed(make_tracer) == needed
         for make_tracer in LOOPS.values():
             mem = DeviceMemory(1 << 16)
             s = Scheduler(mem, tracer=make_tracer())
@@ -221,9 +242,9 @@ class TestBudgetParity:
     def test_post_trip_state_matches_across_loops(self):
         # A budget trip abandons the run (EventBudgetExceeded is a
         # DeadlockError: the guard fired, the schedule is suspect) — the
-        # contract is not resumability but *sameness*: both loops must
+        # contract is not resumability but *sameness*: every loop must
         # leave the identical abstract wreckage behind, so diagnostics
-        # built on the tripped scheduler read the same either way.
+        # built on the tripped scheduler read the same whichever loop ran.
         wreckage = []
         for make_tracer in LOOPS.values():
             mem = DeviceMemory(1 << 16)
@@ -233,4 +254,118 @@ class TestBudgetParity:
                 s.run(max_events=40)
             wreckage.append((str(ei.value), s.live_threads, s.now,
                              s.state_digest(), mem.load_word(word)))
-        assert wreckage[0] == wreckage[1]
+        assert wreckage == [wreckage[0]] * len(LOOPS)
+
+
+def _mixed_kernel(mem, lock, sem, cell):
+    """Spinlock spans, bulk-semaphore waits, a barrier and every memory
+    op flavour: enough to fill each tracer aggregate."""
+    def kernel(ctx):
+        r = yield from sem.wait(ctx, 1, 8)
+        if r == -1:
+            yield from sem.fulfill(ctx, 7)
+        yield from lock.lock(ctx)
+        v = yield ops.load(cell)
+        yield ops.store(cell, v + 1)
+        yield from lock.unlock(ctx)
+        yield ops.sleep(ctx.tid % 5)
+        yield ops.syncthreads()
+        yield ops.atomic_max(cell + 8, ctx.tid)
+        yield ops.atomic_cas(cell + 16, 0, ctx.tid)
+        yield ops.cpu_yield()
+        return v
+
+    return kernel
+
+
+class TestTracerAggregates:
+    """The timeline is drawing only: switching it off skips
+    ``op_executed`` but must leave every aggregate the tracer reports
+    exactly as it was, across runs and after a budget trip."""
+
+    def _observe(self, tracer):
+        for label, budget in (("first", None), ("tripped", 150),
+                              ("after-trip", None)):
+            mem = DeviceMemory(1 << 16)
+            lock = SpinLock(mem)
+            sem = BulkSemaphore(mem)
+            cell = mem.host_alloc(24)
+            tracer.begin_run(label)
+            s = Scheduler(mem, seed=5, tracer=tracer)
+            s.launch(_mixed_kernel(mem, lock, sem, cell), 2, 32)
+            if budget is None:
+                s.run()
+            else:
+                with pytest.raises(EventBudgetExceeded):
+                    s.run(max_events=budget)
+
+        def hist(h):
+            return (dict(h.buckets), h.n, h.total, h.max)
+
+        return {
+            "word_stats": tracer.word_stats,
+            "sm_occupancy": tracer.sm_occupancy,
+            "op_counts": tracer.op_counts,
+            "sem_wait": hist(tracer.sem_wait),
+            "sem_outcomes": tracer.sem_outcomes,
+            "lock_wait": hist(tracer.lock_wait),
+            "lock_hold": hist(tracer.lock_hold),
+            "collective_width": hist(tracer.collective_width),
+            "rcu": (tracer.rcu_grace, tracer.rcu_full, tracer.rcu_delegated),
+            "runs": [(r["label"], r["t0"], r["t1"]) for r in tracer.runs],
+        }
+
+    def test_timeline_on_and_off_report_identical_aggregates(self):
+        on = self._observe(Tracer())
+        off = self._observe(Tracer(timeline=False))
+        for key in on:
+            assert off[key] == on[key], key
+        # the comparison has teeth: every aggregate saw traffic, the
+        # second run tripped (no t1), and the third run's offset picks
+        # up where the tripped run's last op completed
+        assert on["word_stats"] and on["sm_occupancy"]
+        assert on["lock_hold"][1] and on["sem_wait"][1]
+        (_, t0a, t1a), (_, t0b, t1b), (_, t0c, t1c) = on["runs"]
+        assert t0a == 0 < t1a == t0b < t0c < t1c
+        assert t1b is None
+
+
+class TestMemOpHook:
+    def test_fires_exactly_once_per_executed_memory_op(self):
+        class Recorder(Tracer):
+            def __init__(self):
+                super().__init__(timeline=False)
+                self.seen = {}
+
+            def mem_op(self, th, op, t, result):
+                self.seen.setdefault(th.tid, []).append((op, result))
+
+        mem = DeviceMemory(1 << 16)
+        lock = SpinLock(mem)
+        sem = BulkSemaphore(mem)
+        cell = mem.host_alloc(24)
+        issued = {}
+
+        def kernel(ctx):
+            # forward the mixed kernel's ops, recording each memory op
+            # with the result the thread received for it
+            gen = _mixed_kernel(mem, lock, sem, cell)(ctx)
+            mine = issued.setdefault(ctx.tid, [])
+            res = None
+            try:
+                while True:
+                    op = gen.send(res)
+                    res = yield op
+                    if op[0] in MEM_OPS:
+                        mine.append((op, res))
+            except StopIteration as stop:
+                return stop.value
+
+        rec = Recorder()
+        s = Scheduler(mem, seed=5, tracer=rec)
+        s.launch(kernel, 2, 32)
+        report = s.run()
+        assert rec.seen == issued
+        executed = sum(n for code, n in report.op_counts.items()
+                       if code in MEM_OPS)
+        assert sum(map(len, rec.seen.values())) == executed > 0

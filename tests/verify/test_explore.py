@@ -129,7 +129,23 @@ class TestExplorerDeterminism:
             != (b.distinct_schedules, b.distinct_prefixes)
 
 
+#: ``explore(budget=40, master_seed=0)`` over every scenario, as CI's
+#: explore smoke job runs it.  Exploration is deterministic, so these are
+#: exact: a digest or steering change that collapses even one schedule
+#: into another moves them.
+PINNED_BUDGET = 40
+PINNED_SCHEDULES = 40
+PINNED_PREFIXES = 1720
+
+
 class TestCoverage:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_coverage_at_the_ci_budget(self, workers):
+        rep = explore(budget=PINNED_BUDGET, master_seed=0, workers=workers)
+        assert rep.cases == PINNED_BUDGET
+        assert rep.distinct_schedules == PINNED_SCHEDULES
+        assert rep.distinct_prefixes == PINNED_PREFIXES
+
     def test_explorer_beats_the_deck_at_equal_budget(self):
         """The tentpole's reason to exist: at the same case budget the
         steered walk visits strictly more distinct schedules than the
@@ -207,3 +223,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1, out
         assert "coverage floor missed" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--budget", "0"], "argument --budget: must be >= 1 (got 0)"),
+        (["--budget", "-3"], "argument --budget: must be >= 1 (got -3)"),
+        (["--probe-every", "0"],
+         "argument --probe-every: must be >= 1 (got 0)"),
+        (["--probe-every", "-5"],
+         "argument --probe-every: must be >= 1 (got -5)"),
+        (["--min-coverage", "-1"],
+         "argument --min-coverage: must be >= 0 (got -1)"),
+        (["--backend", "nope"], "argument --backend: unknown backend 'nope'"),
+    ])
+    def test_hostile_options_are_usage_errors(self, argv, message, capsys):
+        # these used to raise a ValueError traceback (exit 1) mid-run
+        with pytest.raises(SystemExit) as exc:
+            verify_main(["explore", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -293,6 +293,20 @@ class TestCli:
         assert exc.value.code == 2
         assert f"bad replay spec {raw!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seeds", "0"], "argument --seeds: must be >= 1 (got 0)"),
+        (["--seeds", "-2"], "argument --seeds: must be >= 1 (got -2)"),
+        (["--backend", "nope"], "argument --backend: unknown backend 'nope'"),
+    ])
+    def test_hostile_sweep_options_are_usage_errors(self, argv, message,
+                                                    capsys):
+        # --seeds 0 used to print "all 0 cases passed" and exit 0 (a
+        # vacuous green); --backend nope ended in a ValueError traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_small_sweep_exits_zero(self, capsys):
         rc = cli.main(["--scenario", "churn", "--seeds", "1"])
         assert rc == 0
