@@ -11,8 +11,11 @@ serial run's, independent of worker count and completion order.
 the one deck loop behind ``perf run``, ``verify`` (sweep and explore),
 ``resil run`` and ``workloads replay``.  Each takes ``--workers N``
 (``0`` = one worker per CPU, capped at 8; ``1`` = inline, serial).
+A deck is one call with a pool of its own; a session of many calls
+(``verify explore``, one per batch) opens :func:`shard_pool` once at
+run time and passes it to every call, so it forks once per session.
 """
 
-from .pool import map_sharded, resolve_workers
+from .pool import map_sharded, resolve_workers, shard_pool
 
-__all__ = ["map_sharded", "resolve_workers"]
+__all__ = ["map_sharded", "resolve_workers", "shard_pool"]

@@ -25,6 +25,14 @@ Design constraints (why this is not just ``Pool.map``):
   shards and re-raises in the parent immediately — without waiting for
   in-flight shards to drain; a sharded run never silently drops a case
   and never parks a failure behind its slowest sibling.
+* **Warm sessions, never a global pool.**  A session that makes many
+  calls (explore runs one per 4-case batch) opens :func:`shard_pool`
+  once and passes it as ``pool=``, so it forks once instead of once per
+  call.  The session opens it at run time, never at import or
+  construction: a pool forked before a test monkeypatches the code
+  under test would run the unpatched code.  Size the pool to the
+  largest call (``min(workers, batch)``) — the fork start method starts
+  every ``max_workers`` child at the first submit.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ import argparse
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from typing import Any, Callable, List, Optional, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
-__all__ = ["map_sharded", "resolve_workers", "workers_arg",
+__all__ = ["map_sharded", "resolve_workers", "shard_pool", "workers_arg",
            "preferred_start_method"]
 
 
@@ -78,6 +87,33 @@ def workers_arg(raw: str) -> int:
 HEARTBEAT_S = 30.0
 
 
+@contextmanager
+def shard_pool(workers: int = 0) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """One fork-preferred process pool for the ``with`` block, or ``None``
+    when ``workers`` resolves to 1 (every call then runs inline).
+
+    Pass it to each :func:`map_sharded` call as ``pool=``.  On a clean
+    exit the pool joins its idle workers; on an exception it shuts down
+    without waiting, cancelling queued shards, so a failure never waits
+    for an in-flight sibling.
+    """
+    workers = resolve_workers(workers)
+    if workers <= 1:
+        yield None
+        return
+    ctx = multiprocessing.get_context(preferred_start_method())
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    try:
+        yield pool
+    except BaseException:
+        # Fail fast: ``shutdown(wait=True)`` would park the raise behind
+        # the slowest in-flight shard.  In-flight workers finish their
+        # current item and exit on their own.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True)
+
+
 def map_sharded(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -87,6 +123,7 @@ def map_sharded(
     heartbeat_s: float = HEARTBEAT_S,
     stop: Optional[Callable[[Any], bool]] = None,
     describe: Optional[Callable[[Any], str]] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> List[Any]:
     """Apply ``fn`` to every item, sharded across worker processes.
 
@@ -114,10 +151,14 @@ def map_sharded(
     ``describe(result)``, with ``log``, reports each returned result in
     deck order — inline as each one finishes (in place of the
     ``[i/n]`` progress line), pooled after the merge.
+
+    ``pool``, a :func:`shard_pool` executor, runs the items there
+    instead of in a pool of this call's own (``workers`` is then only
+    validated).  A single-item deck runs inline either way.
     """
     n = len(items)
     workers = resolve_workers(workers)
-    if workers <= 1 or n <= 1:
+    if n <= 1 or (pool is None and workers <= 1):
         results = []
         for i, item in enumerate(items):
             result = fn(item)
@@ -131,42 +172,40 @@ def map_sharded(
             log("  [0/0] empty deck — nothing to run")
         return results
 
-    ctx = multiprocessing.get_context(preferred_start_method())
     results: List[Any] = [None] * n
     done_count = 0
-    pool = ProcessPoolExecutor(max_workers=min(workers, n), mp_context=ctx)
-    try:
+    with (nullcontext(pool) if pool is not None
+          else shard_pool(min(workers, n))) as pool:
         futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        pending = set(futures)
-        while pending:
-            finished, pending = wait(pending, timeout=heartbeat_s,
-                                     return_when=FIRST_EXCEPTION)
-            if not finished and log is not None:
-                # Heartbeat: nothing completed within the window.
-                running = sorted(futures[f] for f in pending)
-                shown = ", ".join(label(items[i])
-                                  for i in running[:4])
-                more = len(running) - 4
-                if more > 0:
-                    shown += f", +{more} more"
-                log(f"  [{done_count}/{n}] {len(running)} shard(s) "
-                    f"still running: {shown}")
-                continue
-            for fut in finished:
-                i = futures[fut]
-                results[i] = fut.result()  # re-raises worker exceptions
-                done_count += 1
-                if log is not None:
-                    log(f"  [{done_count}/{n}] {label(items[i])}")
-    except BaseException:
-        # Fail fast: drop queued shards and re-raise *now*.  A ``with``
-        # block (or ``shutdown(wait=True)``) would park the raise behind
-        # the slowest in-flight shard — a failing deck used to report
-        # its failure only after every running case finished.  In-flight
-        # workers finish their current item and exit on their own.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
+        try:
+            pending = set(futures)
+            while pending:
+                finished, pending = wait(pending, timeout=heartbeat_s,
+                                         return_when=FIRST_EXCEPTION)
+                if not finished and log is not None:
+                    # Heartbeat: nothing completed within the window.
+                    running = sorted(futures[f] for f in pending)
+                    shown = ", ".join(label(items[i])
+                                      for i in running[:4])
+                    more = len(running) - 4
+                    if more > 0:
+                        shown += f", +{more} more"
+                    log(f"  [{done_count}/{n}] {len(running)} shard(s) "
+                        f"still running: {shown}")
+                    continue
+                for fut in finished:
+                    i = futures[fut]
+                    results[i] = fut.result()  # re-raises worker exceptions
+                    done_count += 1
+                    if log is not None:
+                        log(f"  [{done_count}/{n}] {label(items[i])}")
+        except BaseException:
+            # Fail fast: drop this call's queued shards and re-raise
+            # *now*; shard_pool's exit shuts the pool down without
+            # waiting for in-flight shards.
+            for fut in futures:
+                fut.cancel()
+            raise
     if stop is not None:
         for i, result in enumerate(results):
             if stop(result):

@@ -39,11 +39,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..sim.scheduler import PROBE_EVERY
 from .perturbation import DEFAULT_DECK, STEER_KNOB, Perturbation
 from .runner import SCENARIOS, CaseResult, CaseSpec, run_case
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -251,6 +255,8 @@ class Explorer:
                 )
         if budget < 1:
             raise ValueError(f"budget must be >= 1 (got {budget})")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0 (got {workers})")
         self.scenarios = names
         self.budget = budget
         self.backend = backend
@@ -363,6 +369,16 @@ class Explorer:
         return novel, new_schedule
 
     def run(self, log: Optional[Callable[[str], None]] = None) -> ExploreReport:
+        from ..par.pool import resolve_workers, shard_pool
+
+        # One pool per session, forked here rather than in __init__, so
+        # its workers run the code the parent has when the session
+        # starts; past BATCH workers, the extra children would sit idle.
+        with shard_pool(min(resolve_workers(self.workers), BATCH)) as pool:
+            return self._run(pool, log)
+
+    def _run(self, pool: Optional[ProcessPoolExecutor],
+             log: Optional[Callable[[str], None]]) -> ExploreReport:
         from ..par.pool import map_sharded
 
         coverage = ScheduleCoverage()
@@ -393,7 +409,8 @@ class Explorer:
             items = [ExploreItem(spec, self.probe_every)
                      for spec, _ in batch]
             outcomes = map_sharded(run_probed, items, workers=self.workers,
-                                   label=lambda it: it.spec.replay)
+                                   label=lambda it: it.spec.replay,
+                                   pool=pool)
             for (spec, parent), out in zip(batch, outcomes):
                 report.cases += 1
                 novel, new_schedule = self._observe(

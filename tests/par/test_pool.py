@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from repro.par.pool import (
     map_sharded,
     preferred_start_method,
     resolve_workers,
+    shard_pool,
     workers_arg,
 )
 
@@ -29,6 +31,10 @@ def _explode_on_three(x: int) -> int:
     if x == 3:
         raise ValueError("shard went bad")
     return x
+
+
+def _square_and_pid(x: int) -> tuple:
+    return x * x, os.getpid()
 
 
 def _boom_or_sleep(x: int) -> int:
@@ -173,6 +179,46 @@ class TestMapSharded:
 
     def test_preferred_start_method_is_known(self):
         assert preferred_start_method() in ("fork", "spawn")
+
+
+class TestShardPool:
+    def test_one_fork_per_session(self):
+        # Two calls on one session pool match the inline results and,
+        # between them, run on at most the pool's 2 worker processes.
+        items = list(range(6))
+        with shard_pool(2) as pool:
+            first = map_sharded(_square_and_pid, items, pool=pool)
+            second = map_sharded(_square_and_pid, items[::-1], pool=pool)
+        assert [sq for sq, _ in first] == map_sharded(_square, items,
+                                                      workers=1)
+        assert [sq for sq, _ in second] == map_sharded(_square, items[::-1],
+                                                       workers=1)
+        pids = {pid for _, pid in first + second}
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+
+    def test_single_worker_yields_none_and_runs_inline(self):
+        with shard_pool(1) as pool:
+            assert pool is None
+            out = map_sharded(_square_and_pid, [1, 2, 3], workers=1,
+                              pool=pool)
+        assert out == [(1, os.getpid()), (4, os.getpid()), (9, os.getpid())]
+
+    def test_failure_in_a_session_does_not_wait_for_slow_shards(self):
+        # As test_failure_does_not_wait_for_slow_shards, but on a session
+        # pool: the clock covers the context exit too, which must not
+        # join the slow sibling.
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="fast shard went bad"):
+            with shard_pool(2) as pool:
+                map_sharded(_boom_or_sleep, [1, 0], pool=pool)
+        assert time.monotonic() - t0 < 3.0
+
+    def test_pool_is_shut_down_after_the_session(self):
+        with shard_pool(2) as pool:
+            assert map_sharded(_square, [2, 3], pool=pool) == [4, 9]
+        with pytest.raises(RuntimeError):
+            pool.submit(_square, 4)
 
 
 class TestHeartbeat:

@@ -120,6 +120,11 @@ class TestExplorerDeterminism:
         assert ([f.spec.replay for f in a.failures]
                 == [f.spec.replay for f in b.failures])
 
+    def test_negative_workers_rejected_at_construction(self):
+        # used to construct fine and fail only at the first pooled batch
+        with pytest.raises(ValueError, match=r"workers must be >= 0 \(got -1\)"):
+            Explorer(workers=-1)
+
     def test_master_seed_changes_the_walk(self):
         a = explore(scenarios=["churn"], budget=8, master_seed=0)
         b = explore(scenarios=["churn"], budget=8, master_seed=1)
@@ -139,7 +144,7 @@ PINNED_PREFIXES = 1720
 
 
 class TestCoverage:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 0])
     def test_pinned_coverage_at_the_ci_budget(self, workers):
         rep = explore(budget=PINNED_BUDGET, master_seed=0, workers=workers)
         assert rep.cases == PINNED_BUDGET
@@ -157,15 +162,26 @@ class TestCoverage:
         assert ex.distinct_prefixes > deck.distinct_prefixes
 
 
+#: the teeth test's failing replay strings, pinned so that every worker
+#: count must report exactly the same failures (exploration is
+#: deterministic; re-pin when TREE_NODE is re-calibrated)
+TEETH_REPLAYS = ["storm:0:jitter=1024", "storm:1:steer=1"]
+
+
 class TestTeeth:
-    def test_explorer_finds_seeded_bug_the_deck_misses(self, contended_publish):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_explorer_finds_seeded_bug_the_deck_misses(self, contended_publish,
+                                                       workers):
+        # At workers=2 the cases run in the session's forked pool, so a
+        # pool forked before the monkeypatch (a process-global one) would
+        # run clean TBuddy code and miss the bug.
         deck = deck_coverage(scenarios=["storm"], budget=SEP_BUDGET)
         assert not deck.failures, (
             "calibration drifted: the DEFAULT_DECK grid now catches the "
             "gated bug — re-calibrate TREE_NODE (see module docstring)\n"
             + deck.describe()
         )
-        ex = explore(scenarios=["storm"], budget=SEP_BUDGET)
+        ex = explore(scenarios=["storm"], budget=SEP_BUDGET, workers=workers)
         assert ex.failures, (
             "explorer lost its teeth: the seeded contention-gated bug "
             "went unnoticed at a budget where steered schedules reach "
@@ -174,6 +190,7 @@ class TestTeeth:
         rules = {f.rule for res in ex.failures for f in res.findings}
         assert rules & {"tree-store-unlocked", "tree-store-clobbers-lock"}, \
             rules
+        assert [f.spec.replay for f in ex.failures] == TEETH_REPLAYS
 
     def test_explorer_failures_replay_and_shrink(self, contended_publish):
         ex = explore(scenarios=["storm"], budget=SEP_BUDGET)
