@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heappushpop
+from heapq import heappop, heappush
 from types import GeneratorType as Generator
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
@@ -46,7 +46,9 @@ _ST_BARRIER = 1
 _ST_CONV = 2
 _ST_DONE = 3
 
-_TIMER = -1  # sentinel tid for timer events
+#: how a timer entry folds into ``state_digest`` (timers are queued
+#: under negative ids; the digest sees them all as this one value)
+_TIMER = -1
 
 #: effective event budget when ``run(max_events=None)`` — one compare
 #: per event against a huge int beats a per-event ``is not None`` test
@@ -68,6 +70,7 @@ STEER_WINDOW = 61
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_TIMER_BITS = _TIMER & _MASK64
 
 
 class _Thread:
@@ -128,6 +131,15 @@ class _Warp:
         self.sync_waiters: Dict[frozenset, List[int]] = {}
         # mask -> broadcast payloads contributed so far
         self.bcast_values: Dict[frozenset, list] = {}
+
+
+def _add_note(exc: BaseException, note: str) -> None:
+    """``exc.add_note(note)`` on every supported Python: 3.10 lacks
+    ``add_note``, so the note goes onto ``__notes__`` by hand."""
+    if hasattr(exc, "add_note"):
+        exc.add_note(note)
+    else:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
 
 
 def _instant_thread(retval):
@@ -280,8 +292,16 @@ class Scheduler:
         self._threads: List[_Thread] = []
         self._blocks: List[_Block] = []
         self._warps: List[_Warp] = []
-        self._heap: list = []
-        self._seq = 0
+        # The event queue: a heap of distinct pending times, and each
+        # time's FIFO list of thread ids.  Timers are negative ids with
+        # their callbacks in ``_timers``.  ``_drained`` is the consumed
+        # prefix of the bucket at ``_now`` while a probe reads the
+        # digest mid-drain (0 otherwise).
+        self._times: List[int] = []
+        self._buckets: Dict[int, List[int]] = {}
+        self._timers: Dict[int, Callable[[int], None]] = {}
+        self._next_timer = -1
+        self._drained = 0
         self._word_avail: Dict[int, int] = {}
         self._sm_queues: List[Deque[_Block]] = [
             deque() for _ in range(device.num_sms)
@@ -348,8 +368,12 @@ class Scheduler:
         thread then completes instantly with the function's return
         value).
         """
-        if grid <= 0 or block <= 0:
-            raise LaunchError(f"bad launch configuration grid={grid} block={block}")
+        for v in (grid, block):
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+                raise LaunchError(
+                    f"bad launch configuration grid={grid!r} block={block!r}: "
+                    "both must be positive ints"
+                )
         if block > self.device.max_threads_per_block:
             raise LaunchError(
                 f"block of {block} threads exceeds device limit "
@@ -433,15 +457,21 @@ class Scheduler:
             self._push(th.clock, tid)
 
     # ------------------------------------------------------------------
-    # Heap helpers
+    # Event queue
     # ------------------------------------------------------------------
     def _push(self, t: int, tid: int) -> None:
-        self._seq += 1
-        heappush(self._heap, (t, self._seq, tid))
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [tid]
+            heappush(self._times, t)
+        else:
+            bucket.append(tid)
 
     def _push_timer(self, t: int, fn: Callable[[int], None]) -> None:
-        self._seq += 1
-        heappush(self._heap, (t, self._seq, _TIMER, fn))
+        tid = self._next_timer
+        self._next_timer = tid - 1
+        self._timers[tid] = fn
+        self._push(t, tid)
 
     def _push_group(self, t: int, tids: Sequence[int]) -> None:
         """Reschedule a released cohort — every tid at the same ``t``.
@@ -450,12 +480,12 @@ class Scheduler:
         groups at one timestamp.  Entries keep push order, so the
         schedule is identical to per-tid :meth:`_push` calls.
         """
-        heap = self._heap
-        seq = self._seq
-        for tid in tids:
-            seq += 1
-            heappush(heap, (t, seq, tid))
-        self._seq = seq
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = list(tids)
+            heappush(self._times, t)
+        else:
+            bucket.extend(tids)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -464,7 +494,9 @@ class Scheduler:
         """Run until all launched threads finish; returns a report.
 
         ``max_events`` bounds the number of scheduler events (a livelock
-        guard for tests); exceeding it raises :class:`DeadlockError`.
+        guard for tests); exceeding it raises :class:`EventBudgetExceeded`,
+        a :class:`DeadlockError`.  A negative budget is a caller error
+        and raises :class:`ValueError` before any event runs.
 
         Two loops of the same shape execute the identical event
         protocol, chosen here by one ``tracer is None`` test per run.
@@ -477,6 +509,12 @@ class Scheduler:
         digest stream a ``schedule_probe`` sees (pinned by the
         fast-vs-traced parity tests); only host wall time differs.
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(
+                f"max_events must be >= 0 or None (got {max_events}): a "
+                "negative budget would trip on the first event and read "
+                "as a livelock"
+            )
         if self.tracer is None:
             return self._run_fast(max_events)
         return self._run_traced(max_events)
@@ -484,18 +522,25 @@ class Scheduler:
     def _run_fast(self, max_events: Optional[int]) -> SimReport:
         """Hot loop with no tracer attached.
 
-        Beyond skipping telemetry entirely, this loop inlines the event
-        push as a *deferred entry* resolved by ``heappushpop`` at the
-        top of the next iteration (one sift instead of two, and O(1)
-        when the deferred event is next anyway), indexes precompiled
-        dispatch tables instead of if/elif chains, and keeps the event
-        sequence number and clock in locals — synchronizing them back
-        to the instance only around the rare park/finish/timer paths
-        that reenter scheduler helpers.
+        The queue drains a timestamp at a time: pop the earliest pending
+        time, then run its FIFO bucket with a plain ``for``.  An entry
+        pushed at that same time while it drains (a handler's release,
+        a timer, a zero-cost step) is appended to the bucket, and the
+        list iterator reaches it in push order; a cohort of N events
+        therefore costs one heap pop, not N.  Pushes are inlined (an
+        append to an existing bucket, or a new bucket plus one heap
+        push), dispatch indexes precompiled tables instead of if/elif
+        chains, and the event count stays in a local, synchronized back
+        to the instance for the probe and in the ``finally``.
+        ``_now`` is written once per bucket, so the park, finish and
+        timer helpers read the current time without a per-event sync.
         """
         cm = self.cost_model
         mem = self.memory
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
+        bucket_get = buckets.get
+        timers = self._timers
         threads = self._threads
         word_avail = self._word_avail
         word_avail_get = word_avail.get
@@ -514,7 +559,7 @@ class Scheduler:
         track = self.track_contention
         word_ops = self._word_ops
         _pop = heappop
-        _pushpop = heappushpop
+        _push = heappush
         budget = max_events if max_events is not None else _NO_BUDGET
         probe = self.schedule_probe
         probe_every = self.probe_every
@@ -525,158 +570,157 @@ class Scheduler:
         OP_MIN = _ops.OP_MIN
         OP_YIELD = _ops.OP_YIELD
 
-        events = self._events
-        seq = self._seq
-        now = self._now
+        events = base = self._events
         next_probe = events + probe_every if probe is not None else _NO_BUDGET
-        deferred = None  # single pending push, resolved by heappushpop
+        t = self._now
+        bucket = None
         try:
-            while True:
-                if deferred is not None:
-                    entry = _pushpop(heap, deferred) if heap else deferred
-                    deferred = None
-                elif heap:
-                    entry = _pop(heap)
-                else:
-                    break
-                t = entry[0]
-                tid = entry[2]
-                now = t
-                events += 1
-                if events > budget:
-                    raise EventBudgetExceeded(
-                        f"exceeded event budget {max_events} "
-                        f"({self._live_threads} threads still live)"
-                    )
-                if events >= next_probe:
-                    next_probe = events + probe_every
-                    # Observation only: sync virtual time for the digest;
-                    # the probe may not mutate scheduler or memory state.
-                    self._now = now
-                    probe(self.state_digest())
-                if tid == _TIMER:
-                    self._seq, self._now = seq, now
-                    entry[3](t)
-                    seq = self._seq
-                    continue
-                th = threads[tid]
-                op = th.pending
-                resume_at = t
-                if op is not None:
-                    code = op[0]
-                    counts[code] += 1
-                    if code >= OP_CAS:      # an atomic (OP_CAS..OP_MIN)
-                        if code != OP_CAS:
-                            result = atomic_exec[code](op[1], op[2])
-                        else:
-                            result = cas_word(op[1], op[2], op[3])
-                        resume_at = t + atomic_latency
-                    elif code == OP_LOAD:
-                        result = load_word(op[1])
-                        resume_at = t + load_latency
-                    else:                   # OP_STORE (the only other pending op)
-                        store_word(op[1], op[2])
-                        resume_at = t + store_latency
-                        result = None
-                    th.pending = None
-                else:
-                    result = th.inbox
-                    th.inbox = None
+            while times:
+                t = _pop(times)
+                self._now = t
+                bucket = buckets[t]
+                base = events
+                for tid in bucket:
+                    events += 1
+                    if events > budget:
+                        raise EventBudgetExceeded(
+                            f"exceeded event budget {max_events} "
+                            f"({self._live_threads} threads still live)"
+                        )
+                    if events >= next_probe:
+                        next_probe = events + probe_every
+                        # Observation only: the probe may not mutate
+                        # scheduler or memory state.
+                        self._drained = events - base
+                        probe(self.state_digest())
+                    if tid < 0:
+                        timers.pop(tid)(t)
+                        continue
+                    th = threads[tid]
+                    op = th.pending
+                    resume_at = t
+                    if op is not None:
+                        code = op[0]
+                        counts[code] += 1
+                        if code >= OP_CAS:      # an atomic (OP_CAS..OP_MIN)
+                            if code != OP_CAS:
+                                result = atomic_exec[code](op[1], op[2])
+                            else:
+                                result = cas_word(op[1], op[2], op[3])
+                            resume_at = t + atomic_latency
+                        elif code == OP_LOAD:
+                            result = load_word(op[1])
+                            resume_at = t + load_latency
+                        else:                   # OP_STORE (the only other pending op)
+                            store_word(op[1], op[2])
+                            resume_at = t + store_latency
+                            result = None
+                        th.pending = None
+                    else:
+                        result = th.inbox
+                        th.inbox = None
 
-                # Resume the generator and classify its next op.  (No
-                # ``th.clock`` update here: with no tracer attached,
-                # nothing reads per-thread clocks during the run.)
-                try:
-                    nxt = th.send(result)
-                except StopIteration as stop:
-                    th.retval = stop.value
-                    self._seq, self._now = seq, now
-                    self._finish_thread(th, resume_at)
-                    seq = self._seq
-                    continue
-                except Exception as exc:
-                    exc.add_note(
-                        f"raised in device thread tid={th.tid} "
-                        f"block={th.ctx.block} lane={th.ctx.lane} "
-                        f"at cycle {resume_at}"
-                    )
-                    raise
-                if type(nxt) is not tuple or not nxt:
-                    raise InvalidOp(
-                        f"device thread {th.tid} yielded {nxt!r}; expected an "
-                        "op tuple from repro.sim.ops"
-                    )
-                code = nxt[0]
-                if OP_LOAD <= code <= OP_MIN:
-                    # Memory op: execute at its own heap event.  Atomics
-                    # reserve the target word's next free service slot at
-                    # issue time (FIFO memory-controller queue), so
-                    # same-word contention serializes in O(1) events/op.
-                    th.pending = nxt
-                    exec_at = resume_at + step_cost
-                    if code >= OP_CAS:
-                        waddr = nxt[1] >> 3
-                        avail = word_avail_get(waddr, 0)
-                        if avail > exec_at:
-                            exec_at = avail
-                        word_avail[waddr] = exec_at + atomic_service
-                        if track:
-                            word_ops[waddr] = word_ops.get(waddr, 0) + 1
-                    seq += 1
-                    deferred = (exec_at, seq, tid)
-                    continue
-                if code == OP_SLEEP:
-                    counts[OP_SLEEP] += 1
-                    seq += 1
-                    deferred = (resume_at + step_cost + nxt[1], seq, tid)
-                    continue
-                if code == OP_YIELD:
-                    counts[OP_YIELD] += 1
-                    seq += 1
-                    deferred = (resume_at + yield_cost, seq, tid)
-                    continue
-                handler = park_get(code)
-                if handler is None:
-                    raise InvalidOp(
-                        f"device thread {th.tid} yielded unknown op {nxt!r}"
-                    )
-                counts[code] += 1
-                self._seq, self._now = seq, now
-                handler(th, nxt, resume_at)
-                seq = self._seq
+                    # Resume the generator and classify its next op.  (No
+                    # ``th.clock`` update here: with no tracer attached,
+                    # nothing reads per-thread clocks during the run.)
+                    try:
+                        nxt = th.send(result)
+                    except StopIteration as stop:
+                        th.retval = stop.value
+                        self._finish_thread(th, resume_at)
+                        continue
+                    except Exception as exc:
+                        _add_note(
+                            exc,
+                            f"raised in device thread tid={th.tid} "
+                            f"block={th.ctx.block} lane={th.ctx.lane} "
+                            f"at cycle {resume_at}",
+                        )
+                        raise
+                    if type(nxt) is not tuple or not nxt:
+                        raise InvalidOp(
+                            f"device thread {th.tid} yielded {nxt!r}; expected an "
+                            "op tuple from repro.sim.ops"
+                        )
+                    code = nxt[0]
+                    if OP_LOAD <= code <= OP_MIN:
+                        # Memory op: execute at its own event.  Atomics
+                        # reserve the target word's next free service slot
+                        # at issue time (FIFO memory-controller queue), so
+                        # same-word contention serializes in O(1) events/op.
+                        th.pending = nxt
+                        at = resume_at + step_cost
+                        if code >= OP_CAS:
+                            waddr = nxt[1] >> 3
+                            avail = word_avail_get(waddr, 0)
+                            if avail > at:
+                                at = avail
+                            word_avail[waddr] = at + atomic_service
+                            if track:
+                                word_ops[waddr] = word_ops.get(waddr, 0) + 1
+                    elif code == OP_SLEEP:
+                        counts[OP_SLEEP] += 1
+                        at = resume_at + step_cost + nxt[1]
+                    elif code == OP_YIELD:
+                        counts[OP_YIELD] += 1
+                        at = resume_at + yield_cost
+                    else:
+                        handler = park_get(code)
+                        if handler is None:
+                            raise InvalidOp(
+                                f"device thread {th.tid} yielded unknown op {nxt!r}"
+                            )
+                        counts[code] += 1
+                        handler(th, nxt, resume_at)
+                        continue
+                    b = bucket_get(at)
+                    if b is None:
+                        buckets[at] = [tid]
+                        _push(times, at)
+                    else:
+                        b.append(tid)
+                del buckets[t]
+            bucket = None
         finally:
-            # Keep instance state coherent even when an exception unwinds
-            # mid-loop (helpers may have advanced _seq past our local).
-            if deferred is not None:
-                heappush(heap, deferred)
-            if seq > self._seq:
-                self._seq = seq
+            # Keep instance state coherent when an exception unwinds
+            # mid-bucket: drop the consumed prefix (the raising event
+            # included) and requeue whatever the bucket still holds.
+            self._drained = 0
+            if bucket is not None:
+                del bucket[:events - base]
+                if bucket:
+                    _push(times, t)
+                else:
+                    del buckets[t]
             self._events = events
-            self._now = now
         return self._finish_report()
 
     def _run_traced(self, max_events: Optional[int]) -> SimReport:
         """Instrumented loop: :meth:`_run_fast`'s structure and event
         protocol, plus the tracer's hooks.
 
-        The loop shape is the fast loop's: the deferred ``heappushpop``
-        entry, ``now``/``seq``/``events`` in locals synchronized only
-        around the timer, probe, finish and park paths, and constants
-        bound once.  The tracer's hooks are bound once per run too, and
-        a hook the tracer sets to ``None`` is skipped: ``mem_op`` is
-        ``None`` on the plain :class:`Tracer`, ``atomic_issued`` on the
-        race checker (which never reads ``word_stats``), and
-        ``op_executed`` is called only when the tracer records a
-        timeline.  Without a timeline its one effect is noting the op's
-        completion time; a local running max replaces it, folded into
-        the tracer once in the ``finally``, so the tracer's latest
-        timestamp (each run's ``t1``, the next run's offset) stays exact
-        even after a budget trip.  Unlike the fast loop, every resume
-        writes ``th.clock``: :meth:`Tracer.now` reads it.
+        The loop shape is the fast loop's: one heap pop per timestamp
+        and a ``for`` over its bucket, inlined pushes, the event count
+        in a local synchronized only for the probe and in the
+        ``finally``, and constants bound once.  The tracer's hooks are
+        bound once per run too, and a hook the tracer sets to ``None``
+        is skipped: ``mem_op`` is ``None`` on the plain :class:`Tracer`,
+        ``atomic_issued`` on the race checker (which never reads
+        ``word_stats``), and ``op_executed`` is called only when the
+        tracer records a timeline.  Without a timeline its one effect is
+        noting the op's completion time; a local running max replaces
+        it, folded into the tracer once in the ``finally``, so the
+        tracer's latest timestamp (each run's ``t1``, the next run's
+        offset) stays exact even after a budget trip.  Unlike the fast
+        loop, every resume writes ``th.clock``: :meth:`Tracer.now` reads
+        it.
         """
         cm = self.cost_model
         mem = self.memory
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
+        bucket_get = buckets.get
+        timers = self._timers
         threads = self._threads
         word_avail = self._word_avail
         word_avail_get = word_avail.get
@@ -695,7 +739,7 @@ class Scheduler:
         track = self.track_contention
         word_ops = self._word_ops
         _pop = heappop
-        _pushpop = heappushpop
+        _push = heappush
         budget = max_events if max_events is not None else _NO_BUDGET
         probe = self.schedule_probe
         probe_every = self.probe_every
@@ -710,136 +754,131 @@ class Scheduler:
         OP_MIN = _ops.OP_MIN
         OP_YIELD = _ops.OP_YIELD
 
-        events = self._events
-        seq = self._seq
-        now = self._now
+        events = base = self._events
         next_probe = events + probe_every if probe is not None else _NO_BUDGET
-        deferred = None  # single pending push, resolved by heappushpop
+        t = self._now
+        bucket = None
         hi = 0  # latest memory-op completion time (run-local, untraced)
         try:
-            while True:
-                if deferred is not None:
-                    entry = _pushpop(heap, deferred) if heap else deferred
-                    deferred = None
-                elif heap:
-                    entry = _pop(heap)
-                else:
-                    break
-                t = entry[0]
-                tid = entry[2]
-                now = t
-                events += 1
-                if events > budget:
-                    raise EventBudgetExceeded(
-                        f"exceeded event budget {max_events} "
-                        f"({self._live_threads} threads still live)"
-                    )
-                if events >= next_probe:
-                    next_probe = events + probe_every
-                    self._now = now
-                    probe(self.state_digest())
-                if tid == _TIMER:
-                    self._seq, self._now = seq, now
-                    entry[3](t)
-                    seq = self._seq
-                    continue
-                th = threads[tid]
-                op = th.pending
-                resume_at = t
-                if op is not None:
-                    code = op[0]
-                    counts[code] += 1
-                    if code >= OP_CAS:
-                        if code != OP_CAS:
-                            result = atomic_exec[code](op[1], op[2])
+            while times:
+                t = _pop(times)
+                self._now = t
+                bucket = buckets[t]
+                base = events
+                for tid in bucket:
+                    events += 1
+                    if events > budget:
+                        raise EventBudgetExceeded(
+                            f"exceeded event budget {max_events} "
+                            f"({self._live_threads} threads still live)"
+                        )
+                    if events >= next_probe:
+                        next_probe = events + probe_every
+                        self._drained = events - base
+                        probe(self.state_digest())
+                    if tid < 0:
+                        timers.pop(tid)(t)
+                        continue
+                    th = threads[tid]
+                    op = th.pending
+                    resume_at = t
+                    if op is not None:
+                        code = op[0]
+                        counts[code] += 1
+                        if code >= OP_CAS:
+                            if code != OP_CAS:
+                                result = atomic_exec[code](op[1], op[2])
+                            else:
+                                result = cas_word(op[1], op[2], op[3])
+                            resume_at = t + atomic_latency
+                        elif code == OP_LOAD:
+                            result = load_word(op[1])
+                            resume_at = t + load_latency
                         else:
-                            result = cas_word(op[1], op[2], op[3])
-                        resume_at = t + atomic_latency
-                    elif code == OP_LOAD:
-                        result = load_word(op[1])
-                        resume_at = t + load_latency
+                            store_word(op[1], op[2])
+                            resume_at = t + store_latency
+                            result = None
+                        th.pending = None
+                        if op_hook is not None:
+                            op_hook(th, code, t, resume_at - t)
+                        elif resume_at > hi:
+                            hi = resume_at
+                        if mem_hook is not None:
+                            mem_hook(th, op, t, result)
                     else:
-                        store_word(op[1], op[2])
-                        resume_at = t + store_latency
-                        result = None
-                    th.pending = None
-                    if op_hook is not None:
-                        op_hook(th, code, t, resume_at - t)
-                    elif resume_at > hi:
-                        hi = resume_at
-                    if mem_hook is not None:
-                        mem_hook(th, op, t, result)
-                else:
-                    result = th.inbox
-                    th.inbox = None
+                        result = th.inbox
+                        th.inbox = None
 
-                # Resume the generator and classify its next op.
-                th.clock = resume_at
-                try:
-                    nxt = th.send(result)
-                except StopIteration as stop:
-                    th.retval = stop.value
-                    self._seq, self._now = seq, now
-                    self._finish_thread(th, resume_at)
-                    seq = self._seq
-                    continue
-                except Exception as exc:
-                    exc.add_note(
-                        f"raised in device thread tid={th.tid} "
-                        f"block={th.ctx.block} lane={th.ctx.lane} "
-                        f"at cycle {resume_at}"
-                    )
-                    raise
-                if type(nxt) is not tuple or not nxt:
-                    raise InvalidOp(
-                        f"device thread {th.tid} yielded {nxt!r}; expected an "
-                        "op tuple from repro.sim.ops"
-                    )
-                code = nxt[0]
-                if OP_LOAD <= code <= OP_MIN:
-                    th.pending = nxt
-                    exec_at = resume_at + step_cost
-                    if code >= OP_CAS:
-                        waddr = nxt[1] >> 3
-                        avail = word_avail_get(waddr, 0)
-                        if avail > exec_at:
-                            exec_at = avail
-                        word_avail[waddr] = exec_at + atomic_service
-                        if track:
-                            word_ops[waddr] = word_ops.get(waddr, 0) + 1
-                        if atomic_hook is not None:
-                            # serialization stall: how long the word's FIFO
-                            # queue pushed this atomic past its issue slot
-                            atomic_hook(waddr, exec_at - resume_at - step_cost)
-                    seq += 1
-                    deferred = (exec_at, seq, tid)
-                    continue
-                if code == OP_SLEEP:
-                    counts[OP_SLEEP] += 1
-                    seq += 1
-                    deferred = (resume_at + step_cost + nxt[1], seq, tid)
-                    continue
-                if code == OP_YIELD:
-                    counts[OP_YIELD] += 1
-                    seq += 1
-                    deferred = (resume_at + yield_cost, seq, tid)
-                    continue
-                handler = park_get(code)
-                if handler is None:
-                    raise InvalidOp(
-                        f"device thread {th.tid} yielded unknown op {nxt!r}"
-                    )
-                counts[code] += 1
-                self._seq, self._now = seq, now
-                handler(th, nxt, resume_at)
-                seq = self._seq
+                    # Resume the generator and classify its next op.
+                    th.clock = resume_at
+                    try:
+                        nxt = th.send(result)
+                    except StopIteration as stop:
+                        th.retval = stop.value
+                        self._finish_thread(th, resume_at)
+                        continue
+                    except Exception as exc:
+                        _add_note(
+                            exc,
+                            f"raised in device thread tid={th.tid} "
+                            f"block={th.ctx.block} lane={th.ctx.lane} "
+                            f"at cycle {resume_at}",
+                        )
+                        raise
+                    if type(nxt) is not tuple or not nxt:
+                        raise InvalidOp(
+                            f"device thread {th.tid} yielded {nxt!r}; expected an "
+                            "op tuple from repro.sim.ops"
+                        )
+                    code = nxt[0]
+                    if OP_LOAD <= code <= OP_MIN:
+                        th.pending = nxt
+                        at = resume_at + step_cost
+                        if code >= OP_CAS:
+                            waddr = nxt[1] >> 3
+                            avail = word_avail_get(waddr, 0)
+                            if avail > at:
+                                at = avail
+                            word_avail[waddr] = at + atomic_service
+                            if track:
+                                word_ops[waddr] = word_ops.get(waddr, 0) + 1
+                            if atomic_hook is not None:
+                                # serialization stall: how long the word's
+                                # FIFO queue pushed this atomic past its
+                                # issue slot
+                                atomic_hook(waddr, at - resume_at - step_cost)
+                    elif code == OP_SLEEP:
+                        counts[OP_SLEEP] += 1
+                        at = resume_at + step_cost + nxt[1]
+                    elif code == OP_YIELD:
+                        counts[OP_YIELD] += 1
+                        at = resume_at + yield_cost
+                    else:
+                        handler = park_get(code)
+                        if handler is None:
+                            raise InvalidOp(
+                                f"device thread {th.tid} yielded unknown op {nxt!r}"
+                            )
+                        counts[code] += 1
+                        handler(th, nxt, resume_at)
+                        continue
+                    b = bucket_get(at)
+                    if b is None:
+                        buckets[at] = [tid]
+                        _push(times, at)
+                    else:
+                        b.append(tid)
+                del buckets[t]
+            bucket = None
         finally:
-            if deferred is not None:
-                heappush(heap, deferred)
-            if seq > self._seq:
-                self._seq = seq
+            self._drained = 0
+            if bucket is not None:
+                del bucket[:events - base]
+                if bucket:
+                    _push(times, t)
+                else:
+                    del buckets[t]
             self._events = events
-            self._now = now
             tracer._note(hi + tracer._offset)
         return self._finish_report()
 
@@ -1088,25 +1127,28 @@ class Scheduler:
         storms, TBuddy lock convoys and RCU grace windows all manifest
         as hot contended words).
 
-        Multiset folds are commutative sums, *not* ordered folds: the
-        fast loop's deferred ``heappushpop`` and the traced loop's
-        push-then-pop leave the same entries in different internal heap
-        order, and the digest must be identical on both paths (the
-        virtual-parity contract).  Everything folded is an int, so the
+        Multiset folds are commutative sums, *not* ordered folds, so
+        the digest reads the abstract state, not how the queue happens
+        to hold it.  Mid-run (a probe) the bucket being drained counts
+        only its unconsumed suffix: the consumed prefix, the current
+        event included, has already run.  Timers fold as ``_TIMER``
+        whatever their queue id.  Everything folded is an int, so the
         digest is stable across processes and platforms — no reliance
         on ``hash()``.
         """
         now = self._now
         h = _FNV_OFFSET
         h = ((h ^ (self._live_threads & _MASK64)) * _FNV_PRIME) & _MASK64
-        # pending-event multiset as (time, tid) pairs, timer entries
-        # folding as _TIMER (commutative sum over entries)
+        # pending-event multiset as (time - now, tid) pairs (a sum, so
+        # masked once at the end)
         acc = 0
-        for entry in self._heap:
-            e = _FNV_OFFSET
-            e = ((e ^ ((entry[0] - now) & _MASK64)) * _FNV_PRIME) & _MASK64
-            e = ((e ^ (entry[2] & _MASK64)) * _FNV_PRIME) & _MASK64
-            acc = (acc + e) & _MASK64
+        for t, bucket in self._buckets.items():
+            if t == now and self._drained:
+                bucket = bucket[self._drained:]
+            e0 = ((_FNV_OFFSET ^ ((t - now) & _MASK64)) * _FNV_PRIME) & _MASK64
+            for tid in bucket:
+                acc += ((e0 ^ (tid if tid >= 0 else _TIMER_BITS)) * _FNV_PRIME) & _MASK64
+        acc &= _MASK64
         h = ((h ^ acc) * _FNV_PRIME) & _MASK64
         # parked threads (barrier / convergence waiters)
         acc = 0
@@ -1152,6 +1194,9 @@ class Scheduler:
         """
         if not self.track_contention:
             raise ValueError("construct the Scheduler with track_contention=True")
+        if n < 0:
+            # a negative slice bound would silently drop the coldest words
+            raise ValueError(f"n must be >= 0 (got {n})")
         # Tie-break equal counts on the address: the ranking must be
         # deterministic, not leak dict-insertion (first-touch) order.
         top = sorted(self._word_ops.items(), key=lambda kv: (-kv[1], kv[0]))[:n]

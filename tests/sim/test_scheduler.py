@@ -420,6 +420,44 @@ class TestErrors:
         with pytest.raises(LaunchError):
             s.launch(lambda ctx: None, 1, 4096)
 
+    @pytest.mark.parametrize("grid, block", [
+        (True, 4), (1, True), (2.0, 4), (1, 4.0), ("2", 4), (-1, 4), (1, 0),
+    ])
+    def test_launch_rejects_non_positive_int_dims(self, grid, block):
+        mem = DeviceMemory(1 << 12)
+        s = Scheduler(mem)
+        with pytest.raises(LaunchError, match="positive ints"):
+            s.launch(lambda ctx: None, grid, block)
+        assert s.live_threads == 0 and not s._threads
+
+    def test_negative_budget_fails_before_any_event(self):
+        mem = DeviceMemory(1 << 12)
+
+        def kernel(ctx):
+            yield ops.sleep(1)
+
+        s = Scheduler(mem)
+        s.launch(kernel, 1, 4)
+        before = (s.state_digest(), s.now, s.live_threads)
+        with pytest.raises(ValueError, match="max_events"):
+            s.run(max_events=-3)
+        assert (s.state_digest(), s.now, s.live_threads) == before
+        assert s.run().events == 8   # the queue is intact
+
+    def test_hot_words_rejects_negative_n(self):
+        mem = DeviceMemory(1 << 12)
+        word = mem.host_alloc(8)
+
+        def kernel(ctx):
+            yield ops.atomic_add(word, 1)
+
+        s = Scheduler(mem, track_contention=True)
+        s.launch(kernel, 1, 4)
+        s.run()
+        with pytest.raises(ValueError, match="n must be"):
+            s.hot_words(-1)
+        assert s.hot_words(0) == []
+
     def test_invalid_yield_detected(self):
         mem = DeviceMemory(1 << 12)
 
