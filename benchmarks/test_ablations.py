@@ -57,8 +57,7 @@ def test_ablation_warp_coalescing(benchmark):
         device = GPUDevice(num_sms=2)
         mem = DeviceMemory((4096 << 9) * 2 + (8 << 20))
         alloc = ThroughputAllocator(mem, device,
-                                    AllocatorConfig(pool_order=9),
-                                    checked=False)
+                                    AllocatorConfig(pool_order=9))
 
         def kernel(ctx):
             if coalesced:

@@ -62,7 +62,7 @@ def test_steady_state_allocation_rate(benchmark):
             device = GPUDevice(num_sms=sms)
             cfg = AllocatorConfig(pool_order=9)
             mem = DeviceMemory((4096 << 9) * 2 + (8 << 20))
-            alloc = ThroughputAllocator(mem, device, cfg, checked=False)
+            alloc = ThroughputAllocator(mem, device, cfg)
             kernel, _ = malloc_storm(alloc, 64)
             sched = Scheduler(mem, device, seed=7)
             n = 16384

@@ -50,8 +50,7 @@ def expand_kernel(ctx, alloc, adjacency, out_index, coalesced):
 
 def run(coalesced, adjacency, n_threads, device):
     mem = DeviceMemory(64 << 20)
-    alloc = ThroughputAllocator(mem, device, AllocatorConfig(pool_order=11),
-                                checked=False)
+    alloc = ThroughputAllocator(mem, device, AllocatorConfig(pool_order=11))
     out_index = mem.host_alloc(8 * n_threads)
     sched = Scheduler(mem, device, seed=5)
     sched.launch(expand_kernel, n_threads // 256, 256,

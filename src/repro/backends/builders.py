@@ -34,10 +34,10 @@ def _ours_cfg(pool: int, cfg: Optional[AllocatorConfig]) -> AllocatorConfig:
 
 
 def _build_ours(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig], checked: bool,
+                cfg: Optional[AllocatorConfig],
                 coalesced: bool = False) -> BackendHandle:
     config = _ours_cfg(pool, cfg)
-    a = ThroughputAllocator(mem, device, config, checked=checked)
+    a = ThroughputAllocator(mem, device, config)
     return BackendHandle(
         name="ours-coalesced" if coalesced else "ours",
         allocator=a,
@@ -55,7 +55,7 @@ def _build_ours(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_cuda(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig], checked: bool) -> BackendHandle:
+                cfg: Optional[AllocatorConfig]) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = CudaLikeAllocator(mem, base, pool)
     return BackendHandle(
@@ -69,8 +69,7 @@ def _build_cuda(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_xmalloc(mem: DeviceMemory, device: GPUDevice, pool: int,
-                   cfg: Optional[AllocatorConfig],
-                   checked: bool) -> BackendHandle:
+                   cfg: Optional[AllocatorConfig]) -> BackendHandle:
     base = mem.host_alloc(pool, align=4096)
     a = XMalloc(mem, base, pool)
     return BackendHandle(
@@ -88,8 +87,7 @@ def _build_xmalloc(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_scatter(mem: DeviceMemory, device: GPUDevice, pool: int,
-                   cfg: Optional[AllocatorConfig],
-                   checked: bool) -> BackendHandle:
+                   cfg: Optional[AllocatorConfig]) -> BackendHandle:
     base = mem.host_alloc(pool, align=4096)
     a = ScatterAlloc(mem, base, pool)
     return BackendHandle(
@@ -102,8 +100,7 @@ def _build_scatter(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_lock_buddy(mem: DeviceMemory, device: GPUDevice, pool: int,
-                      cfg: Optional[AllocatorConfig],
-                      checked: bool) -> BackendHandle:
+                      cfg: Optional[AllocatorConfig]) -> BackendHandle:
     page = 4096
     base = mem.host_alloc(pool, align=page)
     a = LockBuddy(mem, base, page, AllocatorConfig.order_for_pool(pool, page))
@@ -118,7 +115,7 @@ def _build_lock_buddy(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_bump(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig], checked: bool) -> BackendHandle:
+                cfg: Optional[AllocatorConfig]) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = BumpAllocator(mem, base, pool)
     return BackendHandle(
@@ -138,8 +135,7 @@ def _build_bump(mem: DeviceMemory, device: GPUDevice, pool: int,
 
 
 def _build_hostbased(mem: DeviceMemory, device: GPUDevice, pool: int,
-                     cfg: Optional[AllocatorConfig],
-                     checked: bool) -> BackendHandle:
+                     cfg: Optional[AllocatorConfig]) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = HostBasedAllocator(mem, base, pool)
     return BackendHandle(
@@ -165,8 +161,8 @@ register(Backend(
     display="ours (coalesced)",
     description="the paper's combined allocator, warp-coalescing "
                 "malloc path",
-    builder=lambda mem, device, pool, cfg, checked:
-        _build_ours(mem, device, pool, cfg, checked, coalesced=True),
+    builder=lambda mem, device, pool, cfg:
+        _build_ours(mem, device, pool, cfg, coalesced=True),
 ))
 
 register(Backend(

@@ -52,15 +52,13 @@ class CheckOutcome:
 class Rig:
     """A fresh backend instance plus a one-call kernel launcher."""
 
-    def __init__(self, backend: str, pool: int = 1 << 20, seed: int = 7,
-                 checked: bool = True):
+    def __init__(self, backend: str, pool: int = 1 << 20, seed: int = 7):
         self.mem = DeviceMemory(pool * 4 + (8 << 20))
         self.device = GPUDevice(num_sms=2)
         self.pool = pool
         self.seed = seed
         self.handle: BackendHandle = get(backend).build(
-            self.mem, self.device, pool, checked=checked
-        )
+            self.mem, self.device, pool)
 
     def launch(self, kernel, nthreads: int = 1):
         sched = Scheduler(self.mem, self.device, seed=self.seed)

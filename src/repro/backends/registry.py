@@ -128,7 +128,7 @@ class Backend:
     #: human label used in bench tables (kept for artifact stability)
     display: str
     description: str
-    #: (mem, device, pool_bytes, cfg, checked) -> BackendHandle
+    #: (mem, device, pool_bytes, cfg) -> BackendHandle
     builder: Callable[..., BackendHandle]
     #: alternate lookup names (e.g. historic bench display labels)
     aliases: tuple = field(default=())
@@ -139,10 +139,11 @@ class Backend:
         """Construct the allocator over a ``pool``-byte heap.
 
         ``cfg`` only matters to backends built on
-        :class:`~repro.core.config.AllocatorConfig`; ``checked`` toggles
-        their self-verification (benches turn it off).
+        :class:`~repro.core.config.AllocatorConfig`.  ``checked`` is
+        accepted and ignored: no backend has a checked mode, and
+        callers written against the older signature still pass it.
         """
-        return self.builder(mem, device, pool, cfg, checked)
+        return self.builder(mem, device, pool, cfg)
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -185,7 +186,6 @@ def names() -> List[str]:
 
 
 def build(name: str, mem: DeviceMemory, device: GPUDevice, pool: int,
-          cfg: Optional[AllocatorConfig] = None,
-          checked: bool = True) -> BackendHandle:
+          cfg: Optional[AllocatorConfig] = None) -> BackendHandle:
     """``get(name).build(...)`` in one call."""
-    return get(name).build(mem, device, pool, cfg=cfg, checked=checked)
+    return get(name).build(mem, device, pool, cfg=cfg)

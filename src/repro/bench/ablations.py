@@ -71,7 +71,7 @@ def run_buddy_ablation(
         ):
             mem = DeviceMemory((page_size << max_order) + (8 << 20))
             if cls == "t":
-                buddy = TBuddy(mem, 0, page_size, max_order, checked_sems=False)
+                buddy = TBuddy(mem, 0, page_size, max_order)
             else:
                 buddy = LockBuddy(mem, 0, page_size, max_order)
             sched = Scheduler(mem, device, seed=seed)

@@ -84,7 +84,7 @@ def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
         tracer.begin_run(f"fig5:{kind} n={nthreads} batch={batch}")
     sched = Scheduler(mem, device, seed=seed, tracer=tracer)
     if kind == "bulk":
-        sem = BulkSemaphore(mem, checked=False)
+        sem = BulkSemaphore(mem)
         sched.launch(_bulk_kernel, grid, block,
                      args=(sem, batch, refill, refill_cycles))
     elif kind == "counting":

@@ -137,7 +137,7 @@ def run_size(
     grid = -(-nthreads // block)
     blk = min(block, nthreads)
     mem = DeviceMemory(pool * 2 + (4 << 20))
-    handle = backend.build(mem, device, pool, checked=False)
+    handle = backend.build(mem, device, pool)
     kernel, out = malloc_storm(handle, size)
     if tracer is not None:
         tracer.begin_run(

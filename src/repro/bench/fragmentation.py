@@ -91,7 +91,7 @@ def run(
 
     # --- ours -----------------------------------------------------------
     mem = DeviceMemory(pool * 2 + (16 << 20))
-    handle = get_backend("ours").build(mem, device, pool, checked=False)
+    handle = get_backend("ours").build(mem, device, pool)
     alloc = handle.allocator
     kept: List[tuple] = []
     for r in range(rounds):
@@ -106,7 +106,7 @@ def run(
 
     # --- bump -----------------------------------------------------------
     mem2 = DeviceMemory(pool * 2 + (16 << 20))
-    bhandle = get_backend("bump").build(mem2, device, pool, checked=False)
+    bhandle = get_backend("bump").build(mem2, device, pool)
     kept2: List[tuple] = []
     live2 = 0
     for r in range(rounds):

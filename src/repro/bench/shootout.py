@@ -99,7 +99,7 @@ def run(
     points = []
     for backend in roster:
         mem = DeviceMemory(pool * 4 + (8 << 20))
-        handle = backend.build(mem, device, pool, checked=False)
+        handle = backend.build(mem, device, pool)
         failures: List[int] = []
         kernel = _churn_kernel(handle.malloc, handle.free, size, iters,
                                failures)

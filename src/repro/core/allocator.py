@@ -124,9 +124,6 @@ class ThroughputAllocator:
 
     Parameters
     ----------
-    checked:
-        Verify bulk-semaphore transitions and header magics (slower,
-        default on; benchmarks turn it off).
     collective_chunks:
         Use the collective chunk-list mutex (ablation knob, §4.2.2).
     """
@@ -136,7 +133,6 @@ class ThroughputAllocator:
         mem: DeviceMemory,
         device: GPUDevice,
         cfg: AllocatorConfig = DEFAULT_CONFIG,
-        checked: bool = True,
         collective_chunks: bool = True,
     ):
         self.mem = mem
@@ -144,13 +140,11 @@ class ThroughputAllocator:
         # Chunk-aligned base makes chunk_of() pure masking and guarantees
         # the page-alignment routing property.
         self.pool_base = mem.host_alloc(cfg.pool_size, align=cfg.chunk_size)
-        self.tbuddy = TBuddy(
-            mem, self.pool_base, cfg.page_size, cfg.pool_order,
-            checked_sems=checked,
-        )
+        self.tbuddy = TBuddy(mem, self.pool_base, cfg.page_size,
+                             cfg.pool_order)
         self.ualloc = UAlloc(
             mem, cfg, self.tbuddy, self.pool_base, device.num_sms,
-            checked_sems=checked, collective_chunks=collective_chunks,
+            collective_chunks=collective_chunks,
         )
         self.stats = AllocStats()
 

@@ -29,13 +29,12 @@ class SizeClass:
 
     __slots__ = ("size", "capacity", "bins", "lock", "sem")
 
-    def __init__(self, mem: DeviceMemory, cfg: AllocatorConfig, size: int,
-                 checked_sems: bool = True):
+    def __init__(self, mem: DeviceMemory, cfg: AllocatorConfig, size: int):
         self.size = size
         self.capacity = cfg.bin_capacity(size)
         self.bins = DList(mem)          # bins with available blocks
         self.lock = SpinLock(mem)       # list writer lock
-        self.sem = BulkSemaphore(mem, initial=0, checked=checked_sems)
+        self.sem = BulkSemaphore(mem, initial=0)
 
 
 class Arena:
@@ -45,15 +44,15 @@ class Arena:
                  "bin_sem", "rcu")
 
     def __init__(self, mem: DeviceMemory, cfg: AllocatorConfig, index: int,
-                 rcu: RCU | None = None, checked_sems: bool = True):
+                 rcu: RCU | None = None):
         self.index = index
         self.cfg = cfg
         self.classes: List[SizeClass] = [
-            SizeClass(mem, cfg, size, checked_sems) for size in cfg.size_classes
+            SizeClass(mem, cfg, size) for size in cfg.size_classes
         ]
         self.chunks = DList(mem)        # chunks with available bins
         self.chunk_mutex = CollectiveMutex(mem)
-        self.bin_sem = BulkSemaphore(mem, initial=0, checked=checked_sems)
+        self.bin_sem = BulkSemaphore(mem, initial=0)
         self.rcu = rcu if rcu is not None else RCU(mem)
 
     def size_class(self, size: int) -> SizeClass:

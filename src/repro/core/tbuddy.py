@@ -83,7 +83,6 @@ class TBuddy:
         base: int,
         page_size: int,
         max_order: int,
-        checked_sems: bool = True,
     ):
         if base % page_size:
             raise ValueError("pool base must be page aligned")
@@ -108,9 +107,7 @@ class TBuddy:
         mem.store_word(self._naddr(1), AVAILABLE)
         # The whole pool starts as one available block of the max order.
         self.sems: List[BulkSemaphore] = [
-            BulkSemaphore(
-                mem, initial=(1 if order == max_order else 0), checked=checked_sems
-            )
+            BulkSemaphore(mem, initial=(1 if order == max_order else 0))
             for order in range(max_order + 1)
         ]
 

@@ -71,7 +71,6 @@ class UAlloc:
         tbuddy: TBuddy,
         pool_base: int,
         num_arenas: int,
-        checked_sems: bool = True,
         collective_chunks: bool = True,
     ):
         self.mem = mem
@@ -81,9 +80,8 @@ class UAlloc:
         self.binops = BinOps(cfg)
         self.layout = BinLayout(cfg)
         self.collective_chunks = collective_chunks
-        self.arenas: List[Arena] = [
-            Arena(mem, cfg, i, checked_sems=checked_sems) for i in range(num_arenas)
-        ]
+        self.arenas: List[Arena] = [Arena(mem, cfg, i)
+                                    for i in range(num_arenas)]
         # initial bin-bitmap word: the two special bins pre-claimed
         self._fresh_bitmap = 0b11
         if cfg.bins_per_chunk < 64:

@@ -96,9 +96,8 @@ class ServeEngine:
     """
 
     def __init__(self, backend: str = "ours", pool: int = 1 << 20,
-                 seed: int = 0, num_sms: int = 4,
+                 seed: int = 0,
                  quota_bytes: Optional[int] = None,
-                 admit_pressure: bool = True,
                  sched: Optional[Scheduler] = None,
                  handle=None,
                  recorder: Optional[TraceRecorder] = None):
@@ -109,26 +108,24 @@ class ServeEngine:
             )
         if handle is None:
             mem = DeviceMemory(pool * 4 + (8 << 20))
-            device = GPUDevice(num_sms=num_sms)
-            handle = backend_registry.build(backend, mem, device, pool,
-                                            checked=False)
+            device = GPUDevice(num_sms=4)
+            handle = backend_registry.build(backend, mem, device, pool)
             sched = Scheduler(mem, device, seed=seed)
         self.handle = handle
         self.sched = sched
         self.backend_name = handle.name
         probe = None
         pressure_min = 0
-        if admit_pressure:
-            gauge_fn = getattr(handle.allocator, "host_pressure", None)
-            if gauge_fn is not None:
-                probe = lambda: gauge_fn().free_bytes  # noqa: E731
-                # The gauge meters page-level (TBuddy) supply; gate only
-                # sizes the backend routes straight to it.  Bin-served
-                # sizes are invisible to the gauge and must be allowed
-                # to try (see the admission module docstring).
-                cfg = getattr(handle.allocator, "cfg", None)
-                if cfg is not None:
-                    pressure_min = getattr(cfg, "max_ualloc_size", -1) + 1
+        gauge_fn = getattr(handle.allocator, "host_pressure", None)
+        if gauge_fn is not None:
+            probe = lambda: gauge_fn().free_bytes  # noqa: E731
+            # The gauge meters page-level (TBuddy) supply; gate only
+            # sizes the backend routes straight to it.  Bin-served sizes
+            # are invisible to the gauge and must be allowed to try (see
+            # the admission module docstring).
+            cfg = getattr(handle.allocator, "cfg", None)
+            if cfg is not None:
+                pressure_min = getattr(cfg, "max_ualloc_size", -1) + 1
         self.admission = AdmissionController(quota_bytes, probe,
                                              pressure_min_size=pressure_min)
         self.recorder = recorder
@@ -282,7 +279,10 @@ class ServeEngine:
 
     def latency_percentile(self, pct: float) -> int:
         """Deterministic nearest-rank percentile of per-request latency
-        (0 with no executed requests yet)."""
+        (0 with no executed requests yet); ``pct`` must lie in 0..100."""
+        if not 0 <= pct <= 100:
+            # a negative rank would index from the top of the ordering
+            raise ValueError(f"pct must be in 0..100 (got {pct})")
         if not self.latencies:
             return 0
         ordered = sorted(self.latencies)

@@ -23,7 +23,7 @@ addresses.  Signed quantities are stored in two's complement; see
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Mapping, Tuple
 
 # Opcodes.  These are plain ints and the tuples plain tuples for speed:
 # the scheduler dispatches on op[0] millions of times per benchmark.
@@ -51,7 +51,7 @@ OP_FAULT = 17
 #: in the hot loop)
 N_OPCODES = OP_FAULT + 1
 
-#: opcode -> human-readable name (trace labels, ``SimReport.named_op_counts``)
+#: opcode -> human-readable name (trace labels, :func:`named_counts`)
 OP_NAMES = {
     OP_SLEEP: "sleep",
     OP_LOAD: "load",
@@ -72,6 +72,15 @@ OP_NAMES = {
     OP_WARP_BCAST: "warp_broadcast",
     OP_FAULT: "fault_point",
 }
+
+
+def named_counts(op_counts: Mapping[int, int]) -> Dict[str, int]:
+    """Op counts keyed by opcode *name* (``atomic_add``, ``load``, ...),
+    descending by count.  Equal counts tie-break on the name so the
+    ordering is deterministic, not dict-insertion-order."""
+    named = [(OP_NAMES.get(k, f"op{k}"), v) for k, v in op_counts.items()]
+    return dict(sorted(named, key=lambda kv: (-kv[1], kv[0])))
+
 
 _MASK64 = (1 << 64) - 1
 

@@ -160,13 +160,9 @@ class SimReport:
 
     @property
     def named_op_counts(self) -> Dict[str, int]:
-        """Op counts keyed by opcode *name* (``atomic_add``, ``load``,
-        ...), descending by count — the human-readable view of
-        :attr:`op_counts`.  Equal counts tie-break on the name so the
-        ordering is deterministic, not dict-insertion-order."""
-        named = [(_ops.OP_NAMES.get(k, f"op{k}"), v)
-                 for k, v in self.op_counts.items()]
-        return dict(sorted(named, key=lambda kv: (-kv[1], kv[0])))
+        """The human-readable view of :attr:`op_counts`
+        (see :func:`repro.sim.ops.named_counts`)."""
+        return _ops.named_counts(self.op_counts)
 
     @property
     def seconds(self) -> float:
@@ -235,7 +231,6 @@ class Scheduler:
         device: GPUDevice = DEFAULT_DEVICE,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         seed: int = 0,
-        track_contention: bool = False,
         tracer: Optional[Tracer] = None,
         dispatch_jitter: int = 0,
         fault_injector: object = None,
@@ -338,9 +333,6 @@ class Scheduler:
             _ops.OP_WARP_BCAST: self._op_warp_bcast,
             _ops.OP_FAULT: self._op_fault,
         }
-        # contention telemetry: word index -> atomic op count
-        self.track_contention = track_contention
-        self._word_ops: Dict[int, int] = {}
         # structured tracing/telemetry (opt-in; run() picks its loop by
         # one `tracer is None` test per run)
         self.tracer = tracer
@@ -556,8 +548,6 @@ class Scheduler:
         cas_word = mem.cas_word
         atomic_exec = self._atomic_exec
         park_get = self._park_dispatch.get
-        track = self.track_contention
-        word_ops = self._word_ops
         _pop = heappop
         _push = heappush
         budget = max_events if max_events is not None else _NO_BUDGET
@@ -656,8 +646,6 @@ class Scheduler:
                             if avail > at:
                                 at = avail
                             word_avail[waddr] = at + atomic_service
-                            if track:
-                                word_ops[waddr] = word_ops.get(waddr, 0) + 1
                     elif code == OP_SLEEP:
                         counts[OP_SLEEP] += 1
                         at = resume_at + step_cost + nxt[1]
@@ -736,8 +724,6 @@ class Scheduler:
         cas_word = mem.cas_word
         atomic_exec = self._atomic_exec
         park_get = self._park_dispatch.get
-        track = self.track_contention
-        word_ops = self._word_ops
         _pop = heappop
         _push = heappush
         budget = max_events if max_events is not None else _NO_BUDGET
@@ -840,8 +826,6 @@ class Scheduler:
                             if avail > at:
                                 at = avail
                             word_avail[waddr] = at + atomic_service
-                            if track:
-                                word_ops[waddr] = word_ops.get(waddr, 0) + 1
                             if atomic_hook is not None:
                                 # serialization stall: how long the word's
                                 # FIFO queue pushed this atomic past its
@@ -1184,20 +1168,3 @@ class Scheduler:
     @property
     def live_threads(self) -> int:
         return self._live_threads
-
-    def hot_words(self, n: int = 10) -> List[tuple]:
-        """Top-``n`` atomic targets as ``(byte_address, op_count)``.
-
-        Requires ``track_contention=True``; the ranking identifies the
-        serialization points of whatever ran (semaphore words, lock
-        words, popular bin counters...).
-        """
-        if not self.track_contention:
-            raise ValueError("construct the Scheduler with track_contention=True")
-        if n < 0:
-            # a negative slice bound would silently drop the coldest words
-            raise ValueError(f"n must be >= 0 (got {n})")
-        # Tie-break equal counts on the address: the ranking must be
-        # deterministic, not leak dict-insertion (first-touch) order.
-        top = sorted(self._word_ops.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-        return [(waddr << 3, count) for waddr, count in top]

@@ -332,11 +332,9 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def named_op_counts(self) -> Dict[str, int]:
-        """Op counts keyed by opcode name, descending by count (equal
-        counts tie-break on the name, deterministically)."""
-        named = [(_ops.OP_NAMES.get(k, f"op{k}"), v)
-                 for k, v in self.op_counts.items()]
-        return dict(sorted(named, key=lambda kv: (-kv[1], kv[0])))
+        """Op counts keyed by opcode name
+        (see :func:`repro.sim.ops.named_counts`)."""
+        return _ops.named_counts(self.op_counts)
 
     def top_stall_words(self, n: int = 10) -> List[Tuple[int, int, int]]:
         """Top-``n`` atomic targets by total serialization stall.
@@ -345,6 +343,9 @@ class Tracer:
         the simulator-wide ranking of contention points.  Equal stall
         totals tie-break on the address, deterministically.
         """
+        if n < 0:
+            # a negative slice bound would silently drop the coldest words
+            raise ValueError(f"n must be >= 0 (got {n})")
         top = sorted(self.word_stats.items(),
                      key=lambda kv: (-kv[1][1], kv[0]))[:n]
         return [(waddr << 3, ops_n, stall) for waddr, (ops_n, stall) in top]

@@ -95,22 +95,18 @@ class BulkSemaphore:
     quiescence, when all transient borrows have cancelled).
     """
 
-    __slots__ = ("mem", "addr", "checked", "max_backoff", "_op_cache")
+    __slots__ = ("mem", "addr", "max_backoff", "_op_cache")
 
     def __init__(
         self,
         mem: DeviceMemory,
         initial: int = 0,
         addr: int | None = None,
-        checked: bool = True,
         max_backoff: int = 16384,
     ):
         self.mem = mem
         self.addr = mem.host_alloc(8) if addr is None else addr
         mem.store_word(self.addr, pack(initial, 0, 0))
-        # `checked` is kept for API stability; the F&A implementation is
-        # identical either way and validated at quiescence by tests.
-        self.checked = checked
         self.max_backoff = max_backoff
         # (n, b) -> the six invariant op tuples wait() yields.  A size
         # class calls wait() with one (n, b) pair for almost every

@@ -83,7 +83,6 @@ def _report_failures(failures: List[CaseResult], do_shrink: bool) -> None:
 def main_explore(argv: Optional[List[str]] = None) -> int:
     """``python -m repro verify explore`` — coverage-guided exploration."""
     from .explore import deck_coverage, explore
-    from ..sim.scheduler import PROBE_EVERY
 
     parser = argparse.ArgumentParser(
         prog="python -m repro verify explore",
@@ -117,13 +116,6 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              "identical at any worker count",
     )
     parser.add_argument(
-        "--probe-every", type=_int_at_least(1), default=PROBE_EVERY,
-        metavar="E",
-        help="scheduler events between digest probes (default "
-             f"{PROBE_EVERY}; smaller = finer schedule distinctions, "
-             "more probe overhead)",
-    )
-    parser.add_argument(
         "--min-coverage", type=_int_at_least(0), default=0, metavar="S",
         help="fail (exit 1) when fewer than S distinct schedules were "
              "visited — the CI floor that keeps the explorer honest",
@@ -155,8 +147,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
           f"master seed {args.seed}")
     report = explore(
         scenarios=args.scenario, budget=args.budget, backend=args.backend,
-        master_seed=args.seed, workers=args.workers,
-        probe_every=args.probe_every, log=log,
+        master_seed=args.seed, workers=args.workers, log=log,
     )
     print()
     print(report.describe())
@@ -165,8 +156,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
               f"({args.budget} case(s))")
         baseline = deck_coverage(
             scenarios=args.scenario, budget=args.budget,
-            backend=args.backend, workers=args.workers,
-            probe_every=args.probe_every, log=log,
+            backend=args.backend, workers=args.workers, log=log,
         )
         print()
         print(baseline.describe())

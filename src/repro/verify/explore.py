@@ -105,14 +105,6 @@ class DigestTrace:
             self.peak_contention = contended
 
 
-@dataclass(frozen=True)
-class ExploreItem:
-    """One unit of exploration work (picklable for ``map_sharded``)."""
-
-    spec: CaseSpec
-    probe_every: int = PROBE_EVERY
-
-
 @dataclass
 class ExploreOutcome:
     """A probed case execution: result + schedule identity."""
@@ -127,7 +119,7 @@ class ExploreOutcome:
     peak_contention: int
 
 
-def run_probed(item: ExploreItem) -> ExploreOutcome:
+def run_probed(spec: CaseSpec) -> ExploreOutcome:
     """Execute one case with the digest probe attached.
 
     Module-level so ``--workers`` sharding can pickle it; the probe is
@@ -136,20 +128,21 @@ def run_probed(item: ExploreItem) -> ExploreOutcome:
     schedule walked up to it.
     """
     trace = DigestTrace()
-    result = run_case(item.spec, probe=trace, probe_every=item.probe_every)
+    result = run_case(spec, probe=trace)
     # Seed the chain with the case identity axes that change what a
     # digest *means* (scenario workload, backend layout, probe cadence)
-    # so prefix/schedule hashes never collide across them.
-    h = _fold_str(_FNV_OFFSET, item.spec.scenario)
-    h = _fold_str(h, item.spec.backend)
-    h = _fold(h, item.probe_every)
+    # so prefix/schedule hashes never collide across them.  The cadence
+    # is the constant PROBE_EVERY; folding it keeps recorded hashes valid.
+    h = _fold_str(_FNV_OFFSET, spec.scenario)
+    h = _fold_str(h, spec.backend)
+    h = _fold(h, PROBE_EVERY)
     prefixes = []
     for d in trace.digests:
         h = _fold(h, d)
         prefixes.append(h)
     schedule = _fold(h, len(prefixes))
     return ExploreOutcome(
-        spec=item.spec,
+        spec=spec,
         result=result,
         prefixes=tuple(prefixes),
         schedule=schedule,
@@ -195,6 +188,23 @@ class ExploreReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def observe(self, out: ExploreOutcome,
+                coverage: ScheduleCoverage) -> Tuple[int, bool]:
+        """Count one outcome: coverage, peak convoy depth and the
+        protocol/budget failure split.  Returns ``(new_prefixes,
+        new_schedule)``."""
+        self.cases += 1
+        novel, new_schedule = coverage.observe(out)
+        if out.peak_contention > self.peak_contention:
+            self.peak_contention = out.peak_contention
+        res = out.result
+        if not res.ok:
+            if res.kind == "budget":
+                self.budget_failures.append(res)
+            else:
+                self.failures.append(res)
+        return novel, new_schedule
+
     def describe(self) -> str:
         lines = [
             f"{self.label}: {self.cases} case(s) over "
@@ -226,8 +236,8 @@ class _CorpusEntry:
 class Explorer:
     """LoopController-style coverage-guided exploration session.
 
-    Fully deterministic in ``(scenarios, budget, backend, master_seed,
-    probe_every)``: steering draws come from an owned
+    Fully deterministic in ``(scenarios, budget, backend,
+    master_seed)``: steering draws come from an owned
     :class:`random.Random`, fresh ``steer`` salts from a counter, and
     rounds are a fixed :data:`BATCH` wide regardless of ``workers`` —
     sharding parallelizes a round, never reshapes it, so coverage and
@@ -244,7 +254,6 @@ class Explorer:
         backend: str = "ours",
         master_seed: int = 0,
         workers: int = 1,
-        probe_every: int = PROBE_EVERY,
     ) -> None:
         names = list(scenarios) if scenarios else sorted(SCENARIOS)
         for name in names:
@@ -261,7 +270,6 @@ class Explorer:
         self.budget = budget
         self.backend = backend
         self.workers = workers
-        self.probe_every = probe_every
         self._rng = random.Random(0x5EED ^ (master_seed * 0x9E3779B1))
         self._salt = 0
         self._seen: Set[str] = set()
@@ -337,15 +345,8 @@ class Explorer:
     def _observe(self, out: ExploreOutcome, parent: Optional[_CorpusEntry],
                  coverage: ScheduleCoverage,
                  report: ExploreReport) -> Tuple[int, bool]:
-        novel, new_schedule = coverage.observe(out)
-        if out.peak_contention > report.peak_contention:
-            report.peak_contention = out.peak_contention
-        res = out.result
-        if not res.ok:
-            if res.kind == "budget":
-                report.budget_failures.append(res)
-            else:
-                report.failures.append(res)
+        novel, new_schedule = report.observe(out, coverage)
+        if not out.result.ok:
             return novel, new_schedule
         # weighted steering: novelty (schedule-tree growth) plus the
         # "interesting state" bonus for contended sync words.  Round-0
@@ -406,13 +407,10 @@ class Explorer:
                     queue.append(self._next_spec())
             batch = queue[:BATCH]
             queue = queue[BATCH:]
-            items = [ExploreItem(spec, self.probe_every)
-                     for spec, _ in batch]
-            outcomes = map_sharded(run_probed, items, workers=self.workers,
-                                   label=lambda it: it.spec.replay,
-                                   pool=pool)
+            outcomes = map_sharded(run_probed, [spec for spec, _ in batch],
+                                   workers=self.workers,
+                                   label=lambda spec: spec.replay, pool=pool)
             for (spec, parent), out in zip(batch, outcomes):
-                report.cases += 1
                 novel, new_schedule = self._observe(
                     out, parent, coverage, report)
                 if log is not None:
@@ -431,13 +429,12 @@ def explore(
     backend: str = "ours",
     master_seed: int = 0,
     workers: int = 1,
-    probe_every: int = PROBE_EVERY,
     log: Optional[Callable[[str], None]] = None,
 ) -> ExploreReport:
     """Run one coverage-guided exploration session (see :class:`Explorer`)."""
     return Explorer(
         scenarios=scenarios, budget=budget, backend=backend,
-        master_seed=master_seed, workers=workers, probe_every=probe_every,
+        master_seed=master_seed, workers=workers,
     ).run(log=log)
 
 
@@ -447,7 +444,6 @@ def deck_coverage(
     backend: str = "ours",
     deck: Sequence[Perturbation] = DEFAULT_DECK,
     workers: int = 1,
-    probe_every: int = PROBE_EVERY,
     log: Optional[Callable[[str], None]] = None,
 ) -> ExploreReport:
     """Measure the random sweep's schedule coverage at an equal budget.
@@ -475,19 +471,10 @@ def deck_coverage(
         peak_contention=0, scenarios=names, backend=backend,
         label="deck",
     )
-    items = [ExploreItem(spec, probe_every) for spec in specs]
-    outcomes = map_sharded(run_probed, items, workers=workers,
-                           label=lambda it: it.spec.replay)
+    outcomes = map_sharded(run_probed, specs, workers=workers,
+                           label=lambda spec: spec.replay)
     for out in outcomes:
-        report.cases += 1
-        novel, new_schedule = coverage.observe(out)
-        if out.peak_contention > report.peak_contention:
-            report.peak_contention = out.peak_contention
-        if not out.result.ok:
-            if out.result.kind == "budget":
-                report.budget_failures.append(out.result)
-            else:
-                report.failures.append(out.result)
+        _, new_schedule = report.observe(out, coverage)
         if log is not None:
             mark = "+" if new_schedule else "="
             log(f"  [{report.cases}/{budget}] {mark} "

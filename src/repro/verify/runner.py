@@ -29,7 +29,7 @@ from ..sim.cost_model import DEFAULT_COST_MODEL
 from ..sim.device import GPUDevice
 from ..sim.errors import EventBudgetExceeded, SimError
 from ..sim.memory import DeviceMemory
-from ..sim.scheduler import PROBE_EVERY, Scheduler
+from ..sim.scheduler import Scheduler
 from .perturbation import DEFAULT_DECK, Perturbation
 from .race import RaceChecker, RaceFinding
 
@@ -204,13 +204,11 @@ class _Harness:
 
     def __init__(self, seed: int, perturbation: Perturbation,
                  checker: Optional[RaceChecker], pool_order: int,
-                 num_sms: int = 4, mem_bytes: int = 16 << 20,
                  fault_injector: object = None, backend: str = "ours",
-                 probe: Optional[Callable[[tuple], None]] = None,
-                 probe_every: int = PROBE_EVERY):
+                 probe: Optional[Callable[[tuple], None]] = None):
         cost, jitter = perturbation.apply(DEFAULT_COST_MODEL)
-        self.mem = DeviceMemory(mem_bytes)
-        self.device = GPUDevice(num_sms=num_sms, max_resident_blocks=2)
+        self.mem = DeviceMemory(16 << 20)
+        self.device = GPUDevice(num_sms=4, max_resident_blocks=2)
         self.backend = backend_registry.get(backend)
         self.handle = self.backend.build(
             self.mem, self.device, 4096 << pool_order
@@ -222,7 +220,7 @@ class _Harness:
             tracer=checker, dispatch_jitter=jitter,
             fault_injector=fault_injector,
             steer=perturbation.steer,
-            schedule_probe=probe, probe_every=probe_every,
+            schedule_probe=probe,
         )
         self.checker = checker
         if checker is not None and self.handle.caps.race_checkable:
@@ -465,8 +463,7 @@ SCENARIOS: Dict[str, tuple] = {
 # ----------------------------------------------------------------------
 def run_case(spec: CaseSpec, check_races: bool = True,
              allocator_hook: Optional[Callable] = None,
-             probe: Optional[Callable[[tuple], None]] = None,
-             probe_every: int = PROBE_EVERY) -> CaseResult:
+             probe: Optional[Callable[[tuple], None]] = None) -> CaseResult:
     """Execute one case; never raises for verification failures.
 
     ``allocator_hook(harness)`` runs after setup — mutation tests use it
@@ -486,8 +483,7 @@ def run_case(spec: CaseSpec, check_races: bool = True,
     result = CaseResult(spec)
     try:
         h = _Harness(spec.seed, spec.perturbation, checker,
-                     backend=spec.backend, probe=probe,
-                     probe_every=probe_every, **harness_kwargs)
+                     backend=spec.backend, probe=probe, **harness_kwargs)
         if allocator_hook is not None:
             allocator_hook(h)
         scenario(h)

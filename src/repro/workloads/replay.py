@@ -224,8 +224,7 @@ def replay_on_scheduler(sched: Scheduler, handle, trace: Trace,
 
 
 def replay(trace: Trace, backend: str = "ours", seed: int = 0,
-           lanes_per_tenant: int = 1, pool: int = 1 << 20,
-           num_sms: int = 4, checked: bool = False) -> ReplayReport:
+           lanes_per_tenant: int = 1, pool: int = 1 << 20) -> ReplayReport:
     """Standalone replay: build a fresh simulator, run, report.
 
     ``pool`` is the backend heap in bytes; the surrounding
@@ -235,9 +234,8 @@ def replay(trace: Trace, backend: str = "ours", seed: int = 0,
     """
     validate(trace)
     mem = DeviceMemory(pool * 4 + (8 << 20))
-    device = GPUDevice(num_sms=num_sms)
-    handle = backend_registry.build(backend, mem, device, pool,
-                                    checked=checked)
+    device = GPUDevice(num_sms=4)
+    handle = backend_registry.build(backend, mem, device, pool)
     sched = Scheduler(mem, device, seed=seed)
     stats, report = replay_on_scheduler(sched, handle, trace,
                                         lanes_per_tenant)

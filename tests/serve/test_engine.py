@@ -134,6 +134,16 @@ class TestTelemetry:
     def test_empty_percentile_is_zero(self):
         assert _engine().latency_percentile(99) == 0
 
+    @pytest.mark.parametrize("pct", [-50, -0.5, 100.5, float("nan")])
+    def test_percentile_outside_0_to_100_is_rejected(self, pct):
+        eng = _engine()
+        # a negative rank used to index from the top: -50 gave 30 here
+        eng.latencies = [10, 20, 30, 40]
+        with pytest.raises(ValueError, match="pct must be in 0..100"):
+            eng.latency_percentile(pct)
+        assert eng.latency_percentile(0) == 10
+        assert eng.latency_percentile(100) == 40
+
     def test_report_reuses_replay_qos_vocabulary(self):
         eng = _engine()
         eng.submit([_malloc(0, 64), _malloc(1, 64)])

@@ -151,11 +151,13 @@ class TestRankingTieBreaks:
         )
         assert list(report.named_op_counts) == ["atomic_add", "load", "store"]
 
-    def test_hot_words_breaks_ties_on_address(self, mem, device):
-        sched = Scheduler(mem, device, seed=0, track_contention=True)
-        # first-touch order deliberately descending; 10 and 2 tie at 3 ops
-        sched._word_ops = {10: 3, 7: 5, 2: 3}
-        assert sched.hot_words() == [(7 << 3, 5), (2 << 3, 3), (10 << 3, 3)]
+    def test_top_stall_words_breaks_ties_on_address(self):
+        tracer = Tracer()
+        # first-touch order deliberately descending; 10 and 2 tie at a
+        # stall of 3 (op counts differ, and must not break the tie)
+        tracer.word_stats = {10: [1, 3], 7: [2, 5], 2: [9, 3]}
+        assert tracer.top_stall_words() == [
+            (7 << 3, 2, 5), (2 << 3, 9, 3), (10 << 3, 1, 3)]
 
 
 class TestRngOwnership:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DeviceMemory, InvalidOp, Scheduler, ops
+from repro.sim import DeviceMemory, InvalidOp, Scheduler, Tracer, ops
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.hostrun import drive, host_ctx
 
@@ -131,29 +131,6 @@ class TestCostModel:
 
 
 class TestContentionTelemetry:
-    def test_hot_words_ranking(self):
-        mem = DeviceMemory(1 << 12)
-        hot = mem.host_alloc(8)
-        cold = mem.host_alloc(8)
-
-        def kernel(ctx):
-            yield ops.atomic_add(hot, 1)
-            if ctx.tid == 0:
-                yield ops.atomic_add(cold, 1)
-
-        s = Scheduler(mem, track_contention=True)
-        s.launch(kernel, 1, 64)
-        s.run()
-        ranking = s.hot_words(2)
-        assert ranking[0] == (hot, 64)
-        assert ranking[1] == (cold, 1)
-
-    def test_requires_flag(self):
-        mem = DeviceMemory(1 << 12)
-        s = Scheduler(mem)
-        with pytest.raises(ValueError):
-            s.hot_words()
-
     def test_identifies_allocator_hotspots(self):
         """Telemetry points at the semaphore/RCU words, as designed."""
         from repro.core import AllocatorConfig, ThroughputAllocator
@@ -167,11 +144,14 @@ class TestContentionTelemetry:
             p = yield from alloc.malloc(ctx, 64)
             assert p != mem.NULL
 
-        s = Scheduler(mem, device, seed=1, track_contention=True)
+        tracer = Tracer(timeline=False)
+        s = Scheduler(mem, device, seed=1, tracer=tracer)
         s.launch(kernel, 2, 256)
         s.run(max_events=20_000_000)
-        top_addr, top_count = s.hot_words(1)[0]
-        # the hottest word must be allocator metadata (above the pool),
-        # touched by a significant share of the 512 allocations
-        assert top_addr >= alloc.pool_base or top_count >= 512
+        top_addr, top_count, top_stall = tracer.top_stall_words(1)[0]
+        # the most stalled word must be allocator metadata (outside the
+        # pool), touched by a significant share of the 512 allocations
+        pool_end = alloc.pool_base + alloc.cfg.pool_size
+        assert not alloc.pool_base <= top_addr < pool_end
         assert top_count >= 512
+        assert top_stall > 0

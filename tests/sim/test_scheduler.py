@@ -444,20 +444,6 @@ class TestErrors:
         assert (s.state_digest(), s.now, s.live_threads) == before
         assert s.run().events == 8   # the queue is intact
 
-    def test_hot_words_rejects_negative_n(self):
-        mem = DeviceMemory(1 << 12)
-        word = mem.host_alloc(8)
-
-        def kernel(ctx):
-            yield ops.atomic_add(word, 1)
-
-        s = Scheduler(mem, track_contention=True)
-        s.launch(kernel, 1, 4)
-        s.run()
-        with pytest.raises(ValueError, match="n must be"):
-            s.hot_words(-1)
-        assert s.hot_words(0) == []
-
     def test_invalid_yield_detected(self):
         mem = DeviceMemory(1 << 12)
 

@@ -60,6 +60,28 @@ class TestSchedulerTracing:
         # 512 atomics on one word must queue: total stall is large
         assert stall > 512
 
+    def test_top_stall_words_rejects_negative_n(self):
+        mem = DeviceMemory(1 << 12)
+        hot = mem.host_alloc(8)
+        cold = mem.host_alloc(8)
+
+        def kernel(ctx):
+            yield ops.atomic_add(hot, 1)
+            if ctx.tid == 0:
+                yield ops.atomic_add(cold, 1)
+
+        tracer = Tracer()
+        s = Scheduler(mem, tracer=tracer)
+        s.launch(kernel, 1, 4)
+        s.run()
+        assert len(tracer.top_stall_words(2)) == 2
+        # a negative slice bound used to drop the coldest word silently
+        with pytest.raises(ValueError, match="n must be"):
+            tracer.top_stall_words(-1)
+        with pytest.raises(ValueError, match="n must be"):
+            tracer.summary(top=-1)
+        assert tracer.top_stall_words(0) == []
+
     def test_barrier_park_unpark_events_balance(self):
         mem = DeviceMemory(1 << 12)
         tracer = Tracer()

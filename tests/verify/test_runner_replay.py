@@ -191,7 +191,7 @@ class TestRunCase:
         runs = []
         for raw in ("storm/batch:3:jitter=512", "storm:3:jitter=512"):
             trace = DigestTrace()
-            res = run_case(CaseSpec.parse(raw), probe=trace, probe_every=64)
+            res = run_case(CaseSpec.parse(raw), probe=trace)
             runs.append((res.kind, res.describe(), tuple(trace.digests)))
             assert cli.main(["--replay", raw]) == (0 if res.ok else 1)
         assert runs[0] == runs[1]
