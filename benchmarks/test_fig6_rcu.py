@@ -13,8 +13,7 @@ from conftest import attach
 def test_fig6_delegation_grid(benchmark):
     def harness():
         return fig6.run(ratios=(32, 128, 512, 2048),
-                        thread_targets=(1024, 4096, 12288),
-                        max_work=2.0e6)
+                        thread_targets=(1024, 4096, 12288))
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nFigure 6 (RCU delegation speedup):")

@@ -21,6 +21,7 @@ from .registry import (
     build,
     get,
     names,
+    pool_error,
     register,
 )
 
@@ -34,5 +35,6 @@ __all__ = [
     "build",
     "get",
     "names",
+    "pool_error",
     "register",
 ]

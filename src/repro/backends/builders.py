@@ -10,8 +10,6 @@ registry.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..baselines import (
     BumpAllocator,
     CudaLikeAllocator,
@@ -27,16 +25,9 @@ from .hostbased import HostBasedAllocator
 from .registry import Backend, BackendCaps, BackendHandle, register
 
 
-def _ours_cfg(pool: int, cfg: Optional[AllocatorConfig]) -> AllocatorConfig:
-    if cfg is not None:
-        return cfg
-    return AllocatorConfig(pool_order=AllocatorConfig.order_for_pool(pool))
-
-
 def _build_ours(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig],
                 coalesced: bool = False) -> BackendHandle:
-    config = _ours_cfg(pool, cfg)
+    config = AllocatorConfig(pool_order=AllocatorConfig.order_for_pool(pool))
     a = ThroughputAllocator(mem, device, config)
     return BackendHandle(
         name="ours-coalesced" if coalesced else "ours",
@@ -54,8 +45,8 @@ def _build_ours(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_cuda(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_cuda(mem: DeviceMemory, device: GPUDevice,
+                pool: int) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = CudaLikeAllocator(mem, base, pool)
     return BackendHandle(
@@ -68,8 +59,8 @@ def _build_cuda(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_xmalloc(mem: DeviceMemory, device: GPUDevice, pool: int,
-                   cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_xmalloc(mem: DeviceMemory, device: GPUDevice,
+                   pool: int) -> BackendHandle:
     base = mem.host_alloc(pool, align=4096)
     a = XMalloc(mem, base, pool)
     return BackendHandle(
@@ -86,8 +77,8 @@ def _build_xmalloc(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_scatter(mem: DeviceMemory, device: GPUDevice, pool: int,
-                   cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_scatter(mem: DeviceMemory, device: GPUDevice,
+                   pool: int) -> BackendHandle:
     base = mem.host_alloc(pool, align=4096)
     a = ScatterAlloc(mem, base, pool)
     return BackendHandle(
@@ -99,8 +90,8 @@ def _build_scatter(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_lock_buddy(mem: DeviceMemory, device: GPUDevice, pool: int,
-                      cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_lock_buddy(mem: DeviceMemory, device: GPUDevice,
+                      pool: int) -> BackendHandle:
     page = 4096
     base = mem.host_alloc(pool, align=page)
     a = LockBuddy(mem, base, page, AllocatorConfig.order_for_pool(pool, page))
@@ -114,8 +105,8 @@ def _build_lock_buddy(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_bump(mem: DeviceMemory, device: GPUDevice, pool: int,
-                cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_bump(mem: DeviceMemory, device: GPUDevice,
+                pool: int) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = BumpAllocator(mem, base, pool)
     return BackendHandle(
@@ -134,8 +125,8 @@ def _build_bump(mem: DeviceMemory, device: GPUDevice, pool: int,
     )
 
 
-def _build_hostbased(mem: DeviceMemory, device: GPUDevice, pool: int,
-                     cfg: Optional[AllocatorConfig]) -> BackendHandle:
+def _build_hostbased(mem: DeviceMemory, device: GPUDevice,
+                     pool: int) -> BackendHandle:
     base = mem.host_alloc(pool, align=16)
     a = HostBasedAllocator(mem, base, pool)
     return BackendHandle(
@@ -161,8 +152,8 @@ register(Backend(
     display="ours (coalesced)",
     description="the paper's combined allocator, warp-coalescing "
                 "malloc path",
-    builder=lambda mem, device, pool, cfg:
-        _build_ours(mem, device, pool, cfg, coalesced=True),
+    builder=lambda mem, device, pool:
+        _build_ours(mem, device, pool, coalesced=True),
 ))
 
 register(Backend(

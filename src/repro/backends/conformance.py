@@ -52,16 +52,15 @@ class CheckOutcome:
 class Rig:
     """A fresh backend instance plus a one-call kernel launcher."""
 
-    def __init__(self, backend: str, pool: int = 1 << 20, seed: int = 7):
+    def __init__(self, backend: str, pool: int = 1 << 20):
         self.mem = DeviceMemory(pool * 4 + (8 << 20))
         self.device = GPUDevice(num_sms=2)
         self.pool = pool
-        self.seed = seed
         self.handle: BackendHandle = get(backend).build(
             self.mem, self.device, pool)
 
     def launch(self, kernel, nthreads: int = 1):
-        sched = Scheduler(self.mem, self.device, seed=self.seed)
+        sched = Scheduler(self.mem, self.device, seed=7)
         sched.launch(kernel, -(-nthreads // 256), min(256, nthreads))
         return sched.run()
 

@@ -17,7 +17,7 @@ Our rendition maps that onto the simulator naturally:
   for the queue (in hardware it lives host-side), but it charges the
   requester exactly what the real bottleneck costs: requests are
   serviced one at a time, so throughput caps at
-  ``1 / service_cycles`` regardless of how many threads call in.
+  ``1 / SERVICE_CYCLES`` regardless of how many threads call in.
   That single-server ceiling is the trade the paper's host-based
   family makes for contention-free device code;
 * because the host sees every allocation, invalid and double frees are
@@ -59,6 +59,9 @@ RELEASE_CYCLES = 300
 #: SERVICE_CYCLES however wide the launch is.
 SERVICE_CYCLES = 200
 
+#: block alignment: every request is rounded up to a multiple of it
+ALIGN = 16
+
 
 class HostBasedError(SimError):
     """Invalid or double free detected by the host-side bookkeeping."""
@@ -67,22 +70,12 @@ class HostBasedError(SimError):
 class HostBasedAllocator:
     """Host-bookkept first-fit allocator over ``[base, base+size)``."""
 
-    def __init__(self, mem: DeviceMemory, base: int, size: int,
-                 align: int = 16,
-                 request_cycles: int = REQUEST_CYCLES,
-                 release_cycles: int = RELEASE_CYCLES,
-                 service_cycles: int = SERVICE_CYCLES):
-        if align <= 0 or align & (align - 1):
-            raise ValueError("align must be a power of two")
-        if base % align or size % align:
+    def __init__(self, mem: DeviceMemory, base: int, size: int):
+        if base % ALIGN or size % ALIGN:
             raise ValueError("pool must be aligned to the block alignment")
         self.mem = mem        # kept only so the pool region is reserved
         self.base = base
         self.size = size
-        self.align = align
-        self.request_cycles = request_cycles
-        self.release_cycles = release_cycles
-        self.service_cycles = service_cycles
         #: the host command queue: one request serviced at a time
         self.queue = SpinLock(mem)
         #: address-ordered, coalesced free ranges as (offset, nbytes)
@@ -104,12 +97,12 @@ class HostBasedAllocator:
             self.n_malloc += 1
             self.n_malloc_failed += 1
             return _NULL
-        yield ops.sleep(self.request_cycles)
+        yield ops.sleep(REQUEST_CYCLES)
         # Queue at the host thread; the state mutation itself is atomic
         # at the moment the service completes.
         yield from self.queue.lock(ctx)
-        yield ops.sleep(self.service_cycles)
-        need = (nbytes + self.align - 1) & ~(self.align - 1)
+        yield ops.sleep(SERVICE_CYCLES)
+        need = (nbytes + ALIGN - 1) & ~(ALIGN - 1)
         self.n_malloc += 1
         result = _NULL
         for i, (off, sz) in enumerate(self._free):
@@ -138,9 +131,9 @@ class HostBasedAllocator:
                 f"free({addr:#x}): address outside the pool "
                 f"[{self.base:#x}, {self.base + self.size:#x})"
             )
-        yield ops.sleep(self.release_cycles)
+        yield ops.sleep(RELEASE_CYCLES)
         yield from self.queue.lock(ctx)
-        yield ops.sleep(self.service_cycles)
+        yield ops.sleep(SERVICE_CYCLES)
         need = self._live.pop(off, None)
         if need is not None:
             self.n_free += 1

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.config import AllocatorConfig
 from ..sim.device import GPUDevice
 from ..sim.memory import DeviceMemory
 
@@ -128,22 +127,20 @@ class Backend:
     #: human label used in bench tables (kept for artifact stability)
     display: str
     description: str
-    #: (mem, device, pool_bytes, cfg) -> BackendHandle
-    builder: Callable[..., BackendHandle]
+    #: (mem, device, pool_bytes) -> BackendHandle
+    builder: Callable[[DeviceMemory, GPUDevice, int], BackendHandle]
     #: alternate lookup names (e.g. historic bench display labels)
     aliases: tuple = field(default=())
 
     def build(self, mem: DeviceMemory, device: GPUDevice, pool: int,
-              cfg: Optional[AllocatorConfig] = None,
               checked: bool = True) -> BackendHandle:
         """Construct the allocator over a ``pool``-byte heap.
 
-        ``cfg`` only matters to backends built on
-        :class:`~repro.core.config.AllocatorConfig`.  ``checked`` is
-        accepted and ignored: no backend has a checked mode, and
-        callers written against the older signature still pass it.
+        ``checked`` is accepted and ignored: no backend has a checked
+        mode, and callers written against the older signature still
+        pass it.
         """
-        return self.builder(mem, device, pool, cfg)
+        return self.builder(mem, device, pool)
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -185,7 +182,21 @@ def names() -> List[str]:
     return list(_REGISTRY)
 
 
-def build(name: str, mem: DeviceMemory, device: GPUDevice, pool: int,
-          cfg: Optional[AllocatorConfig] = None) -> BackendHandle:
+def build(name: str, mem: DeviceMemory, device: GPUDevice,
+          pool: int) -> BackendHandle:
     """``get(name).build(...)`` in one call."""
-    return get(name).build(mem, device, pool, cfg=cfg)
+    return get(name).build(mem, device, pool)
+
+
+def pool_error(name: str, pool: int) -> Optional[str]:
+    """Why backend ``name`` cannot manage a ``pool``-byte heap, or ``None``.
+
+    Each backend's constructor is the one authority on the heap sizes it
+    accepts, so this builds one on scratch memory (mapped lazily, so the
+    trial costs only the metadata it touches) and reports its refusal.
+    """
+    try:
+        build(name, DeviceMemory(pool * 4 + (8 << 20)), GPUDevice(), pool)
+    except ValueError as e:
+        return f"{name} cannot use {pool} bytes: {e}"
+    return None

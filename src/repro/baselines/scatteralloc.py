@@ -38,18 +38,20 @@ class ScatterAllocError(SimError):
 class ScatterAlloc:
     """Hashed-bitmap page allocator over ``[base, base+size)``."""
 
-    def __init__(self, mem: DeviceMemory, base: int, size: int,
-                 page_size: int = 4096, min_alloc: int = 16,
-                 max_probe: int = 32):
-        if base % page_size or size % page_size:
+    #: bytes per page, and so the largest request served
+    page_size = 4096
+    #: the smallest block size
+    min_alloc = 16
+    #: hashed pages a malloc probes before it returns NULL
+    max_probe = 32
+
+    def __init__(self, mem: DeviceMemory, base: int, size: int):
+        if base % self.page_size or size % self.page_size:
             raise ValueError("pool must be page aligned")
         self.mem = mem
         self.base = base
         self.size = size
-        self.page_size = page_size
-        self.min_alloc = min_alloc
-        self.max_probe = max_probe
-        self.n_pages = size // page_size
+        self.n_pages = size // self.page_size
         self.meta = mem.host_alloc(16 * self.n_pages)
         mem.fill_words(self.meta, 2 * self.n_pages, 0)
 

@@ -36,16 +36,18 @@ class XMallocError(SimError):
 class XMalloc:
     """Lock-free bin-stack allocator over ``[base, base+size)``."""
 
+    #: the smallest size class
+    min_alloc = 16
+    #: the largest size class, and so the largest request served
+    max_alloc = 4096
+
     def __init__(self, mem: DeviceMemory, base: int, size: int,
-                 min_alloc: int = 16, max_alloc: int = 4096,
                  superblock: int = 1 << 16):
         if base % 8 or size % 8:
             raise ValueError("pool must be 8-byte aligned")
         self.mem = mem
         self.base = base
         self.size = size
-        self.min_alloc = min_alloc
-        self.max_alloc = max_alloc
         self.superblock = superblock
         self.bump_addr = mem.host_alloc(8)
         mem.store_word(self.bump_addr, 0)
@@ -54,8 +56,8 @@ class XMalloc:
         # — the classic ABA countermeasure for Treiber stacks (XMalloc's
         # queues are likewise tagged).
         self.classes: List[int] = []
-        s = min_alloc
-        while s <= max_alloc:
+        s = self.min_alloc
+        while s <= self.max_alloc:
             self.classes.append(s)
             s <<= 1
         self.heads: Dict[int, int] = {}

@@ -41,26 +41,24 @@ class BuddyAblationResult:
         )
 
 
-def _storm_tbuddy(ctx, buddy, order):
-    addr = yield from buddy.alloc(ctx, order)
+def _storm_tbuddy(ctx, buddy):
+    addr = yield from buddy.alloc(ctx, 0)
     return addr
 
 
-def _storm_lock_buddy(ctx, buddy, order):
-    addr = yield from buddy.alloc(ctx, order)
+def _storm_lock_buddy(ctx, buddy):
+    addr = yield from buddy.alloc(ctx, 0)
     return addr
 
 
 def run_buddy_ablation(
     thread_counts: Sequence[int] = (64, 256, 1024),
-    order: int = 0,
-    page_size: int = 4096,
     block: int = 128,
-    device: GPUDevice | None = None,
     seed: int = 5,
 ) -> BuddyAblationResult:
-    """Order-0 allocation storm: every thread takes one page."""
-    device = device or GPUDevice()
+    """Order-0 allocation storm: every thread takes one 4 KB page."""
+    device = GPUDevice()
+    page_size = 4096
     t_series = Series("TBuddy")
     l_series = Series("Lock buddy")
     for n in thread_counts:
@@ -76,7 +74,7 @@ def run_buddy_ablation(
                 buddy = LockBuddy(mem, 0, page_size, max_order)
             sched = Scheduler(mem, device, seed=seed)
             grid = -(-n // block)
-            h = sched.launch(kernel, grid, min(block, n), args=(buddy, order))
+            h = sched.launch(kernel, grid, min(block, n), args=(buddy,))
             report = sched.run()
             assert all(a != _NULL for a in h.results), "pool unexpectedly exhausted"
             series.add(n, report.throughput(h.n_threads))
@@ -134,11 +132,10 @@ def _pop_collective(ctx, mutex: CollectiveMutex, lst: DList, out):
 def run_collective_ablation(
     thread_counts: Sequence[int] = (64, 256, 1024),
     block: int = 128,
-    device: GPUDevice | None = None,
     seed: int = 6,
 ) -> CollectiveAblationResult:
     """Every thread needs one list element; compare lock regimes."""
-    device = device or GPUDevice()
+    device = GPUDevice()
     plain = Series("plain mutex")
     coll = Series("collective mutex")
     for n in thread_counts:

@@ -51,32 +51,28 @@ class Fig5Result:
 REFILL_CYCLES = 2000
 
 
-def _bulk_kernel(ctx, sem: BulkSemaphore, batch: int, refill_addr: int,
-                 refill_cycles: int):
+def _bulk_kernel(ctx, sem: BulkSemaphore, batch: int, refill_addr: int):
     r = yield from sem.wait(ctx, 1, batch)
     if r == -1:
         # produce a batch of resources (overlaps with other refills)
-        yield ops.sleep(refill_cycles)
+        yield ops.sleep(REFILL_CYCLES)
         yield ops.atomic_add(refill_addr, 1)
         yield from sem.fulfill(ctx, batch - 1)
 
 
-def _counting_kernel(ctx, sem: CountingSemaphore, batch: int, refill_addr: int,
-                     refill_cycles: int):
+def _counting_kernel(ctx, sem: CountingSemaphore, batch: int, refill_addr: int):
     r = yield from sem.wait(ctx, 1)
     if r < 1:
         # produce a batch; every other thread is blocked meanwhile
-        yield ops.sleep(refill_cycles)
+        yield ops.sleep(REFILL_CYCLES)
         yield ops.atomic_add(refill_addr, 1)
         yield from sem.signal(ctx, batch)
 
 
 def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
-            device: GPUDevice | None = None, seed: int = 1,
-            refill_cycles: int = REFILL_CYCLES,
-            tracer: Optional[Tracer] = None) -> float:
+            seed: int = 1, tracer: Optional[Tracer] = None) -> float:
     """Throughput (allocs/s) for one primitive at one thread count."""
-    device = device or GPUDevice()
+    device = GPUDevice()
     mem = DeviceMemory(1 << 16)
     refill = mem.host_alloc(8)
     grid = -(-nthreads // block)
@@ -86,11 +82,11 @@ def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
     if kind == "bulk":
         sem = BulkSemaphore(mem)
         sched.launch(_bulk_kernel, grid, block,
-                     args=(sem, batch, refill, refill_cycles))
+                     args=(sem, batch, refill))
     elif kind == "counting":
         sem = CountingSemaphore(mem)
         sched.launch(_counting_kernel, grid, block,
-                     args=(sem, batch, refill, refill_cycles))
+                     args=(sem, batch, refill))
     else:
         raise ValueError(f"unknown primitive kind {kind!r}")
     report = sched.run()
@@ -101,7 +97,6 @@ def run(
     thread_counts: Sequence[int] = (256, 1024, 4096, 16384),
     batch: int = 512,
     block: int = 256,
-    device: GPUDevice | None = None,
     seed: int = 1,
     tracer: Optional[Tracer] = None,
 ) -> Fig5Result:
@@ -109,10 +104,9 @@ def run(
     counting = Series("Counting Semaphores")
     bulk = Series("Bulk Semaphores")
     for n in thread_counts:
-        counting.add(n, run_one("counting", n, batch, block, device, seed,
+        counting.add(n, run_one("counting", n, batch, block, seed,
                                 tracer=tracer))
-        bulk.add(n, run_one("bulk", n, batch, block, device, seed,
-                            tracer=tracer))
+        bulk.add(n, run_one("bulk", n, batch, block, seed, tracer=tracer))
     return Fig5Result(batch=batch, counting=counting, bulk=bulk)
 
 
@@ -120,16 +114,14 @@ def run_batch_sweep(
     batches: Sequence[int] = (32, 128, 512, 2048),
     nthreads: int = 4096,
     block: int = 256,
-    device: GPUDevice | None = None,
-    seed: int = 1,
 ) -> List[Fig5Result]:
     """§5.1's 'other batch sizes are analogous' claim, one point each."""
     out = []
     for b in batches:
         counting = Series("Counting Semaphores")
         bulk = Series("Bulk Semaphores")
-        counting.add(nthreads, run_one("counting", nthreads, b, block, device, seed))
-        bulk.add(nthreads, run_one("bulk", nthreads, b, block, device, seed))
+        counting.add(nthreads, run_one("counting", nthreads, b, block))
+        bulk.add(nthreads, run_one("bulk", nthreads, b, block))
         out.append(Fig5Result(batch=b, counting=counting, bulk=bulk))
     return out
 

@@ -34,6 +34,9 @@ ELEM_SIZE = 24
 
 _NULL = DeviceMemory.NULL
 
+#: largest threads x list-length product a configuration may reach
+MAX_WORK = 2.0e6
+
 
 def build_list(mem: DeviceMemory, n_elems: int) -> tuple[DList, List[int]]:
     """Host-side construction of the tagged device list."""
@@ -134,10 +137,9 @@ class Fig6Result:
 
 
 def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
-            device: GPUDevice | None = None, seed: int = 3,
-            tracer: Optional[Tracer] = None):
+            seed: int = 3, tracer: Optional[Tracer] = None):
     """One configuration; returns (cycles, delegated_share, ok)."""
-    device = device or GPUDevice()
+    device = GPUDevice()
     n_threads = n_writers * (1 + ratio)
     mem = DeviceMemory(max(1 << 20, ELEM_SIZE * n_writers * 4))
     lst, elems = build_list(mem, n_writers)
@@ -166,9 +168,7 @@ def run(
     ratios: Sequence[int] = (32, 128, 512, 2048),
     thread_targets: Sequence[int] = (1024, 4096, 12288),
     block: int = 128,
-    device: GPUDevice | None = None,
     seed: int = 3,
-    max_work: float = 2.0e6,
     tracer: Optional[Tracer] = None,
 ) -> Fig6Result:
     """Reproduce Figure 6: speedup of delegation across ratios/threads.
@@ -176,7 +176,7 @@ def run(
     As in the paper, the x-axis is total concurrent threads and the
     writer count follows from the ratio (list length = writers = total /
     (1 + ratio)).  Configurations whose reader x list-length product
-    exceeds ``max_work`` are skipped to bound simulation time; the
+    exceeds ``MAX_WORK`` are skipped to bound simulation time; the
     remaining grid preserves the figure's shape (speedup grows with
     thread count and with the writer share).
     """
@@ -187,11 +187,11 @@ def run(
             if w < 2:
                 continue
             n_threads = w * (1 + ratio)
-            if n_threads * w > max_work:
+            if n_threads * w > MAX_WORK:
                 continue
-            cyc_classic, _, ok1 = run_one(w, ratio, False, block, device, seed,
+            cyc_classic, _, ok1 = run_one(w, ratio, False, block, seed,
                                           tracer=tracer)
-            cyc_deleg, share, ok2 = run_one(w, ratio, True, block, device, seed,
+            cyc_deleg, share, ok2 = run_one(w, ratio, True, block, seed,
                                             tracer=tracer)
             if not (ok1 and ok2):
                 raise RuntimeError(

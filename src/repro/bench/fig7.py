@@ -35,6 +35,8 @@ _NULL = DeviceMemory.NULL
 
 #: the full Figure 7 sweep
 PAPER_SIZES = tuple(8 << i for i in range(17))  # 8 B .. 512 KB
+#: threads per block of every storm launch
+BLOCK = 256
 
 
 @dataclass
@@ -112,15 +114,13 @@ def pool_bytes_for(size: int, chunk_size: int, n_arenas: int,
 def run_size(
     size: int,
     allocator: str,
-    device: Optional[GPUDevice] = None,
-    block: int = 256,
     seed: int = 7,
     max_threads: int = 65536,
     max_pool: int = 1 << 20,
     tracer: Optional[Tracer] = None,
 ) -> Fig7Point:
     """Exhaust a fresh pool with single-malloc threads at one size."""
-    device = device or GPUDevice(num_sms=2, max_resident_blocks=4)
+    device = GPUDevice(num_sms=2, max_resident_blocks=4)
     backend = get_backend(allocator)
     cfg = AllocatorConfig()  # paper layout: 4 KB bins, 64-bin chunks
     if backend.name in ("ours", "ours-coalesced"):
@@ -134,8 +134,8 @@ def run_size(
         nthreads = max(1, min(4096, (max_pool // size), max_threads))
         pool = max(4096, (size + 48) * nthreads)
         pool = (pool + 15) & ~15
-    grid = -(-nthreads // block)
-    blk = min(block, nthreads)
+    grid = -(-nthreads // BLOCK)
+    blk = min(BLOCK, nthreads)
     mem = DeviceMemory(pool * 2 + (4 << 20))
     handle = backend.build(mem, device, pool)
     kernel, out = malloc_storm(handle, size)
@@ -160,25 +160,21 @@ def run_size(
 
 def run(
     sizes: Sequence[int] = PAPER_SIZES,
-    device: Optional[GPUDevice] = None,
-    block: int = 256,
     seed: int = 7,
     max_threads: int = 65536,
-    max_pool: int = 1 << 20,
     tracer: Optional[Tracer] = None,
 ) -> Fig7Result:
     """Reproduce Figure 7 for both allocators across ``sizes``."""
     points = []
     for size in sizes:
         for allocator in ("cuda", "ours"):
-            points.append(run_size(size, allocator, device, block, seed,
-                                   max_threads, max_pool, tracer=tracer))
+            points.append(run_size(size, allocator, seed, max_threads,
+                                   tracer=tracer))
     return Fig7Result(points)
 
 
-def main(sizes: Sequence[int] = PAPER_SIZES,
-         tracer: Optional[Tracer] = None) -> Fig7Result:  # pragma: no cover
-    res = run(sizes, tracer=tracer)
+def main(tracer: Optional[Tracer] = None) -> Fig7Result:  # pragma: no cover
+    res = run(tracer=tracer)
     print("Figure 7 (allocation throughput by size):")
     print(res.table())
     sp = res.speedups()

@@ -17,13 +17,20 @@ bytes only ever grow — the Vinkler design the paper contrasts in §2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..backends import get as get_backend
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from .reporting import format_table
 
 _NULL = DeviceMemory.NULL
+
+#: one in KEEP_MOD blocks stays live after each round
+KEEP_MOD = 8
+#: block sizes, cycled through by thread id and round
+SIZES = (8, 32, 64, 200, 1024)
+#: pool bytes per allocator: 1024 pages of 4 KB
+POOL = 4096 << 10
 
 
 @dataclass
@@ -56,17 +63,17 @@ class FragResult:
         )
 
 
-def _round_kernel(alloc, sizes, keep_mod, slots, round_no):
+def _round_kernel(alloc, slots, round_no):
     """Each thread allocates one block; threads with
-    ``tid % keep_mod != 0`` free it again at the end of the round."""
+    ``tid % KEEP_MOD != 0`` free it again at the end of the round."""
 
     def kernel(ctx):
-        size = sizes[(ctx.tid * 7 + round_no) % len(sizes)]
+        size = SIZES[(ctx.tid * 7 + round_no) % len(SIZES)]
         p = yield from alloc.malloc(ctx, size)
         if p == _NULL:
             return
         yield ops.sleep(ctx.rng.randrange(200))
-        if ctx.tid % keep_mod != 0:
+        if ctx.tid % KEEP_MOD != 0:
             yield from alloc.free(ctx, p)
         else:
             slots.append((p, size))
@@ -74,29 +81,19 @@ def _round_kernel(alloc, sizes, keep_mod, slots, round_no):
     return kernel
 
 
-def run(
-    rounds: int = 6,
-    nthreads: int = 1024,
-    keep_mod: int = 8,
-    sizes=(8, 32, 64, 200, 1024),
-    device: Optional[GPUDevice] = None,
-    pool_order: int = 10,
-    seed: int = 23,
-) -> FragResult:
+def run(rounds: int = 6, nthreads: int = 1024, seed: int = 23) -> FragResult:
     """Run the churn-with-leak-in workload against both allocators."""
-    device = device or GPUDevice(num_sms=2)
+    device = GPUDevice(num_sms=2)
     res = FragResult()
 
-    pool = 4096 << pool_order
-
     # --- ours -----------------------------------------------------------
-    mem = DeviceMemory(pool * 2 + (16 << 20))
-    handle = get_backend("ours").build(mem, device, pool)
+    mem = DeviceMemory(POOL * 2 + (16 << 20))
+    handle = get_backend("ours").build(mem, device, POOL)
     alloc = handle.allocator
     kept: List[tuple] = []
     for r in range(rounds):
         sched = Scheduler(mem, device, seed=seed + r)
-        sched.launch(_round_kernel(handle, sizes, keep_mod, kept, r),
+        sched.launch(_round_kernel(handle, kept, r),
                      -(-nthreads // 256), min(256, nthreads))
         sched.run()
         alloc.ualloc.host_gc()
@@ -105,14 +102,14 @@ def run(
         res.ours.append(FragPoint(r, live, reserved))
 
     # --- bump -----------------------------------------------------------
-    mem2 = DeviceMemory(pool * 2 + (16 << 20))
-    bhandle = get_backend("bump").build(mem2, device, pool)
+    mem2 = DeviceMemory(POOL * 2 + (16 << 20))
+    bhandle = get_backend("bump").build(mem2, device, POOL)
     kept2: List[tuple] = []
     live2 = 0
     for r in range(rounds):
         sched = Scheduler(mem2, device, seed=seed + r)
         before = len(kept2)
-        sched.launch(_round_kernel(bhandle, sizes, keep_mod, kept2, r),
+        sched.launch(_round_kernel(bhandle, kept2, r),
                      -(-nthreads // 256), min(256, nthreads))
         sched.run()
         live2 += sum(s for _, s in kept2[before:])

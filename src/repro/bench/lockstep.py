@@ -33,13 +33,15 @@ Reported speedup is per-slot virtual throughput, coalesced over plain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
 from .reporting import Series, format_table, si
 
 #: bytes handed to each lane per round (one 64-bit slot)
 ITEM_BYTES = 8
+#: threads per block
+BLOCK = 256
 
 
 def _coalesced_kernel(ctx, cursor: int, rounds: int, widths: List[int]):
@@ -116,11 +118,10 @@ class LockstepResult:
         )
 
 
-def run_one(kind: str, nthreads: int, rounds: int, block: int = 256,
-            device: Optional[GPUDevice] = None, seed: int = 13,
+def run_one(kind: str, nthreads: int, rounds: int, seed: int = 13,
             ) -> LockstepPoint:
     """Run one variant on a fresh heap and validate every slot landed."""
-    device = device or GPUDevice()
+    device = GPUDevice()
     pool = 1 << 16
     slab = nthreads * rounds * ITEM_BYTES
     mem = DeviceMemory(pool + slab)
@@ -130,8 +131,9 @@ def run_one(kind: str, nthreads: int, rounds: int, block: int = 256,
     kernel = _coalesced_kernel if kind == "coalesced" else _plain_kernel
     widths: List[int] = []
     sched = Scheduler(mem, device, seed=seed)
-    grid = -(-nthreads // block)
-    handle = sched.launch(kernel, grid, min(block, nthreads), args=(cursor, rounds, widths))
+    grid = -(-nthreads // BLOCK)
+    handle = sched.launch(kernel, grid, min(BLOCK, nthreads),
+                          args=(cursor, rounds, widths))
     report = sched.run()
     slots = nthreads * rounds
     # every lane read back its own slot: per-round low byte sums to r
@@ -153,13 +155,10 @@ def run_one(kind: str, nthreads: int, rounds: int, block: int = 256,
 
 
 def run(nthreads: int = 4096, rounds: int = 48, plain_rounds: int = 6,
-        block: int = 256, seed: int = 13,
-        device: Optional[GPUDevice] = None) -> LockstepResult:
+        seed: int = 13) -> LockstepResult:
     """Reproduce the §4.2 coalescing ablation at one launch width."""
-    co = run_one("coalesced", nthreads, rounds, block=block, seed=seed,
-                 device=device)
-    pl = run_one("plain", nthreads, plain_rounds, block=block, seed=seed,
-                 device=device)
+    co = run_one("coalesced", nthreads, rounds, seed=seed)
+    pl = run_one("plain", nthreads, plain_rounds, seed=seed)
     return LockstepResult(coalesced=co, plain=pl)
 
 

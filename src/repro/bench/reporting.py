@@ -107,12 +107,16 @@ def _count(value: int) -> str:
     return str(value) if value < 100_000 else si(value)
 
 
-def _histogram_table(hist, value_header: str, bar_width: int = 30) -> str:
+#: characters in a histogram's longest bar
+BAR_WIDTH = 30
+
+
+def _histogram_table(hist, value_header: str) -> str:
     """Render a :class:`repro.sim.trace.Histogram` as an aligned table."""
     rows = hist.rows()
     peak = max(n for _, n in rows)
     table_rows = [
-        [label, n, "#" * max(1, round(bar_width * n / peak))]
+        [label, n, "#" * max(1, round(BAR_WIDTH * n / peak))]
         for label, n in rows
     ]
     table = format_table([value_header, "count", ""], table_rows)

@@ -32,6 +32,9 @@ DEFAULT_BACKENDS = (
     "bump",
 )
 
+#: heap bytes each backend manages
+POOL = 1 << 20
+
 
 @dataclass
 class ShootoutPoint:
@@ -82,9 +85,7 @@ def run(
     size: int = 64,
     nthreads: int = 2048,
     iters: int = 2,
-    device: Optional[GPUDevice] = None,
     seed: int = 9,
-    pool: int = 1 << 20,
     which: Optional[Sequence[str]] = None,
 ) -> ShootoutResult:
     """Run the churn shootout; returns per-backend results.
@@ -93,13 +94,13 @@ def run(
     (historic callers pass display labels like ``"ours (scalar)"``);
     ``None`` runs :data:`DEFAULT_BACKENDS`.
     """
-    device = device or GPUDevice(num_sms=2)
+    device = GPUDevice(num_sms=2)
     roster = [get_backend(n) for n in (which if which is not None
                                        else DEFAULT_BACKENDS)]
     points = []
     for backend in roster:
-        mem = DeviceMemory(pool * 4 + (8 << 20))
-        handle = backend.build(mem, device, pool)
+        mem = DeviceMemory(POOL * 4 + (8 << 20))
+        handle = backend.build(mem, device, POOL)
         failures: List[int] = []
         kernel = _churn_kernel(handle.malloc, handle.free, size, iters,
                                failures)

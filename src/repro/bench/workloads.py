@@ -9,7 +9,7 @@ simulator ops.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..sim import ops
 from ..sim.device import rng_randbelow
@@ -18,14 +18,13 @@ from ..sim.memory import DeviceMemory
 _NULL = DeviceMemory.NULL
 
 
-def malloc_storm(allocator, size: int, out: Optional[List[int]] = None):
+def malloc_storm(allocator, size: int):
     """Every thread calls ``malloc(size)`` once (the Figure 7 workload).
 
     Returns ``(kernel, out)`` where ``out`` collects one address (or
     NULL) per completed thread.
     """
-    if out is None:
-        out = []
+    out: List[int] = []
 
     def kernel(ctx):
         p = yield from allocator.malloc(ctx, size)
@@ -34,16 +33,18 @@ def malloc_storm(allocator, size: int, out: Optional[List[int]] = None):
     return kernel, out
 
 
-def churn(allocator, sizes: Sequence[int], iters: int,
-          hold_cycles: int = 200, out: Optional[List[int]] = None):
+#: a churn thread holds each block for a uniform draw below this many cycles
+HOLD_CYCLES = 400
+
+
+def churn(allocator, sizes: Sequence[int], iters: int):
     """Repeated malloc/hold/free cycles with sizes drawn per-thread.
 
     Exercises steady-state behaviour: bins filling and draining,
-    retirement, merge traffic.  ``out`` records failed allocation counts
-    per thread.
+    retirement, merge traffic.  Returns ``(kernel, out)``; ``out``
+    records failed allocation counts per thread.
     """
-    if out is None:
-        out = []
+    out: List[int] = []
 
     def kernel(ctx):
         failures = 0
@@ -57,7 +58,7 @@ def churn(allocator, sizes: Sequence[int], iters: int,
                 failures += 1
                 yield ops.cpu_yield()
                 continue
-            yield (ops.OP_SLEEP, randbelow(hold_cycles))
+            yield (ops.OP_SLEEP, randbelow(HOLD_CYCLES))
             yield from allocator.free(ctx, p)
         out.append(failures)
 
@@ -114,10 +115,7 @@ def producer_consumer(allocator, size: int, slots: int, mem, iters: int):
     return kernel, mailbox
 
 
-def mixed_size_trace(seed: int, n: int, classes: Sequence[int],
-                     weights: Optional[Sequence[float]] = None) -> List[int]:
+def mixed_size_trace(seed: int, n: int, classes: Sequence[int]) -> List[int]:
     """A deterministic per-call size trace for repeatable experiments."""
     rng = random.Random(seed)
-    if weights is None:
-        return [rng.choice(list(classes)) for _ in range(n)]
-    return rng.choices(list(classes), weights=list(weights), k=n)
+    return [rng.choice(list(classes)) for _ in range(n)]

@@ -122,10 +122,8 @@ class ThroughputAllocator:
             ...
             yield from alloc.free(ctx, p)
 
-    Parameters
-    ----------
-    collective_chunks:
-        Use the collective chunk-list mutex (ablation knob, §4.2.2).
+    Chunk-list inserts always use the collective mutex (§4.2.2);
+    ``bench/ablations.py`` measures it against per-thread locking.
     """
 
     def __init__(
@@ -133,7 +131,6 @@ class ThroughputAllocator:
         mem: DeviceMemory,
         device: GPUDevice,
         cfg: AllocatorConfig = DEFAULT_CONFIG,
-        collective_chunks: bool = True,
     ):
         self.mem = mem
         self.cfg = cfg
@@ -142,10 +139,8 @@ class ThroughputAllocator:
         self.pool_base = mem.host_alloc(cfg.pool_size, align=cfg.chunk_size)
         self.tbuddy = TBuddy(mem, self.pool_base, cfg.page_size,
                              cfg.pool_order)
-        self.ualloc = UAlloc(
-            mem, cfg, self.tbuddy, self.pool_base, device.num_sms,
-            collective_chunks=collective_chunks,
-        )
+        self.ualloc = UAlloc(mem, cfg, self.tbuddy, self.pool_base,
+                             device.num_sms)
         self.stats = AllocStats()
 
     # ------------------------------------------------------------------
@@ -353,23 +348,22 @@ class ThroughputAllocator:
                 used += self.cfg.page_size << order
         return used
 
-    def host_check(self, strict_siblings: bool = False) -> None:
+    def host_check(self) -> None:
         """Quiescent-state consistency check of the whole allocator."""
-        self.tbuddy.check_invariants(strict_siblings=strict_siblings)
+        self.tbuddy.check_invariants()
         for arena in self.ualloc.arenas:
             arena.chunks.host_check()
             for sc in arena.classes:
                 sc.bins.host_check()
         self.ualloc.host_check()
 
-    def host_checkpoint(self, expect_leak_free: bool = False,
-                        strict_siblings: bool = False) -> None:
+    def host_checkpoint(self, expect_leak_free: bool = False) -> None:
         """Full quiescent checkpoint for verification sweeps: finish
         opportunistic reclamation, validate every structural and
         accounting invariant, and optionally assert that no bytes remain
         handed out (leak accounting after a full-free phase)."""
         self.ualloc.host_gc()
-        self.host_check(strict_siblings=strict_siblings)
+        self.host_check()
         if expect_leak_free:
             used = self.host_used_bytes()
             assert used == 0, (

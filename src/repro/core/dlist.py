@@ -22,6 +22,8 @@ from ..sim.memory import DeviceMemory
 #: default link-word offsets (bin header words 2 and 3)
 NEXT_OFF = 16
 PREV_OFF = 24
+#: a host walk longer than this never reached the sentinel: a cycle
+_MAX_HOST_ITEMS = 1_000_000
 
 
 class DList:
@@ -90,13 +92,13 @@ class DList:
         return node == self.head
 
     # -- host side ---------------------------------------------------------
-    def host_items(self, limit: int = 1_000_000) -> list[int]:
+    def host_items(self) -> list[int]:
         """Host-side snapshot of node addresses (no kernel running)."""
         items = []
         node = self.mem.load_word(self.head + self.next_off)
         while node != self.head:
             items.append(node)
-            if len(items) > limit:
+            if len(items) > _MAX_HOST_ITEMS:
                 raise RuntimeError("list corrupt: no sentinel reached")
             node = self.mem.load_word(node + self.next_off)
         return items

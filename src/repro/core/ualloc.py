@@ -59,9 +59,9 @@ _ALL_ONES = (1 << 64) - 1
 class UAlloc:
     """Fine-grained allocator over a TBuddy-backed pool.
 
-    ``collective_chunks=False`` replaces the collective chunk-list mutex
-    with per-thread locking (the ablation baseline for the §4.2.2
-    primitive).
+    New chunks enter an arena's chunk list under the collective mutex
+    (§4.2.2); ``bench/ablations.py`` measures it against per-thread
+    locking.
     """
 
     def __init__(
@@ -71,7 +71,6 @@ class UAlloc:
         tbuddy: TBuddy,
         pool_base: int,
         num_arenas: int,
-        collective_chunks: bool = True,
     ):
         self.mem = mem
         self.cfg = cfg
@@ -79,7 +78,6 @@ class UAlloc:
         self.pool_base = pool_base
         self.binops = BinOps(cfg)
         self.layout = BinLayout(cfg)
-        self.collective_chunks = collective_chunks
         self.arenas: List[Arena] = [Arena(mem, cfg, i)
                                     for i in range(num_arenas)]
         # initial bin-bitmap word: the two special bins pre-claimed
@@ -325,19 +323,14 @@ class UAlloc:
         yield ops.store(chunk + CH_ARENA_OFF, arena.index)
         yield ops.store(chunk + CH_MAGIC_OFF, CHUNK_MAGIC)
         yield ops.store(chunk + CH_BITMAP_OFF, self._fresh_bitmap | 0b100)
-        if self.collective_chunks:
-            # Converging threads acquire the list mutex once and insert
-            # their chunks serially inside the shared critical section.
-            mask = yield from arena.chunk_mutex.lock_warp(ctx)
-            for lane in sorted(mask):
-                if lane == ctx.lane:
-                    yield from arena.chunks.insert_head(ctx, chunk)
-                yield ops.warp_sync(mask)
-            yield from arena.chunk_mutex.unlock_warp(ctx, mask)
-        else:
-            yield from arena.chunk_mutex.lock(ctx)
-            yield from arena.chunks.insert_head(ctx, chunk)
-            yield from arena.chunk_mutex.unlock(ctx)
+        # Converging threads acquire the list mutex once and insert
+        # their chunks serially inside the shared critical section.
+        mask = yield from arena.chunk_mutex.lock_warp(ctx)
+        for lane in sorted(mask):
+            if lane == ctx.lane:
+                yield from arena.chunks.insert_head(ctx, chunk)
+            yield ops.warp_sync(mask)
+        yield from arena.chunk_mutex.unlock_warp(ctx, mask)
         yield from arena.bin_sem.fulfill(ctx, self.cfg.n_regular_bins - 1)
         return (chunk, 2)
 

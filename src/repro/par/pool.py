@@ -37,14 +37,13 @@ Design constraints (why this is not just ``Pool.map``):
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
-__all__ = ["map_sharded", "resolve_workers", "shard_pool", "workers_arg",
+__all__ = ["map_sharded", "resolve_workers", "shard_pool",
            "preferred_start_method"]
 
 
@@ -65,21 +64,6 @@ def resolve_workers(workers: int = 0) -> int:
         raise ValueError(f"workers must be >= 0 (got {workers})")
     if workers == 0:
         return min(os.cpu_count() or 1, 8)
-    return workers
-
-
-def workers_arg(raw: str) -> int:
-    """``argparse`` ``type=`` for every ``--workers`` option: an integer
-    ``>= 0``, so a bad value is a usage error (exit 2) at parse time
-    rather than a silent serial run or a traceback mid-deck."""
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0 (got {raw!r})") from None
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one per CPU, capped at 8; got {workers})")
     return workers
 
 

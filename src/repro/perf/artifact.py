@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Union
 
-from ..sim.cost_model import DEFAULT_COST_MODEL, CostModel
+from ..sim.cost_model import DEFAULT_COST_MODEL
 from .suite import SuiteResult
 
 #: schema identifier; bump the suffix on breaking layout changes
@@ -48,8 +48,7 @@ def environment_info() -> Dict[str, object]:
     }
 
 
-def suite_to_doc(result: SuiteResult, label: str,
-                 cost_model: CostModel = DEFAULT_COST_MODEL) -> dict:
+def suite_to_doc(result: SuiteResult, label: str) -> dict:
     """Build the schema-v1 document for one suite run."""
     cases = {}
     for run in result.cases:
@@ -62,7 +61,7 @@ def suite_to_doc(result: SuiteResult, label: str,
         "schema": SCHEMA,
         "label": label,
         "tier": result.tier,
-        "cost_model": cost_model.as_dict(),
+        "cost_model": DEFAULT_COST_MODEL.as_dict(),
         "environment": environment_info(),
         "cases": cases,
     }

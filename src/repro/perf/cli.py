@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..bench.reporting import format_table, si
-from ..par.pool import workers_arg
+from ..cliargs import int_at_least, workers_arg
 from . import artifact, compare, profile as profiling
 from .suite import CASES, UnknownCase, resolve_case, run_suite
 
@@ -119,23 +119,12 @@ def _cmd_profile(args) -> int:
         print(report.table())
         print(f"profiled wall: {report.wall_seconds:.2f}s\n")
         if not args.no_trace:
-            trace = profiling.trace_report(case, top=args.top)
+            trace = profiling.trace_report(case, tier=args.tier,
+                                           top=args.top)
             if trace is not None:
                 print(trace)
                 print()
     return 0
-
-
-def _positive_int(raw: str) -> int:
-    """``argparse`` ``type=`` for ``--top``: an integer ``>= 1``."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 (got {raw!r})") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--case", action="append", metavar="NAME",
                         help="case to profile (repeatable; default: fig5 and "
                              "shootout)")
-    p_prof.add_argument("--top", type=_positive_int, default=10,
+    p_prof.add_argument("--top", type=int_at_least(1), default=10,
                         help="rows in the hotspot table (default %(default)s)")
     p_prof.add_argument("--tier", choices=("quick", "full"), default="quick")
     p_prof.add_argument("--no-trace", action="store_true",

@@ -8,7 +8,7 @@ perf PR optimize?" two ways:
   and reduces the stats to a top-N table by own-time (``tottime``), the
   direct "this function burns the CPU" view, with cumulative time kept
   alongside for call-tree context.
-* :func:`trace_report` re-runs the case with a
+* :func:`trace_report` re-runs the same tier of the case with a
   :class:`repro.sim.trace.Tracer` attached (for the benches that accept
   one) and renders the simulator-level telemetry — op mix, hottest
   atomic serialization words, event-queue volume — so a host hotspot
@@ -87,10 +87,12 @@ def profile_case(case: BenchCase, tier: str = "quick",
                          hotspots=hotspots)
 
 
-def trace_report(case: BenchCase, top: int = 10) -> Optional[str]:
-    """Simulator telemetry for the case's traced quick run, if it has one."""
-    if case.traced_quick is None:
+def trace_report(case: BenchCase, tier: str = "quick",
+                 top: int = 10) -> Optional[str]:
+    """Simulator telemetry for ``case``'s ``tier`` run, re-run traced;
+    ``None`` when the case's runners take no tracer."""
+    if not case.traceable:
         return None
     tracer = Tracer()
-    case.traced_quick(case.seed, tracer)
+    case.runner(tier)(case.seed, tracer)
     return trace_summary(tracer, top=top)

@@ -33,8 +33,9 @@ from ..sim.trace import Tracer
 #: (metrics, params) as produced by one tier-runner invocation
 RunnerOutput = Tuple[Dict[str, float], Dict[str, object]]
 
-#: a tier runner: called with the case's seed
-Runner = Callable[[int], RunnerOutput]
+#: a tier runner: called with the case's seed, and for a traceable
+#: case optionally with a Tracer as well
+Runner = Callable[..., RunnerOutput]
 
 TIERS = ("quick", "full")
 
@@ -52,9 +53,9 @@ class BenchCase:
     description: str
     quick: Runner
     full: Runner
-    #: optional quick-tier runner that takes the seed and a Tracer, for
-    #: tracer-derived profiling (only fig5/6/7 support tracing today)
-    traced_quick: Optional[Callable[[int, Tracer], object]] = None
+    #: both runners take ``(seed, tracer)`` too (only fig5/6/7 support
+    #: tracing today), so a profile can trace the very run it profiled
+    traceable: bool = False
 
     def runner(self, tier: str) -> Runner:
         if tier not in TIERS:
@@ -99,8 +100,8 @@ def _slug(name: str) -> str:
 # per-bench metric extractors
 # ----------------------------------------------------------------------
 def _fig5(seed: int, thread_counts: Sequence[int],
-          batch: int = 512) -> RunnerOutput:
-    res = fig5.run(thread_counts=thread_counts, batch=batch, seed=seed)
+          tracer: Optional[Tracer] = None) -> RunnerOutput:
+    res = fig5.run(thread_counts=thread_counts, seed=seed, tracer=tracer)
     peak = thread_counts[-1]
     c = res.counting.y_at(peak)
     b = res.bulk.y_at(peak)
@@ -109,16 +110,14 @@ def _fig5(seed: int, thread_counts: Sequence[int],
         "bulk_ops_per_s_peak": b,
         "bulk_speedup_peak": (b / c) if c else 0.0,
     }
-    return metrics, {"thread_counts": list(thread_counts), "batch": batch}
+    return metrics, {"thread_counts": list(thread_counts),
+                     "batch": res.batch}
 
 
-def _fig5_traced(seed: int, tracer: Tracer) -> object:
-    return fig5.run(thread_counts=(256, 1024), seed=seed, tracer=tracer)
-
-
-def _fig6(seed: int, ratios: Sequence[int],
-          thread_targets: Sequence[int]) -> RunnerOutput:
-    res = fig6.run(ratios=ratios, thread_targets=thread_targets, seed=seed)
+def _fig6(seed: int, ratios: Sequence[int], thread_targets: Sequence[int],
+          tracer: Optional[Tracer] = None) -> RunnerOutput:
+    res = fig6.run(ratios=ratios, thread_targets=thread_targets, seed=seed,
+                   tracer=tracer)
     speedups = [p.speedup for p in res.points]
     metrics = {
         "delegation_speedup_gmean": geometric_mean(speedups),
@@ -130,13 +129,9 @@ def _fig6(seed: int, ratios: Sequence[int],
                      "points": len(res.points)}
 
 
-def _fig6_traced(seed: int, tracer: Tracer) -> object:
-    return fig6.run(ratios=(32,), thread_targets=(1024,), seed=seed,
-                    tracer=tracer)
-
-
-def _fig7(seed: int, sizes: Sequence[int]) -> RunnerOutput:
-    res = fig7.run(sizes=sizes, seed=seed)
+def _fig7(seed: int, sizes: Sequence[int],
+          tracer: Optional[Tracer] = None) -> RunnerOutput:
+    res = fig7.run(sizes=sizes, seed=seed, tracer=tracer)
     ours = [p for p in res.points if p.allocator == "ours"]
     cuda = [p for p in res.points if p.allocator == "cuda"]
     metrics = {
@@ -147,10 +142,6 @@ def _fig7(seed: int, sizes: Sequence[int]) -> RunnerOutput:
             sum(p.failure_rate for p in ours) / len(ours) if ours else 0.0,
     }
     return metrics, {"sizes": list(sizes)}
-
-
-def _fig7_traced(seed: int, tracer: Tracer) -> object:
-    return fig7.run(sizes=(64, 4096), seed=seed, tracer=tracer)
 
 
 def _shootout(seed: int, nthreads: int, iters: int,
@@ -260,9 +251,12 @@ def _workload(seed: int, *, lanes: int,
     return metrics, params
 
 
+#: backend heap bytes of the serve_replay case
+_SERVE_POOL = 1 << 20
+
+
 def _serve_replay(seed: int, name: str, batch_max: int = 16,
                   quota_bytes: Optional[int] = None,
-                  pool: int = 1 << 20,
                   backends: Sequence[str] = ("ours",)) -> RunnerOutput:
     """Serve a bundled trace through the allocator service's
     deterministic feeder, per backend: admission control (quota +
@@ -275,7 +269,7 @@ def _serve_replay(seed: int, name: str, batch_max: int = 16,
     trace = load_bundled(name)
     metrics: Dict[str, float] = {}
     for b in backends:
-        pt = serve_one_backend(trace, b, seed=seed, pool=pool,
+        pt = serve_one_backend(trace, b, seed=seed, pool=_SERVE_POOL,
                                batch_max=batch_max, quota_bytes=quota_bytes)
         slug = _slug(b)
         metrics[f"ops_per_s_{slug}"] = pt.ops_per_s
@@ -286,7 +280,7 @@ def _serve_replay(seed: int, name: str, batch_max: int = 16,
     params: Dict[str, object] = {
         "trace": name, "events": len(trace.events),
         "tenants": trace.tenants, "batch_max": batch_max,
-        "quota_bytes": quota_bytes, "pool": pool,
+        "quota_bytes": quota_bytes, "pool": _SERVE_POOL,
         "backends": list(backends),
     }
     return metrics, params
@@ -335,28 +329,29 @@ _register(BenchCase(
     name="fig5",
     seed=1,
     description="two-stage allocation ceiling: counting vs bulk semaphores",
-    quick=lambda seed: _fig5(seed, (256, 1024)),
-    full=lambda seed: _fig5(seed, (256, 1024, 4096, 16384)),
-    traced_quick=_fig5_traced,
+    quick=lambda seed, tracer=None: _fig5(seed, (256, 1024), tracer),
+    full=lambda seed, tracer=None: _fig5(seed, (256, 1024, 4096, 16384),
+                                         tracer),
+    traceable=True,
 ))
 
 _register(BenchCase(
     name="fig6",
     seed=3,
     description="RCU delegation speedup over classical barriers",
-    quick=lambda seed: _fig6(seed, (32, 128), (1024,)),
-    full=lambda seed: _fig6(seed, (32, 128, 512, 2048),
-                            (1024, 4096, 12288)),
-    traced_quick=_fig6_traced,
+    quick=lambda seed, tracer=None: _fig6(seed, (32, 128), (1024,), tracer),
+    full=lambda seed, tracer=None: _fig6(seed, (32, 128, 512, 2048),
+                                         (1024, 4096, 12288), tracer),
+    traceable=True,
 ))
 
 _register(BenchCase(
     name="fig7",
     seed=7,
     description="allocator throughput & failure rate across sizes",
-    quick=lambda seed: _fig7(seed, (64, 4096, 65536)),
-    full=lambda seed: _fig7(seed, fig7.PAPER_SIZES),
-    traced_quick=_fig7_traced,
+    quick=lambda seed, tracer=None: _fig7(seed, (64, 4096, 65536), tracer),
+    full=lambda seed, tracer=None: _fig7(seed, fig7.PAPER_SIZES, tracer),
+    traceable=True,
 ))
 
 _register(BenchCase(

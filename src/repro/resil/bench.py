@@ -24,7 +24,7 @@ on exactly the configuration it measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..backends import get as get_backend
 from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
@@ -34,7 +34,7 @@ from .plan import FaultInjector, FaultPlan
 _NULL = DeviceMemory.NULL
 
 #: (level name, fault-plan spec) — "" means no injector at all.
-DEFAULT_LEVELS: Tuple[Tuple[str, str], ...] = (
+LEVELS: Tuple[Tuple[str, str], ...] = (
     ("clean", ""),
     ("light",
      "site=tbuddy.alloc,p=0.05,max=32;"
@@ -46,6 +46,13 @@ DEFAULT_LEVELS: Tuple[Tuple[str, str], ...] = (
      "site=tbuddy.lock,p=0.15,cycles=12000;"
      "site=spinlock.hold,p=0.1,cycles=12000"),
 )
+
+#: churn sizes, cycled through by thread id and iteration
+SIZES = (64, 256, 4096)
+#: heap bytes: 512 pages of 4 KB
+POOL = 4096 << 9
+#: a thread holds each block for a uniform draw below this many cycles
+HOLD_CYCLES = 200
 
 
 @dataclass
@@ -98,15 +105,14 @@ class ResilBenchResult:
         )
 
 
-def _run_level(plan_spec: str, sizes: Sequence[int], nthreads: int,
-               iters: int, seed: int, pool_order: int,
-               hold_cycles: int) -> ResilBenchPoint:
+def _run_level(plan_spec: str, nthreads: int, iters: int,
+               seed: int) -> ResilBenchPoint:
     mem = DeviceMemory(16 << 20)
     device = GPUDevice(num_sms=4, max_resident_blocks=2)
     # The degradation bench measures ``malloc_robust``, which only the
     # paper allocator has; build it through the registry all the same so
     # its construction matches every other consumer.
-    handle = get_backend("ours").build(mem, device, 4096 << pool_order)
+    handle = get_backend("ours").build(mem, device, POOL)
     alloc = handle.allocator
     plan = FaultPlan.parse(plan_spec) if plan_spec else FaultPlan()
     inj = FaultInjector(plan, seed=seed) if plan else None
@@ -115,13 +121,13 @@ def _run_level(plan_spec: str, sizes: Sequence[int], nthreads: int,
     def kernel(ctx):
         f = 0
         for i in range(iters):
-            size = sizes[(ctx.tid + i) % len(sizes)]
+            size = SIZES[(ctx.tid + i) % len(SIZES)]
             p = yield from alloc.malloc_robust(ctx, size)
             if p == _NULL:
                 f += 1
                 yield ops.cpu_yield()
                 continue
-            yield ops.sleep(ctx.rng.randrange(hold_cycles))
+            yield ops.sleep(ctx.rng.randrange(HOLD_CYCLES))
             yield from alloc.free(ctx, p)
         failures.append(f)
 
@@ -145,19 +151,15 @@ def _run_level(plan_spec: str, sizes: Sequence[int], nthreads: int,
     )
 
 
-def run(sizes: Sequence[int] = (64, 256, 4096), nthreads: int = 128,
-        iters: int = 2, seed: int = 17, pool_order: int = 9,
-        hold_cycles: int = 200,
-        levels: Sequence[Tuple[str, str]] = DEFAULT_LEVELS,
-        ) -> ResilBenchResult:
+def run(nthreads: int = 128, iters: int = 2,
+        seed: int = 17) -> ResilBenchResult:
     """Run the degradation sweep; one fresh allocator per level."""
     points = []
-    for name, spec in levels:
-        p = _run_level(spec, sizes, nthreads, iters, seed,
-                       pool_order, hold_cycles)
+    for name, spec in LEVELS:
+        p = _run_level(spec, nthreads, iters, seed)
         p.level = name
         points.append(p)
-    return ResilBenchResult(sizes=tuple(sizes), nthreads=nthreads,
+    return ResilBenchResult(sizes=SIZES, nthreads=nthreads,
                             iters=iters, points=points)
 
 

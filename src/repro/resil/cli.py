@@ -26,7 +26,7 @@ import sys
 import time
 from typing import List, Optional
 
-from ..par.pool import workers_arg
+from ..cliargs import workers_arg
 from ..verify.runner import SCENARIOS
 from .plan import SITES
 from .runner import (

@@ -70,10 +70,6 @@ class TenantLedger:
         self.rejected[cause] = self.rejected.get(cause, 0) + 1
         return cause
 
-    @property
-    def n_rejected(self) -> int:
-        return sum(self.rejected.values())
-
 
 class AdmissionController:
     """Decides, per request, whether the episode may see it.

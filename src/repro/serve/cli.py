@@ -29,7 +29,9 @@ import sys
 import time
 from typing import List, Optional
 
+from ..backends import pool_error
 from ..bench.reporting import si
+from ..cliargs import int_at_least, positive_float
 from ..workloads import families, replay as direct_replay
 from ..workloads.trace import TraceError, TraceRecorder, dump, load, validate
 from . import bench, loadgen
@@ -213,14 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="backend(s) to bench (repeatable; "
                                 "default: ours)")
-        p.add_argument("--pool", type=int, default=1 << 20, metavar="BYTES",
+        p.add_argument("--pool", type=int_at_least(1), default=1 << 20,
+                       metavar="BYTES",
                        help="backend heap size (default 1 MiB)")
         p.add_argument("--seed", type=int, default=0,
                        help="scheduler/generator seed (default 0)")
-        p.add_argument("--quota", type=int, default=None, metavar="BYTES",
+        p.add_argument("--quota", type=int_at_least(0), default=None,
+                       metavar="BYTES",
                        help="per-tenant outstanding-byte quota "
                             "(default: unlimited)")
-        p.add_argument("--batch-max", type=int, default=32, metavar="N",
+        p.add_argument("--batch-max", type=int_at_least(1), default=32,
+                       metavar="N",
                        help="max requests per episode (default 32)")
 
     def _traffic(p) -> None:
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     p_run.add_argument("--port", type=int, default=0,
                        help="bind port (default 0 = ephemeral)")
-    p_run.add_argument("--batch-window", type=float, default=0.005,
+    p_run.add_argument("--batch-window", type=positive_float, default=0.005,
                        metavar="SECONDS",
                        help="batching quiet window (default 5 ms)")
     p_run.set_defaults(func=_cmd_run)
@@ -252,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
                                            "ledger reconciliation")
     _common(p_bench, single_backend=False)
     _traffic(p_bench)
-    p_bench.add_argument("--batch-window", type=float, default=0.002,
+    p_bench.add_argument("--batch-window", type=positive_float, default=0.002,
                          metavar="SECONDS",
                          help="batching quiet window (default 2 ms)")
-    p_bench.add_argument("--cps", type=float, default=None,
+    p_bench.add_argument("--cps", type=positive_float, default=None,
                          metavar="CYCLES_PER_SEC",
                          help="pace sends: virtual-cycle gaps become "
                               "wall-clock gaps at this rate "
@@ -277,6 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    roster = ([args.backend] if isinstance(args.backend, str)
+              else args.backend or ["ours"])
+    for backend in roster:
+        why = pool_error(backend, args.pool)
+        if why is not None:
+            print(f"serve {args.command}: argument --pool: {why}",
+                  file=sys.stderr)
+            return 2
     return args.func(args)
 
 

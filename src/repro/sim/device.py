@@ -35,11 +35,6 @@ class GPUDevice:
     max_resident_blocks: int = 4
     max_threads_per_block: int = 1024
 
-    @property
-    def max_resident_threads(self) -> int:
-        """Upper bound on simultaneously executing threads."""
-        return self.num_sms * self.max_resident_blocks * self.max_threads_per_block
-
 
 #: A modest default device used throughout tests.
 DEFAULT_DEVICE = GPUDevice()
@@ -118,10 +113,6 @@ class ThreadCtx:
                 f"tid_in_block={self.tid_in_block}, lane={self.lane}, "
                 f"warp={self.warp}, sm={self.sm}, nthreads={self.nthreads}, "
                 f"block_dim={self.block_dim})")
-
-    def is_warp_leader_of(self, mask: frozenset) -> bool:
-        """True if this thread is the elected leader of converged ``mask``."""
-        return self.lane == min(mask)
 
 
 def rng_randbelow(rng: random.Random):

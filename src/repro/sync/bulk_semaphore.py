@@ -65,6 +65,8 @@ R_MAX = (1 << R_BITS) - 1
 #: observed C at/above this is a transient borrow, not real availability
 C_GUARD = 1 << (C_BITS - 1)
 _MASK64 = (1 << 64) - 1
+#: cap, in cycles, of the randomized exponential backoff between polls
+MAX_BACKOFF = 16384
 
 
 class BulkSemaphoreOverflow(SimError):
@@ -95,19 +97,12 @@ class BulkSemaphore:
     quiescence, when all transient borrows have cancelled).
     """
 
-    __slots__ = ("mem", "addr", "max_backoff", "_op_cache")
+    __slots__ = ("mem", "addr", "_op_cache")
 
-    def __init__(
-        self,
-        mem: DeviceMemory,
-        initial: int = 0,
-        addr: int | None = None,
-        max_backoff: int = 16384,
-    ):
+    def __init__(self, mem: DeviceMemory, initial: int = 0):
         self.mem = mem
-        self.addr = mem.host_alloc(8) if addr is None else addr
+        self.addr = mem.host_alloc(8)
         mem.store_word(self.addr, pack(initial, 0, 0))
-        self.max_backoff = max_backoff
         # (n, b) -> the six invariant op tuples wait() yields.  A size
         # class calls wait() with one (n, b) pair for almost every
         # malloc, so this caches the whole tuple-build preamble.
@@ -136,7 +131,7 @@ class BulkSemaphore:
         # so they are built once per (n, b) and cached on the instance;
         # the unpack() calls are likewise inlined into shift/mask locals.
         addr = self.addr
-        max_backoff = self.max_backoff
+        max_backoff = MAX_BACKOFF
         randbelow = rng_randbelow(ctx.rng)
         cached = self._op_cache.get((n, b))
         if cached is None:

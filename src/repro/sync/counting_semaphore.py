@@ -26,24 +26,24 @@ from ..sim.memory import DeviceMemory
 from ..sim.ops import to_signed, to_unsigned
 
 _MASK64 = (1 << 64) - 1
+#: cap, in cycles, of the randomized exponential backoff between polls
+MAX_BACKOFF = 65536
 
 
 class CountingSemaphore:
     """A growable counting semaphore at a device address."""
 
-    __slots__ = ("mem", "addr", "max_backoff", "_op_cache")
+    __slots__ = ("mem", "addr", "_op_cache")
 
     #: value stored while a batch allocation is in flight
     GROWING = -1
 
-    def __init__(self, mem: DeviceMemory, initial: int = 0, addr: int | None = None,
-                 max_backoff: int = 65536):
+    def __init__(self, mem: DeviceMemory, initial: int = 0):
         if initial < 0:
             raise ValueError("initial semaphore value must be non-negative")
         self.mem = mem
-        self.addr = mem.host_alloc(8) if addr is None else addr
+        self.addr = mem.host_alloc(8)
         mem.store_word(self.addr, to_unsigned(initial))
-        self.max_backoff = max_backoff
         # n -> (load_op, sub_op, add_op): wait()'s invariant op tuples,
         # cached per requested unit count (usually just n=1)
         self._op_cache: dict = {}
@@ -61,7 +61,7 @@ class CountingSemaphore:
         # Hot loop: the load/sub/add op tuples are invariant in
         # (self.addr, n); build them once per n and cache on the instance.
         addr = self.addr
-        max_backoff = self.max_backoff
+        max_backoff = MAX_BACKOFF
         randbelow = rng_randbelow(ctx.rng)
         cached = self._op_cache.get(n)
         if cached is None:

@@ -17,6 +17,8 @@ from ..sim.memory import DeviceMemory
 
 _FREE = 0
 _HELD = 1
+#: cap, in cycles, of the randomized exponential backoff between polls
+MAX_BACKOFF = 65536
 
 
 class SpinLock:
@@ -29,13 +31,12 @@ class SpinLock:
         yield from lock.unlock(ctx)
     """
 
-    __slots__ = ("mem", "addr", "max_backoff", "_load_op", "_cas_op")
+    __slots__ = ("mem", "addr", "_load_op", "_cas_op")
 
-    def __init__(self, mem: DeviceMemory, addr: int | None = None, max_backoff: int = 65536):
+    def __init__(self, mem: DeviceMemory, addr: int | None = None):
         self.mem = mem
         self.addr = mem.host_alloc(8) if addr is None else addr
         mem.store_word(self.addr, _FREE)
-        self.max_backoff = max_backoff
         # lock()/try_lock() run once per critical section on the hottest
         # paths; their op tuples are invariant, so build them once.
         self._load_op = ops.load(self.addr)
@@ -63,7 +64,7 @@ class SpinLock:
         # Hot loop: the op tuples are prebuilt on the instance, so only
         # the RNG draw needs binding out of the loop.
         addr = self.addr
-        max_backoff = self.max_backoff
+        max_backoff = MAX_BACKOFF
         load_op = self._load_op
         cas_op = self._cas_op
         randbelow = rng_randbelow(ctx.rng)

@@ -33,27 +33,10 @@ import time
 from typing import List, Optional
 
 from .. import backends as backend_registry
-from ..par.pool import workers_arg
+from ..cliargs import int_at_least, workers_arg
 from .perturbation import DEFAULT_DECK, SMOKE_DECK
 from .runner import SCENARIOS, CaseResult, CaseSpec, sweep, run_case
 from .shrink import shrink_case
-
-
-def _int_at_least(lo: int):
-    """``argparse`` ``type=`` for an integer ``>= lo``: a bad value is a
-    usage error (exit 2) at parse time, not a vacuous pass (no seeds
-    means no cases) or a ``ValueError`` traceback mid-run."""
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {lo} (got {raw!r})") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo} (got {value})")
-        return value
-
-    return parse
 
 
 def _backend_arg(raw: str) -> str:
@@ -91,7 +74,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
                     "state digests; report distinct schedules visited.",
     )
     parser.add_argument(
-        "--budget", type=_int_at_least(1), default=64, metavar="N",
+        "--budget", type=int_at_least(1), default=64, metavar="N",
         help="number of cases to explore (default 64)",
     )
     parser.add_argument(
@@ -116,7 +99,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              "identical at any worker count",
     )
     parser.add_argument(
-        "--min-coverage", type=_int_at_least(0), default=0, metavar="S",
+        "--min-coverage", type=int_at_least(0), default=0, metavar="S",
         help="fail (exit 1) when fewer than S distinct schedules were "
              "visited — the CI floor that keeps the explorer honest",
     )
@@ -193,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "detection and invariant checkpoints.",
     )
     parser.add_argument(
-        "--seeds", type=_int_at_least(1), default=4, metavar="N",
+        "--seeds", type=int_at_least(1), default=4, metavar="N",
         help="number of scheduler seeds to sweep (default 4)",
     )
     parser.add_argument(

@@ -442,7 +442,6 @@ def deck_coverage(
     scenarios: Optional[Sequence[str]] = None,
     budget: int = 64,
     backend: str = "ours",
-    deck: Sequence[Perturbation] = DEFAULT_DECK,
     workers: int = 1,
     log: Optional[Callable[[str], None]] = None,
 ) -> ExploreReport:
@@ -460,7 +459,7 @@ def deck_coverage(
     specs: List[CaseSpec] = []
     seed = 0
     while len(specs) < budget:
-        for pert in deck:
+        for pert in DEFAULT_DECK:
             for name in names:
                 specs.append(CaseSpec(name, seed, pert, backend))
         seed += 1

@@ -285,7 +285,7 @@ def _churn(h: _Harness, grid: int = 2, block: int = 32, iters: int = 4) -> None:
     """Steady-state malloc/hold/free churn (bin fill/drain, retirement,
     merge traffic), ending leak-free by construction."""
     sizes = (8, 32, 128, 512)
-    kernel, _ = workloads.churn(h.handle, sizes, iters, hold_cycles=400)
+    kernel, _ = workloads.churn(h.handle, sizes, iters)
     h.sched.launch(kernel, grid=grid, block=block)
     h.run()
     h.checkpoint(expect_leak_free=True)

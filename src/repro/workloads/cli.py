@@ -25,8 +25,10 @@ import sys
 import time
 from typing import List, Optional
 
+from ..backends import pool_error
 from ..bench.reporting import si
-from ..par.pool import map_sharded, workers_arg
+from ..cliargs import int_at_least, workers_arg
+from ..par.pool import map_sharded
 from . import families
 from .replay import ReplayReport, replay
 from .trace import TraceError, dump, load, validate
@@ -100,6 +102,12 @@ def _cmd_replay(args) -> int:
         return 2
     summary = validate(trace)
     roster = args.backend or ["ours"]
+    for backend in roster:
+        why = pool_error(backend, args.pool)
+        if why is not None:
+            print(f"workloads replay: argument --pool: {why}",
+                  file=sys.stderr)
+            return 2
     print(f"replaying {args.trace}: {summary['events']} events, "
           f"{trace.tenants} tenant(s), lanes/tenant {args.lanes}, "
           f"seed {args.seed}, backend(s): {', '.join(roster)}")
@@ -155,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: ours)")
     p_rep.add_argument("--seed", type=int, default=0,
                        help="scheduler seed (default 0)")
-    p_rep.add_argument("--lanes", type=int, default=1, metavar="N",
+    p_rep.add_argument("--lanes", type=int_at_least(1), default=1, metavar="N",
                        help="simulated lanes per tenant (default 1)")
-    p_rep.add_argument("--pool", type=int, default=1 << 20, metavar="BYTES",
+    p_rep.add_argument("--pool", type=int_at_least(1), default=1 << 20,
+                       metavar="BYTES",
                        help="backend heap size (default 1 MiB)")
     p_rep.add_argument("--workers", type=workers_arg, default=1, metavar="N",
                        help="shard the backend roster across N processes "

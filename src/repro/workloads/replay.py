@@ -199,9 +199,9 @@ def replay_kernel(handle, lane_events: Sequence[Sequence],
     return kernel
 
 
-def launch_geometry(n_lanes: int, block: int = 32):
-    """``(grid, block)`` covering ``n_lanes`` threads."""
-    block = min(block, max(1, n_lanes))
+def launch_geometry(n_lanes: int):
+    """``(grid, block)`` covering ``n_lanes`` threads, 32 per block."""
+    block = min(32, max(1, n_lanes))
     grid = -(-n_lanes // block)
     return grid, block
 

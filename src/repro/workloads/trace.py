@@ -168,9 +168,6 @@ class TraceRecorder:
         """Ids allocated but not yet freed, in allocation order."""
         return sorted(self._live)
 
-    def tenant_of(self, eid: int) -> int:
-        return self._live[eid]
-
     def trace(self) -> Trace:
         """The recorded trace (also valid mid-recording)."""
         return self._trace

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import List, Sequence
+from typing import List
 
 
 def _rank_pow(rank: int, skew: float) -> float:
@@ -79,7 +79,3 @@ def zipf_shares(n: int, skew: float) -> List[float]:
     """Normalized Zipfian weight of each of ``n`` ranks (rank 1 first)."""
     return ZipfSampler(n, skew).weights()
 
-
-def pick(seq: Sequence, rng, skew: float = 1.0):
-    """Draw one element of ``seq`` Zipf-weighted by position."""
-    return seq[ZipfSampler(len(seq), skew).sample(rng)]

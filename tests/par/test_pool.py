@@ -9,12 +9,12 @@ import time
 import pytest
 
 import repro.__main__ as repro_main
+from repro.cliargs import workers_arg
 from repro.par.pool import (
     map_sharded,
     preferred_start_method,
     resolve_workers,
     shard_pool,
-    workers_arg,
 )
 
 

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from repro.bench import fig6
+from repro.bench.reporting import trace_summary
 from repro.perf import artifact
 from repro.perf.cli import main as perf_main
 from repro.perf.profile import profile_case, trace_report
 from repro.perf.suite import CASES
+from repro.sim.trace import Tracer
 
 #: the cheapest registered case — keeps tier-1 fast
 FAST = "ablation_collective"
@@ -95,6 +98,21 @@ class TestProfiler:
         assert tots == sorted(tots, reverse=True)
         table = report.table()
         assert "tottime" in table and report.hotspots[0].where in table
+
+    def test_trace_report_traces_the_profiled_run(self):
+        """The traced re-run is the profiled tier's own run: fig6 quick
+        traces every configuration its runner measures, not a subset."""
+        case = CASES["fig6"]
+        _, params = case.runner("quick")(case.seed)
+        expected = Tracer()
+        fig6.run(ratios=params["ratios"],
+                 thread_targets=params["thread_targets"], seed=case.seed,
+                 tracer=expected)
+        # a classical and a delegated run per measured point
+        assert len(expected.runs) == 2 * params["points"]
+        summary = trace_report(case, tier="quick")
+        assert f"runs: {len(expected.runs)} (" in summary
+        assert summary == trace_summary(expected)
 
     def test_trace_report_only_for_traceable_cases(self):
         assert trace_report(CASES[FAST]) is None

@@ -213,7 +213,7 @@ class TestConcurrentConservation:
         """Regression (post-renege recovery latency): ``wait`` never
         reset its backoff after an expectation-collapse re-triage, so a
         waiter that idled behind a long-dead promise carried a saturated
-        (``max_backoff``-cycle) sleep into its next covered spin and
+        (``MAX_BACKOFF``-cycle) sleep into its next covered spin and
         observed fresh supply up to 16k cycles late.
 
         White-box: drive one covered waiter by hand, saturate its

@@ -89,6 +89,24 @@ class TestReplay:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--lanes", "0"], "argument --lanes: must be >= 1 (got 0)"),
+        (["--lanes", "-3"], "argument --lanes: must be >= 1 (got -3)"),
+        (["--pool", "0"], "argument --pool: must be >= 1 (got 0)"),
+        (["--pool", "-5"], "argument --pool: must be >= 1 (got -5)"),
+        (["--pool", "100"], "argument --pool: ours cannot use 100 bytes: "),
+    ])
+    def test_hostile_options_are_usage_errors(self, trace_path, argv,
+                                              message, capsys):
+        # these used to raise a ValueError traceback (exit 1) mid-replay
+        try:
+            rc = cli.main(["replay", str(trace_path), *argv])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestMainDispatch:
     def test_main_module_dispatches_workloads(self, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.workloads.zipf import ZipfSampler, _rank_pow, pick, zipf_shares
+from repro.workloads.zipf import ZipfSampler, _rank_pow, zipf_shares
 
 
 class TestRankPow:
@@ -76,7 +76,3 @@ class TestZipfSampler:
 class TestHelpers:
     def test_zipf_shares_matches_sampler(self):
         assert zipf_shares(6, 1.0) == ZipfSampler(6, 1.0).weights()
-
-    def test_pick_returns_element(self):
-        seq = ("a", "b", "c")
-        assert pick(seq, random.Random(1)) in seq
