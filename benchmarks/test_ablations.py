@@ -8,15 +8,18 @@
   (isolates §4.2.2's primitive).
 """
 
-from repro.bench import ablations, fig5
+from repro.bench import fig5
+from repro.perf.suite import CASES
 
 from conftest import attach
 
 
 def test_ablation_batch_size(benchmark):
+    seed = CASES["fig5"].seed
+
     def harness():
-        return fig5.run_batch_sweep(batches=(32, 128, 512, 2048),
-                                    nthreads=4096)
+        return [fig5.run((4096,), seed=seed, batch=b)
+                for b in (32, 128, 512, 2048)]
 
     results = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nFigure 5 batch sweep @4096 threads (bulk speedup vs counting):")
@@ -35,7 +38,7 @@ def test_ablation_batch_size(benchmark):
 
 def test_ablation_tbuddy_vs_lock_buddy(benchmark):
     def harness():
-        return ablations.run_buddy_ablation(thread_counts=(64, 256, 1024))
+        return CASES["ablation_buddy"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nAblation A — TBuddy vs global-lock buddy (order-0 storm):")
@@ -95,7 +98,7 @@ def test_ablation_warp_coalescing(benchmark):
 
 def test_ablation_collective_mutex(benchmark):
     def harness():
-        return ablations.run_collective_ablation(thread_counts=(64, 256, 1024))
+        return CASES["ablation_collective"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nAblation B — collective vs plain mutex (list pop):")

@@ -6,23 +6,23 @@ concurrent batch allocations; the gap appears once concurrency exceeds
 the batch size.
 """
 
-from repro.bench import fig5
+from repro.perf.suite import CASES
 
 from conftest import attach
 
-THREADS = (256, 1024, 4096, 16384)
-BATCH = 512
+CASE = CASES["fig5"]
 
 
 def test_fig5_counting_vs_bulk(benchmark):
     def harness():
-        return fig5.run(thread_counts=THREADS, batch=BATCH)
+        return CASE.result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
-    print("\nFigure 5 (batch=512):")
+    print(f"\nFigure 5 (batch={res.batch}):")
     print(res.table())
 
-    high = THREADS[-1]
+    threads = CASE.full["thread_counts"]
+    high = threads[-1]
     attach(
         benchmark,
         bulk_allocs_per_s_at_16k=res.bulk.y_at(high),
@@ -30,8 +30,8 @@ def test_fig5_counting_vs_bulk(benchmark):
         bulk_speedup_at_16k=res.bulk.y_at(high) / res.counting.y_at(high),
     )
     # Shape assertions: bulk wins beyond the batch size, at every level.
-    for n in THREADS:
-        if n > BATCH:
+    for n in threads:
+        if n > res.batch:
             assert res.bulk.y_at(n) > res.counting.y_at(n), (
                 f"bulk semaphore slower than counting at {n} threads"
             )

@@ -6,14 +6,14 @@ grace periods.
 """
 
 from repro.bench import fig6
+from repro.perf.suite import CASES
 
 from conftest import attach
 
 
 def test_fig6_delegation_grid(benchmark):
     def harness():
-        return fig6.run(ratios=(32, 128, 512, 2048),
-                        thread_targets=(1024, 4096, 12288))
+        return CASES["fig6"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nFigure 6 (RCU delegation speedup):")

@@ -10,27 +10,22 @@ Paper results reproduced in shape:
   through 512 B/1 KB, ~50% at 2 KB, zero for buddy sizes.
 """
 
-import pytest
-
-from repro.bench import fig7
 from repro.sim import GPUDevice, DeviceMemory, Scheduler
 from repro.bench.workloads import malloc_storm
 from repro.core import AllocatorConfig, ThroughputAllocator
+from repro.perf.suite import CASES
 
 from conftest import attach
 
 
 def test_fig7_throughput_by_size(benchmark):
     def harness():
-        return fig7.run()
+        return CASES["fig7"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nFigure 7 (allocation throughput by size):")
     print(res.table())
     sp = res.speedups()
-    print(f"speedup range {min(sp):.2f}x..{max(sp):.2f}x "
-          f"(paper 0.22x..346x); mean {res.mean_speedup():.2f}x "
-          "(paper 16.56x)")
     attach(benchmark, mean_speedup=res.mean_speedup(),
            min_speedup=min(sp), max_speedup=max(sp))
 

@@ -2,14 +2,14 @@
 shootout (covering every §2.2 related-work design we implement) and the
 direct fragmentation-over-time study."""
 
-from repro.bench import fragmentation, shootout
+from repro.perf.suite import CASES
 
 from conftest import attach
 
 
 def test_allocator_shootout(benchmark):
     def harness():
-        return shootout.run(size=64, nthreads=2048, iters=2)
+        return CASES["shootout"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print(f"\nAllocator shootout ({res.size} B churn, {res.nthreads} "
@@ -30,7 +30,7 @@ def test_allocator_shootout(benchmark):
 
 def test_fragmentation_over_time(benchmark):
     def harness():
-        return fragmentation.run(rounds=6, nthreads=1024)
+        return CASES["fragmentation"].result("full")
 
     res = benchmark.pedantic(harness, rounds=1, iterations=1)
     print("\nFragmentation over churn rounds (1/8 of blocks kept live):")

@@ -5,12 +5,16 @@ Usage::
     python -m repro fig5          # Figure 5: bulk vs counting semaphores
     python -m repro fig6          # Figure 6: RCU delegation speedup
     python -m repro fig7          # Figure 7: allocator rate by size
-    python -m repro ablations     # DESIGN.md design-choice ablations
+    python -m repro ablation_buddy       # DESIGN.md design-choice
+    python -m repro ablation_collective  # ablations
     python -m repro shootout      # cross-allocator comparison
-    python -m repro fragmentation # fragmentation-over-time study
-    python -m repro all           # everything above in sequence
+    python -m repro shootout@ours+cuda   # ... over any backend roster
+    python -m repro all           # every registered case in sequence
+        # Any `perf` case runs this way (`perf run --help` lists them):
+        # its full tier, once, printing the bench's own table.
 
-    python -m repro fig5 --trace out.json   # + structured tracing:
+    python -m repro fig5 --trace out.json   # + structured tracing
+        # (cases whose bench takes a tracer: fig5, fig6, fig7):
         # writes Chrome trace-event JSON (open in chrome://tracing or
         # https://ui.perfetto.dev) and prints the telemetry summary
         # (semaphore wait histograms, top stall words, SM occupancy).
@@ -53,20 +57,6 @@ import argparse
 import sys
 import time
 
-from .bench import ablations, fig5, fig6, fig7, fragmentation, shootout
-
-_TARGETS = {
-    "fig5": fig5.main,
-    "fig6": fig6.main,
-    "fig7": fig7.main,
-    "ablations": ablations.main,
-    "shootout": shootout.main,
-    "fragmentation": fragmentation.main,
-}
-
-#: targets whose ``main`` accepts a tracer
-_TRACEABLE = frozenset({"fig5", "fig6", "fig7"})
-
 
 def _load_cli(module_name: str):
     """Import ``repro.<module>.cli`` and return its ``main``."""
@@ -103,28 +93,34 @@ def main(argv=None) -> int:
                + "; ".join(f"{name} — {desc}"
                            for name, (_, desc) in sorted(_SUBSYSTEMS.items())),
     )
+    from .bench.reporting import trace_summary
+    from .perf.suite import CASES, UnknownCase, resolve_case
+
+    traceable = ", ".join(n for n, c in CASES.items() if c.traceable)
     parser.add_argument(
         "target",
-        choices=sorted(_TARGETS) + ["all"],
-        help="which experiment to run",
+        metavar="CASE",
+        help="experiment to run at its full tier: a registered case ("
+             + ", ".join(CASES) + "), 'shootout@b1+b2' or 'all'",
     )
     parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
-        help="enable structured tracing (fig5/fig6/fig7): write Chrome "
+        help=f"enable structured tracing ({traceable}): write Chrome "
              "trace-event JSON to PATH and print a telemetry summary",
     )
     args = parser.parse_args(argv)
-    targets = sorted(_TARGETS) if args.target == "all" else [args.target]
+    try:
+        cases = (list(CASES.values()) if args.target == "all"
+                 else [resolve_case(args.target)])
+    except UnknownCase as e:
+        parser.error(e.args[0])
 
     tracer = None
     if args.trace is not None:
-        if not (_TRACEABLE & set(targets)):
-            parser.error(
-                f"--trace supports {', '.join(sorted(_TRACEABLE))} "
-                f"(got {args.target})"
-            )
+        if not any(case.traceable for case in cases):
+            parser.error(f"--trace supports {traceable} (got {args.target})")
         # Fail on an unwritable path now, not after minutes of simulation.
         try:
             with open(args.trace, "w"):
@@ -135,18 +131,17 @@ def main(argv=None) -> int:
 
         tracer = Tracer()
 
-    for name in targets:
-        print(f"=== {name} " + "=" * (60 - len(name)))
+    for case in cases:
+        print(f"=== {case.name} " + "=" * (60 - len(case.name)))
+        print(f"{case.description} (seed {case.seed}):")
         t0 = time.time()
-        if tracer is not None and name in _TRACEABLE:
-            _TARGETS[name](tracer=tracer)
-        else:
-            _TARGETS[name]()
+        result = case.result("full", tracer if case.traceable else None)
+        print(result.table())
         print(f"    ({time.time() - t0:.1f}s wall)\n")
 
     if tracer is not None:
         tracer.write_chrome_trace(args.trace)
-        print(tracer.summary())
+        print(trace_summary(tracer))
         print(f"\nChrome trace written to {args.trace} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
     return 0

@@ -4,7 +4,8 @@
   tree + per-order bulk semaphores over the textbook design (§4.1).
 * **Collective vs per-thread mutex** — the §4.2.2 primitive, measured
   on the list-pop workload the paper motivates it with.
-* **Batch-size sweep** for Figure 5 lives in :mod:`repro.bench.fig5`.
+* **Batch-size sweep** for Figure 5: ``benchmarks/test_ablations.py``
+  runs :func:`repro.bench.fig5.run` once per batch size.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def _storm_lock_buddy(ctx, buddy):
 
 
 def run_buddy_ablation(
-    thread_counts: Sequence[int] = (64, 256, 1024),
+    thread_counts: Sequence[int],
+    *,
+    seed: int,
     block: int = 128,
-    seed: int = 5,
 ) -> BuddyAblationResult:
     """Order-0 allocation storm: every thread takes one 4 KB page."""
     device = GPUDevice()
@@ -130,9 +132,10 @@ def _pop_collective(ctx, mutex: CollectiveMutex, lst: DList, out):
 
 
 def run_collective_ablation(
-    thread_counts: Sequence[int] = (64, 256, 1024),
+    thread_counts: Sequence[int],
+    *,
+    seed: int,
     block: int = 128,
-    seed: int = 6,
 ) -> CollectiveAblationResult:
     """Every thread needs one list element; compare lock regimes."""
     device = GPUDevice()
@@ -161,17 +164,3 @@ def run_collective_ablation(
             assert len(set(out)) == n, "duplicate pops"
             series.add(n, report.throughput(n))
     return CollectiveAblationResult(plain=plain, collective=coll)
-
-
-def main():  # pragma: no cover - CLI convenience
-    b = run_buddy_ablation()
-    print("Ablation A — TBuddy vs global-lock buddy (order-0 storm):")
-    print(b.table())
-    c = run_collective_ablation()
-    print("\nAblation B — collective vs plain mutex (list pop):")
-    print(c.table())
-    return b, c
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,15 +9,13 @@ many concurrent refills as unmet demand requires.
 
 The paper plots allocations/second against concurrent threads for batch
 size 512 (matching UAlloc) and reports that other batch sizes look
-analogous — the batch-size ablation bench sweeps them.
+analogous — ``benchmarks/test_ablations.py`` sweeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
@@ -94,10 +92,11 @@ def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
 
 
 def run(
-    thread_counts: Sequence[int] = (256, 1024, 4096, 16384),
+    thread_counts: Sequence[int],
+    *,
+    seed: int,
     batch: int = 512,
     block: int = 256,
-    seed: int = 1,
     tracer: Optional[Tracer] = None,
 ) -> Fig5Result:
     """Reproduce Figure 5 for one batch size."""
@@ -108,30 +107,3 @@ def run(
                                 tracer=tracer))
         bulk.add(n, run_one("bulk", n, batch, block, seed, tracer=tracer))
     return Fig5Result(batch=batch, counting=counting, bulk=bulk)
-
-
-def run_batch_sweep(
-    batches: Sequence[int] = (32, 128, 512, 2048),
-    nthreads: int = 4096,
-    block: int = 256,
-) -> List[Fig5Result]:
-    """§5.1's 'other batch sizes are analogous' claim, one point each."""
-    out = []
-    for b in batches:
-        counting = Series("Counting Semaphores")
-        bulk = Series("Bulk Semaphores")
-        counting.add(nthreads, run_one("counting", nthreads, b, block))
-        bulk.add(nthreads, run_one("bulk", nthreads, b, block))
-        out.append(Fig5Result(batch=b, counting=counting, bulk=bulk))
-    return out
-
-
-def main(tracer: Optional[Tracer] = None) -> Fig5Result:  # pragma: no cover
-    res = run(tracer=tracer)
-    print(f"Figure 5 (batch={res.batch}):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -165,10 +165,11 @@ def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
 
 
 def run(
-    ratios: Sequence[int] = (32, 128, 512, 2048),
-    thread_targets: Sequence[int] = (1024, 4096, 12288),
+    ratios: Sequence[int],
+    thread_targets: Sequence[int],
+    *,
+    seed: int,
     block: int = 128,
-    seed: int = 3,
     tracer: Optional[Tracer] = None,
 ) -> Fig6Result:
     """Reproduce Figure 6: speedup of delegation across ratios/threads.
@@ -200,14 +201,3 @@ def run(
             points.append(Fig6Point(ratio, n_threads, cyc_classic,
                                     cyc_deleg, share))
     return Fig6Result(points)
-
-
-def main(tracer: Optional[Tracer] = None) -> Fig6Result:  # pragma: no cover
-    res = run(tracer=tracer)
-    print("Figure 6 (RCU delegation speedup):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -90,11 +90,18 @@ class Fig7Result:
                 f"{cuda.failure_rate:.1%}" if cuda else "-",
                 f"{ours.failure_rate:.1%}" if ours else "-",
             ])
-        return format_table(
+        out = format_table(
             ["size", "threads", "CUDA/s", "ours/s", "speedup",
              "CUDA fail", "ours fail"],
             rows,
         )
+        sp = self.speedups()
+        if sp:
+            out += (f"\n\nspeedup range: {min(sp):.2f}x .. {max(sp):.2f}x  "
+                    "(paper: 0.22x .. 346x)"
+                    f"\nmean speedup:  {self.mean_speedup():.2f}x  "
+                    "(paper mean: 16.56x)")
+        return out
 
 
 def pool_bytes_for(size: int, chunk_size: int, n_arenas: int,
@@ -159,8 +166,9 @@ def run_size(
 
 
 def run(
-    sizes: Sequence[int] = PAPER_SIZES,
-    seed: int = 7,
+    sizes: Sequence[int],
+    *,
+    seed: int,
     max_threads: int = 65536,
     tracer: Optional[Tracer] = None,
 ) -> Fig7Result:
@@ -171,18 +179,3 @@ def run(
             points.append(run_size(size, allocator, seed, max_threads,
                                    tracer=tracer))
     return Fig7Result(points)
-
-
-def main(tracer: Optional[Tracer] = None) -> Fig7Result:  # pragma: no cover
-    res = run(tracer=tracer)
-    print("Figure 7 (allocation throughput by size):")
-    print(res.table())
-    sp = res.speedups()
-    print(f"\nspeedup range: {min(sp):.2f}x .. {max(sp):.2f}x  "
-          f"(paper: 0.22x .. 346x)")
-    print(f"mean speedup:  {res.mean_speedup():.2f}x  (paper mean: 16.56x)")
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -81,7 +81,7 @@ def _round_kernel(alloc, slots, round_no):
     return kernel
 
 
-def run(rounds: int = 6, nthreads: int = 1024, seed: int = 23) -> FragResult:
+def run(rounds: int, nthreads: int, *, seed: int) -> FragResult:
     """Run the churn-with-leak-in workload against both allocators."""
     device = GPUDevice(num_sms=2)
     res = FragResult()
@@ -116,14 +116,3 @@ def run(rounds: int = 6, nthreads: int = 1024, seed: int = 23) -> FragResult:
         res.bump.append(FragPoint(r, live2, bhandle.used_bytes()))
 
     return res
-
-
-def main():  # pragma: no cover - CLI convenience
-    res = run()
-    print("Fragmentation over churn rounds (1/8 of blocks kept live):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,10 +33,10 @@ Reported speedup is per-slot virtual throughput, coalesced over plain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
-from .reporting import Series, format_table, si
+from .reporting import format_table, si
 
 #: bytes handed to each lane per round (one 64-bit slot)
 ITEM_BYTES = 8
@@ -154,20 +154,9 @@ def run_one(kind: str, nthreads: int, rounds: int, seed: int = 13,
     )
 
 
-def run(nthreads: int = 4096, rounds: int = 48, plain_rounds: int = 6,
-        seed: int = 13) -> LockstepResult:
+def run(nthreads: int, rounds: int, plain_rounds: int, *,
+        seed: int) -> LockstepResult:
     """Reproduce the §4.2 coalescing ablation at one launch width."""
     co = run_one("coalesced", nthreads, rounds, seed=seed)
     pl = run_one("plain", nthreads, plain_rounds, seed=seed)
     return LockstepResult(coalesced=co, plain=pl)
-
-
-def main():  # pragma: no cover - CLI convenience
-    res = run()
-    print("Whole-warp coalesced allocation ceiling (§4.2):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -34,6 +34,8 @@ DEFAULT_BACKENDS = (
 
 #: heap bytes each backend manages
 POOL = 1 << 20
+#: bytes per churn request
+SIZE = 64
 
 
 @dataclass
@@ -82,10 +84,10 @@ def _churn_kernel(malloc_fn, free_fn, size, iters, failures):
 
 
 def run(
-    size: int = 64,
-    nthreads: int = 2048,
-    iters: int = 2,
-    seed: int = 9,
+    nthreads: int,
+    iters: int,
+    *,
+    seed: int,
     which: Optional[Sequence[str]] = None,
 ) -> ShootoutResult:
     """Run the churn shootout; returns per-backend results.
@@ -102,7 +104,7 @@ def run(
         mem = DeviceMemory(POOL * 4 + (8 << 20))
         handle = backend.build(mem, device, POOL)
         failures: List[int] = []
-        kernel = _churn_kernel(handle.malloc, handle.free, size, iters,
+        kernel = _churn_kernel(handle.malloc, handle.free, SIZE, iters,
                                failures)
         sched = Scheduler(mem, device, seed=seed)
         sched.launch(kernel, -(-nthreads // 256), min(256, nthreads))
@@ -118,17 +120,5 @@ def run(
             failures=n_fail,
             cycles=report.cycles,
         ))
-    return ShootoutResult(size=size, nthreads=nthreads, iters=iters,
+    return ShootoutResult(size=SIZE, nthreads=nthreads, iters=iters,
                           points=points)
-
-
-def main():  # pragma: no cover - CLI convenience
-    res = run()
-    print(f"Allocator shootout ({res.size} B churn, {res.nthreads} threads, "
-          f"{res.iters} iters):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,7 +8,6 @@ simulator ops.
 
 from __future__ import annotations
 
-import random
 from typing import List, Sequence
 
 from ..sim import ops
@@ -113,9 +112,3 @@ def producer_consumer(allocator, size: int, slots: int, mem, iters: int):
                     yield from allocator.free(ctx, val - 1)
 
     return kernel, mailbox
-
-
-def mixed_size_trace(seed: int, n: int, classes: Sequence[int]) -> List[int]:
-    """A deterministic per-call size trace for repeatable experiments."""
-    rng = random.Random(seed)
-    return [rng.choice(list(classes)) for _ in range(n)]

@@ -2,8 +2,10 @@
 
 A bad numeric flag is a usage error (exit 2, one line naming the flag)
 at parse time, not a traceback or a silently ignored value mid-run.
-This module imports nothing heavy, so a command that never shards (the
-serve front end) does not pay for ``multiprocessing`` at start-up.
+This module imports nothing heavy at load time (the backend registry
+only when a ``--backend`` value is checked), so a command that never
+shards (the serve front end) does not pay for ``multiprocessing`` at
+start-up.
 """
 
 from __future__ import annotations
@@ -41,6 +43,18 @@ def positive_float(raw: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be > 0 and finite (got {raw})")
     return value
+
+
+def backend_arg(raw: str) -> str:
+    """``argparse`` ``type=`` for ``--backend``: a registered backend name,
+    display label or alias (``python -m repro backends list``)."""
+    from . import backends
+
+    try:
+        backends.get(raw)
+    except backends.UnknownBackend as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return raw
 
 
 #: ``type=`` of every ``--workers`` option (0 = one worker per CPU)

@@ -10,7 +10,7 @@ for 64 x 4 KB = 256 KB chunks; we default to the self-consistent layout
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -34,8 +34,6 @@ class AllocatorConfig:
     page_size:
         TBuddy granularity; also the alignment that routes ``free`` calls
         (page-aligned => TBuddy, otherwise UAlloc).
-    bin_size:
-        Bytes per UAlloc bin (== page_size in the paper).
     bins_per_chunk:
         Bins per chunk, including the two special header bins.
     bin_header_size:
@@ -50,7 +48,6 @@ class AllocatorConfig:
     """
 
     page_size: int = 4096
-    bin_size: int = 4096
     bins_per_chunk: int = 64
     bin_header_size: int = 128
     tail_size: int = 128
@@ -58,12 +55,10 @@ class AllocatorConfig:
     pool_order: int = 10  # 2**10 pages * 4 KB = 4 MB pool by default
 
     def __post_init__(self) -> None:
-        for name in ("page_size", "bin_size", "bins_per_chunk",
+        for name in ("page_size", "bins_per_chunk",
                      "bin_header_size", "tail_size", "min_alloc"):
             if not _is_pow2(getattr(self, name)):
                 raise ValueError(f"{name} must be a power of two")
-        if self.bin_size != self.page_size:
-            raise ValueError("bin_size must equal page_size (paper layout)")
         if self.bins_per_chunk < 4:
             raise ValueError("need at least 4 bins per chunk")
         if self.pool_order < self.chunk_order:
@@ -82,6 +77,11 @@ class AllocatorConfig:
             raise ValueError("bin bitmaps hold at most 512 blocks")
 
     # -- derived sizes -------------------------------------------------
+    @property
+    def bin_size(self) -> int:
+        """Bytes per UAlloc bin: one page (the paper's layout)."""
+        return self.page_size
+
     @property
     def chunk_size(self) -> int:
         """Bytes per chunk."""
@@ -160,15 +160,6 @@ class AllocatorConfig:
             raise ValueError("page_size must be a power of two")
         pages = -(-pool_bytes // page_size)
         return (pages - 1).bit_length()
-
-    @classmethod
-    def for_pool(cls, pool_bytes: int, **overrides) -> "AllocatorConfig":
-        """A config sized so the TBuddy pool covers ``pool_bytes``."""
-        if "pool_order" in overrides:
-            raise ValueError("pool_order is derived from pool_bytes here")
-        page_size = overrides.get("page_size", cls.page_size)
-        return cls(pool_order=cls.order_for_pool(pool_bytes, page_size),
-                   **overrides)
 
 
 DEFAULT_CONFIG = AllocatorConfig()

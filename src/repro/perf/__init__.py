@@ -4,10 +4,12 @@ The paper's whole argument is throughput, so this repo needs a perf
 story that survives across PRs.  This package provides it:
 
 * :mod:`repro.perf.suite` — a registry of :class:`~repro.perf.suite.BenchCase`
-  entries wrapping the existing fig5/fig6/fig7, shootout, fragmentation
-  and ablation runners behind one interface, each recording **virtual**
-  throughput (simulated cycles via the cost model), seeded and
-  bit-deterministic; every case runs twice and the runs must agree.
+  entries, the one definition of each experiment (fig5/fig6/fig7,
+  shootout, fragmentation, the ablations, …): its bench entry point,
+  tier arguments and seed, reduced to **virtual** throughput (simulated
+  cycles via the cost model), bit-deterministic; every case runs twice
+  and the runs must agree.  ``python -m repro <case>`` and
+  ``benchmarks/`` run the same cases.
 * :mod:`repro.perf.artifact` — a versioned, deterministically-serialized
   JSON schema; ``BENCH_PR<k>.json`` files at the repo root form the perf
   trajectory.

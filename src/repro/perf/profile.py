@@ -9,8 +9,8 @@ perf PR optimize?" two ways:
   direct "this function burns the CPU" view, with cumulative time kept
   alongside for call-tree context.
 * :func:`trace_report` re-runs the same tier of the case with a
-  :class:`repro.sim.trace.Tracer` attached (for the benches that accept
-  one) and renders the simulator-level telemetry — op mix, hottest
+  :class:`repro.sim.trace.Tracer` attached (for the cases whose bench
+  takes one) and renders the simulator-level telemetry — op mix, hottest
   atomic serialization words, event-queue volume — so a host hotspot
   can be tied back to the simulated behavior generating it.
 """
@@ -65,11 +65,10 @@ def _where(func) -> str:
 def profile_case(case: BenchCase, tier: str = "quick",
                  top: int = 10) -> ProfileReport:
     """Run ``case`` once under cProfile; return the top-N own-time rows."""
-    runner = case.runner(tier)
     prof = cProfile.Profile()
     prof.enable()
     try:
-        runner(case.seed)
+        case.result(tier)
     finally:
         prof.disable()
     stats = pstats.Stats(prof)
@@ -89,10 +88,11 @@ def profile_case(case: BenchCase, tier: str = "quick",
 
 def trace_report(case: BenchCase, tier: str = "quick",
                  top: int = 10) -> Optional[str]:
-    """Simulator telemetry for ``case``'s ``tier`` run, re-run traced;
-    ``None`` when the case's runners take no tracer."""
+    """Simulator telemetry for ``case``'s ``tier`` run, re-run traced
+    through :meth:`BenchCase.result` (the path ``python -m repro <case>
+    --trace`` takes); ``None`` when the case's bench takes no tracer."""
     if not case.traceable:
         return None
     tracer = Tracer()
-    case.runner(tier)(case.seed, tracer)
+    case.result(tier, tracer)
     return trace_summary(tracer, top=top)

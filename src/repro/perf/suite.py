@@ -1,41 +1,43 @@
-"""Benchmark registry: the existing bench runners behind one interface.
+"""Benchmark registry: one definition per experiment.
 
-Every :class:`BenchCase` wraps one of the repo's evaluation harnesses
-(:mod:`repro.bench.fig5` … :mod:`repro.bench.ablations`) and reduces its
-result object to a flat ``{metric: float}`` dict, recorded under the
-``virtual:`` prefix: simulated-throughput metrics derived from the cost
-model (ops per virtual second, cycle totals, speedups, overhead
-ratios).  The simulator is seeded — each case's one ``seed`` is passed
-to its runner — so the same code produces bit-identical values, and
+Every :class:`BenchCase` is plain data: the bench entry point it runs
+(:func:`repro.bench.fig5.run` … :func:`repro.bench.ablations.run_buddy_ablation`),
+the keyword arguments of its two tiers, its ``seed``, and a ``reduce``
+that turns the bench's result object into a flat ``{metric: float}``
+dict, recorded under the ``virtual:`` prefix: simulated-throughput
+metrics derived from the cost model (ops per virtual second, cycle
+totals, speedups, overhead ratios).  The simulator is seeded, so the
+same code produces bit-identical values, and
 :mod:`repro.perf.compare` gates them on exact equality.
 
-Each case has a ``quick`` tier (seconds of host time — CI smoke and the
-gate) and a ``full`` tier (the paper-scale sweeps behind
-EXPERIMENTS.md).  Every case runs twice at either tier, and the two
-runs' metrics must agree exactly; a mismatch raises — determinism is
-part of the simulator's contract.  Host wall-clock is measured by
-``benchmark/``, not here.
+The registry is the only place an experiment's sweep is written down:
+``perf run``, ``perf profile``, ``python -m repro <case>`` and the
+paper-figure tests under ``benchmarks/`` all call
+:meth:`BenchCase.result`.  Each case has a ``quick`` tier (seconds of
+host time — CI smoke and the gate) and a ``full`` tier (the
+paper-scale sweeps behind EXPERIMENTS.md).  :func:`run_case` runs a
+tier twice, and the two runs' metrics must agree exactly; a mismatch
+raises — determinism is part of the simulator's contract.  Host
+wall-clock is measured by ``benchmark/``, not here.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..bench import (ablations, fig5, fig6, fig7, fragmentation, lockstep,
                      shootout)
-from ..bench.reporting import geometric_mean
+from ..bench.reporting import format_table, geometric_mean, si
 from ..par import pool
 from ..resil import bench as resil_bench
 from ..sim.trace import Tracer
 
-#: (metrics, params) as produced by one tier-runner invocation
+#: (metrics, params) as reduced from one bench result
 RunnerOutput = Tuple[Dict[str, float], Dict[str, object]]
-
-#: a tier runner: called with the case's seed, and for a traceable
-#: case optionally with a Tracer as well
-Runner = Callable[..., RunnerOutput]
 
 TIERS = ("quick", "full")
 
@@ -46,21 +48,37 @@ class UnknownCase(KeyError):
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One registered benchmark: tiered runners plus metadata."""
+    """One registered experiment: entry point, tier arguments, reduction."""
 
     name: str
     seed: int
     description: str
-    quick: Runner
-    full: Runner
-    #: both runners take ``(seed, tracer)`` too (only fig5/6/7 support
-    #: tracing today), so a profile can trace the very run it profiled
-    traceable: bool = False
+    #: the bench entry point, called ``run(seed=seed, **tier_kwargs)``;
+    #: its result object has a ``table()``
+    run: Callable[..., Any]
+    quick: Mapping[str, object]
+    full: Mapping[str, object]
+    #: ``reduce(result, tier_kwargs) -> (metrics, params)``
+    reduce: Callable[[Any, Mapping[str, object]], RunnerOutput]
 
-    def runner(self, tier: str) -> Runner:
+    @property
+    def traceable(self) -> bool:
+        """A case can be traced when its entry point takes a tracer."""
+        return "tracer" in inspect.signature(self.run).parameters
+
+    def kwargs(self, tier: str) -> Mapping[str, object]:
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r} (expected one of {TIERS})")
         return self.quick if tier == "quick" else self.full
+
+    def result(self, tier: str, tracer: Optional[Tracer] = None) -> Any:
+        """Run ``tier`` once and return the bench's own result object."""
+        kwargs = self.kwargs(tier)
+        if tracer is None:
+            return self.run(seed=self.seed, **kwargs)
+        if not self.traceable:
+            raise ValueError(f"case {self.name!r} takes no tracer")
+        return self.run(seed=self.seed, tracer=tracer, **kwargs)
 
 
 @dataclass
@@ -97,12 +115,88 @@ def _slug(name: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# per-bench metric extractors
+# entry points of the cases that replay one workload per backend
 # ----------------------------------------------------------------------
-def _fig5(seed: int, thread_counts: Sequence[int],
-          tracer: Optional[Tracer] = None) -> RunnerOutput:
-    res = fig5.run(thread_counts=thread_counts, seed=seed, tracer=tracer)
-    peak = thread_counts[-1]
+@dataclass
+class WorkloadResult:
+    """One workload replayed per backend, keyed by roster name."""
+
+    workload: Any                     # the replayed Trace
+    reports: Dict[str, Any]           # name -> ReplayReport
+
+    def table(self) -> str:
+        return "\n\n".join(f"{name}:\n{rep.table()}"
+                           for name, rep in self.reports.items())
+
+
+def _replay_roster(workload, seed: int, lanes: int,
+                   backends: Sequence[str]) -> WorkloadResult:
+    from ..workloads.replay import replay
+
+    return WorkloadResult(workload, {
+        b: replay(workload, backend=b, seed=seed, lanes_per_tenant=lanes)
+        for b in backends})
+
+
+def run_family(*, seed: int, family: str, lanes: int,
+               backends: Sequence[str], **family_args) -> WorkloadResult:
+    """Replay a ``family`` trace generated from the seed, per backend."""
+    from ..workloads import families
+
+    return _replay_roster(families.generate(family, seed, **family_args),
+                          seed, lanes, backends)
+
+
+def run_trace(*, seed: int, trace: str, lanes: int,
+              backends: Sequence[str]) -> WorkloadResult:
+    """Replay a bundled recorded ``trace`` (the committed fixture is
+    identical on every machine), per backend."""
+    from ..workloads.trace import load_bundled
+
+    return _replay_roster(load_bundled(trace), seed, lanes, backends)
+
+
+#: backend heap bytes of the serve_replay case
+_SERVE_POOL = 1 << 20
+
+
+@dataclass
+class ServeReplayResult:
+    """One bundled trace served per backend, keyed by roster name."""
+
+    trace: Any                        # the served Trace
+    points: Dict[str, Any]            # name -> ServeBenchPoint
+
+    def table(self) -> str:
+        rows = [[name, si(p.ops_per_s), p.latency_p50, p.latency_p99,
+                 f"{p.failure_rate:.1%}", f"{p.admission_failure_rate:.1%}",
+                 p.episodes]
+                for name, p in self.points.items()]
+        return format_table(["backend", "ops/s", "p50 cyc", "p99 cyc",
+                             "fail", "admission fail", "episodes"], rows)
+
+
+def run_serve(*, seed: int, trace: str, batch_max: int,
+              quota_bytes: Optional[int],
+              backends: Sequence[str]) -> ServeReplayResult:
+    """Serve a bundled trace through the allocator service's
+    deterministic feeder, per backend: admission control (quota +
+    pressure) in front of episode batching over a persistent heap."""
+    from ..serve.bench import run_backend
+    from ..workloads.trace import load_bundled
+
+    served = load_bundled(trace)
+    return ServeReplayResult(served, {
+        b: run_backend(served, b, seed=seed, pool=_SERVE_POOL,
+                       batch_max=batch_max, quota_bytes=quota_bytes)
+        for b in backends})
+
+
+# ----------------------------------------------------------------------
+# per-bench reductions: (result, tier kwargs) -> (metrics, params)
+# ----------------------------------------------------------------------
+def _fig5(res, kw) -> RunnerOutput:
+    peak = kw["thread_counts"][-1]
     c = res.counting.y_at(peak)
     b = res.bulk.y_at(peak)
     metrics = {
@@ -110,28 +204,23 @@ def _fig5(seed: int, thread_counts: Sequence[int],
         "bulk_ops_per_s_peak": b,
         "bulk_speedup_peak": (b / c) if c else 0.0,
     }
-    return metrics, {"thread_counts": list(thread_counts),
+    return metrics, {"thread_counts": list(kw["thread_counts"]),
                      "batch": res.batch}
 
 
-def _fig6(seed: int, ratios: Sequence[int], thread_targets: Sequence[int],
-          tracer: Optional[Tracer] = None) -> RunnerOutput:
-    res = fig6.run(ratios=ratios, thread_targets=thread_targets, seed=seed,
-                   tracer=tracer)
+def _fig6(res, kw) -> RunnerOutput:
     speedups = [p.speedup for p in res.points]
     metrics = {
         "delegation_speedup_gmean": geometric_mean(speedups),
         "classical_cycles_total": float(sum(p.cycles_classical for p in res.points)),
         "delegated_cycles_total": float(sum(p.cycles_delegated for p in res.points)),
     }
-    return metrics, {"ratios": list(ratios),
-                     "thread_targets": list(thread_targets),
+    return metrics, {"ratios": list(kw["ratios"]),
+                     "thread_targets": list(kw["thread_targets"]),
                      "points": len(res.points)}
 
 
-def _fig7(seed: int, sizes: Sequence[int],
-          tracer: Optional[Tracer] = None) -> RunnerOutput:
-    res = fig7.run(sizes=sizes, seed=seed, tracer=tracer)
+def _fig7(res, kw) -> RunnerOutput:
     ours = [p for p in res.points if p.allocator == "ours"]
     cuda = [p for p in res.points if p.allocator == "cuda"]
     metrics = {
@@ -141,13 +230,10 @@ def _fig7(seed: int, sizes: Sequence[int],
         "ours_failure_rate_mean":
             sum(p.failure_rate for p in ours) / len(ours) if ours else 0.0,
     }
-    return metrics, {"sizes": list(sizes)}
+    return metrics, {"sizes": list(kw["sizes"])}
 
 
-def _shootout(seed: int, nthreads: int, iters: int,
-              backends: Optional[Sequence[str]] = None) -> RunnerOutput:
-    res = shootout.run(nthreads=nthreads, iters=iters, seed=seed,
-                       which=backends)
+def _shootout(res, kw) -> RunnerOutput:
     metrics: Dict[str, float] = {}
     for p in res.points:
         metrics[f"pairs_per_s_{_slug(p.name)}"] = p.throughput
@@ -155,17 +241,14 @@ def _shootout(seed: int, nthreads: int, iters: int,
     cuda = {p.name: p for p in res.points}.get("CUDA-like")
     if base and cuda and cuda.throughput:
         metrics["ours_vs_cuda_speedup"] = base.throughput / cuda.throughput
-    params: Dict[str, object] = {"nthreads": nthreads, "iters": iters,
-                                 "size": res.size}
-    if backends is not None:
-        params["backends"] = list(backends)
+    params: Dict[str, object] = {"nthreads": kw["nthreads"],
+                                 "iters": kw["iters"], "size": res.size}
+    if "which" in kw:
+        params["backends"] = list(kw["which"])
     return metrics, params
 
 
-def _lockstep(seed: int, nthreads: int, rounds: int,
-              plain_rounds: int) -> RunnerOutput:
-    res = lockstep.run(nthreads=nthreads, rounds=rounds,
-                       plain_rounds=plain_rounds, seed=seed)
+def _lockstep(res, kw) -> RunnerOutput:
     metrics = {
         "coalesced_slots_per_s": res.coalesced.slots_per_s,
         "plain_slots_per_s": res.plain.slots_per_s,
@@ -173,23 +256,20 @@ def _lockstep(seed: int, nthreads: int, rounds: int,
         "coalesce_width_mean": res.coalesced.coalesce_width_mean,
         "coalesced_cycles_total": float(res.coalesced.cycles),
     }
-    return metrics, {"nthreads": nthreads, "rounds": rounds,
-                     "plain_rounds": plain_rounds}
+    return metrics, dict(kw)
 
 
-def _fragmentation(seed: int, rounds: int, nthreads: int) -> RunnerOutput:
-    res = fragmentation.run(rounds=rounds, nthreads=nthreads, seed=seed)
+def _fragmentation(res, kw) -> RunnerOutput:
     o, b = res.ours[-1], res.bump[-1]
     metrics = {
         "ours_overhead_final": o.overhead,
         "bump_overhead_final": b.overhead,
         "ours_reserved_final_bytes": float(o.reserved),
     }
-    return metrics, {"rounds": rounds, "nthreads": nthreads}
+    return metrics, dict(kw)
 
 
-def _resil(seed: int, nthreads: int, iters: int) -> RunnerOutput:
-    res = resil_bench.run(nthreads=nthreads, iters=iters, seed=seed)
+def _resil(res, kw) -> RunnerOutput:
     heavy = res.point("heavy")
     metrics = {
         "pairs_per_s_clean": res.point("clean").throughput,
@@ -203,7 +283,8 @@ def _resil(seed: int, nthreads: int, iters: int) -> RunnerOutput:
         "heavy_failure_rate": heavy.failure_rate,
     }
     params = {
-        "nthreads": nthreads, "iters": iters, "sizes": list(res.sizes),
+        "nthreads": kw["nthreads"], "iters": kw["iters"],
+        "sizes": list(res.sizes),
         "faults_light": res.point("light").faults,
         "faults_heavy": heavy.faults,
         "retries_heavy": heavy.retries,
@@ -211,66 +292,28 @@ def _resil(seed: int, nthreads: int, iters: int) -> RunnerOutput:
     return metrics, params
 
 
-def _workload_metrics(metrics: Dict[str, float], report,
-                      backend_key: str) -> None:
-    """Fold one :class:`~repro.workloads.replay.ReplayReport` into the
-    case's metric dict under the backend's slug."""
-    slug = _slug(backend_key)
-    totals = report.totals
-    metrics[f"ops_per_s_{slug}"] = report.ops_per_s
-    metrics[f"failure_rate_{slug}"] = totals.failure_rate
-    metrics[f"fairness_{slug}"] = report.fairness()
-    metrics[f"worst_tenant_failure_{slug}"] = max(
-        st.failure_rate for st in report.tenants.values())
-
-
-def _workload(seed: int, *, lanes: int,
-              backends: Sequence[str] = ("ours",),
-              trace: Optional[str] = None, family: Optional[str] = None,
-              **family_args) -> RunnerOutput:
-    """Replay one workload per backend: a bundled recorded ``trace``
-    (the committed fixture is identical on every machine), or a
-    ``family`` trace generated from the seed with ``family_args``."""
-    from ..workloads import families
-    from ..workloads.replay import replay
-    from ..workloads.trace import load_bundled
-
-    params: Dict[str, object]
-    if family is not None:
-        wl = families.generate(family, seed, **family_args)
-        params = {"family": family, **family_args}
-    else:
-        wl = load_bundled(trace)
-        params = {"trace": trace}
+def _workload(res, kw) -> RunnerOutput:
     metrics: Dict[str, float] = {}
-    for b in backends:
-        rep = replay(wl, backend=b, seed=seed, lanes_per_tenant=lanes)
-        _workload_metrics(metrics, rep, b)
-    params.update(events=len(wl.events), tenants=wl.tenants,
-                  lanes_per_tenant=lanes, backends=list(backends))
+    for b, report in res.reports.items():
+        slug = _slug(b)
+        totals = report.totals
+        metrics[f"ops_per_s_{slug}"] = report.ops_per_s
+        metrics[f"failure_rate_{slug}"] = totals.failure_rate
+        metrics[f"fairness_{slug}"] = report.fairness()
+        metrics[f"worst_tenant_failure_{slug}"] = max(
+            st.failure_rate for st in report.tenants.values())
+    # the trace name or the family with its arguments, then the trace
+    # as replayed
+    params = {k: v for k, v in kw.items() if k not in ("lanes", "backends")}
+    params.update(events=len(res.workload.events),
+                  tenants=res.workload.tenants,
+                  lanes_per_tenant=kw["lanes"], backends=list(kw["backends"]))
     return metrics, params
 
 
-#: backend heap bytes of the serve_replay case
-_SERVE_POOL = 1 << 20
-
-
-def _serve_replay(seed: int, name: str, batch_max: int = 16,
-                  quota_bytes: Optional[int] = None,
-                  backends: Sequence[str] = ("ours",)) -> RunnerOutput:
-    """Serve a bundled trace through the allocator service's
-    deterministic feeder, per backend: admission control (quota +
-    pressure) in front of episode batching over a persistent heap.
-    Latency percentiles are virtual cycles, and the admission split is
-    recorded separately from backend NULLs."""
-    from ..serve.bench import run_backend as serve_one_backend
-    from ..workloads.trace import load_bundled
-
-    trace = load_bundled(name)
+def _serve_replay(res, kw) -> RunnerOutput:
     metrics: Dict[str, float] = {}
-    for b in backends:
-        pt = serve_one_backend(trace, b, seed=seed, pool=_SERVE_POOL,
-                               batch_max=batch_max, quota_bytes=quota_bytes)
+    for b, pt in res.points.items():
         slug = _slug(b)
         metrics[f"ops_per_s_{slug}"] = pt.ops_per_s
         metrics[f"latency_cycles_p50_{slug}"] = float(pt.latency_p50)
@@ -278,38 +321,34 @@ def _serve_replay(seed: int, name: str, batch_max: int = 16,
         metrics[f"failure_rate_{slug}"] = pt.failure_rate
         metrics[f"admission_failure_rate_{slug}"] = pt.admission_failure_rate
     params: Dict[str, object] = {
-        "trace": name, "events": len(trace.events),
-        "tenants": trace.tenants, "batch_max": batch_max,
-        "quota_bytes": quota_bytes, "pool": _SERVE_POOL,
-        "backends": list(backends),
+        "trace": kw["trace"], "events": len(res.trace.events),
+        "tenants": res.trace.tenants, "batch_max": kw["batch_max"],
+        "quota_bytes": kw["quota_bytes"], "pool": _SERVE_POOL,
+        "backends": list(kw["backends"]),
     }
     return metrics, params
 
 
-def _ablation_buddy(seed: int, thread_counts: Sequence[int]) -> RunnerOutput:
-    res = ablations.run_buddy_ablation(thread_counts=thread_counts, seed=seed)
-    peak = thread_counts[-1]
+def _ablation_buddy(res, kw) -> RunnerOutput:
+    peak = kw["thread_counts"][-1]
     ratios = [t / l for t, l in zip(res.tbuddy.ys, res.lock_buddy.ys) if l]
     metrics = {
         "tbuddy_ops_per_s_peak": res.tbuddy.y_at(peak),
         "lock_buddy_ops_per_s_peak": res.lock_buddy.y_at(peak),
         "tbuddy_speedup_gmean": geometric_mean(ratios),
     }
-    return metrics, {"thread_counts": list(thread_counts)}
+    return metrics, {"thread_counts": list(kw["thread_counts"])}
 
 
-def _ablation_collective(seed: int,
-                         thread_counts: Sequence[int]) -> RunnerOutput:
-    res = ablations.run_collective_ablation(thread_counts=thread_counts,
-                                            seed=seed)
-    peak = thread_counts[-1]
+def _ablation_collective(res, kw) -> RunnerOutput:
+    peak = kw["thread_counts"][-1]
     ratios = [c / p for c, p in zip(res.collective.ys, res.plain.ys) if p]
     metrics = {
         "collective_ops_per_s_peak": res.collective.y_at(peak),
         "plain_ops_per_s_peak": res.plain.y_at(peak),
         "collective_speedup_gmean": geometric_mean(ratios),
     }
-    return metrics, {"thread_counts": list(thread_counts)}
+    return metrics, {"thread_counts": list(kw["thread_counts"])}
 
 
 # ----------------------------------------------------------------------
@@ -329,37 +368,41 @@ _register(BenchCase(
     name="fig5",
     seed=1,
     description="two-stage allocation ceiling: counting vs bulk semaphores",
-    quick=lambda seed, tracer=None: _fig5(seed, (256, 1024), tracer),
-    full=lambda seed, tracer=None: _fig5(seed, (256, 1024, 4096, 16384),
-                                         tracer),
-    traceable=True,
+    run=fig5.run,
+    quick={"thread_counts": (256, 1024)},
+    full={"thread_counts": (256, 1024, 4096, 16384)},
+    reduce=_fig5,
 ))
 
 _register(BenchCase(
     name="fig6",
     seed=3,
     description="RCU delegation speedup over classical barriers",
-    quick=lambda seed, tracer=None: _fig6(seed, (32, 128), (1024,), tracer),
-    full=lambda seed, tracer=None: _fig6(seed, (32, 128, 512, 2048),
-                                         (1024, 4096, 12288), tracer),
-    traceable=True,
+    run=fig6.run,
+    quick={"ratios": (32, 128), "thread_targets": (1024,)},
+    full={"ratios": (32, 128, 512, 2048),
+          "thread_targets": (1024, 4096, 12288)},
+    reduce=_fig6,
 ))
 
 _register(BenchCase(
     name="fig7",
     seed=7,
     description="allocator throughput & failure rate across sizes",
-    quick=lambda seed, tracer=None: _fig7(seed, (64, 4096, 65536), tracer),
-    full=lambda seed, tracer=None: _fig7(seed, fig7.PAPER_SIZES, tracer),
-    traceable=True,
+    run=fig7.run,
+    quick={"sizes": (64, 4096, 65536)},
+    full={"sizes": fig7.PAPER_SIZES},
+    reduce=_fig7,
 ))
 
 _register(BenchCase(
     name="shootout",
     seed=9,
     description="cross-allocator churn shootout (§2.2 designs)",
-    quick=lambda seed: _shootout(seed, nthreads=512, iters=1),
-    full=lambda seed: _shootout(seed, nthreads=2048, iters=2),
+    run=shootout.run,
+    quick={"nthreads": 512, "iters": 1},
+    full={"nthreads": 2048, "iters": 2},
+    reduce=_shootout,
 ))
 
 _register(BenchCase(
@@ -367,42 +410,50 @@ _register(BenchCase(
     seed=13,
     description="whole-warp coalesced allocation ceiling (§4.2 "
                 "aggregation vs per-lane atomics)",
-    quick=lambda seed: _lockstep(seed, nthreads=4096, rounds=48,
-                                 plain_rounds=6),
-    full=lambda seed: _lockstep(seed, nthreads=16384, rounds=64,
-                                plain_rounds=8),
+    run=lockstep.run,
+    quick={"nthreads": 4096, "rounds": 48, "plain_rounds": 6},
+    full={"nthreads": 16384, "rounds": 64, "plain_rounds": 8},
+    reduce=_lockstep,
 ))
 
 _register(BenchCase(
     name="fragmentation",
     seed=23,
     description="live vs reserved bytes over churn rounds",
-    quick=lambda seed: _fragmentation(seed, rounds=2, nthreads=256),
-    full=lambda seed: _fragmentation(seed, rounds=6, nthreads=1024),
+    run=fragmentation.run,
+    quick={"rounds": 2, "nthreads": 256},
+    full={"rounds": 6, "nthreads": 1024},
+    reduce=_fragmentation,
 ))
 
 _register(BenchCase(
     name="resil",
     seed=17,
     description="throughput degradation under injected fault plans",
-    quick=lambda seed: _resil(seed, nthreads=128, iters=2),
-    full=lambda seed: _resil(seed, nthreads=512, iters=3),
+    run=resil_bench.run,
+    quick={"nthreads": 128, "iters": 2},
+    full={"nthreads": 512, "iters": 3},
+    reduce=_resil,
 ))
 
 _register(BenchCase(
     name="ablation_buddy",
     seed=5,
     description="TBuddy vs global-lock buddy (order-0 storm)",
-    quick=lambda seed: _ablation_buddy(seed, (64, 256)),
-    full=lambda seed: _ablation_buddy(seed, (64, 256, 1024)),
+    run=ablations.run_buddy_ablation,
+    quick={"thread_counts": (64, 256)},
+    full={"thread_counts": (64, 256, 1024)},
+    reduce=_ablation_buddy,
 ))
 
 _register(BenchCase(
     name="ablation_collective",
     seed=6,
     description="collective vs per-thread mutex (list pop)",
-    quick=lambda seed: _ablation_collective(seed, (64, 256)),
-    full=lambda seed: _ablation_collective(seed, (64, 256, 1024)),
+    run=ablations.run_collective_ablation,
+    quick={"thread_counts": (64, 256)},
+    full={"thread_counts": (64, 256, 1024)},
+    reduce=_ablation_collective,
 ))
 
 _register(BenchCase(
@@ -410,20 +461,24 @@ _register(BenchCase(
     seed=29,
     description="multi-tenant Zipfian contention: per-tenant QoS under "
                 "one shared pool",
-    quick=lambda seed: _workload(seed, lanes=2, family="multi_tenant_zipf",
-                                 events=600),
-    full=lambda seed: _workload(seed, lanes=2, family="multi_tenant_zipf",
-                                events=2400, tenants=8),
+    run=run_family,
+    quick={"family": "multi_tenant_zipf", "events": 600, "lanes": 2,
+           "backends": ("ours",)},
+    full={"family": "multi_tenant_zipf", "events": 2400, "tenants": 8,
+          "lanes": 2, "backends": ("ours",)},
+    reduce=_workload,
 ))
 
 _register(BenchCase(
     name="workload_diurnal",
     seed=31,
     description="bursty open-loop diurnal arrivals (triangle-wave rate)",
-    quick=lambda seed: _workload(seed, lanes=2, family="diurnal_burst",
-                                 events=600),
-    full=lambda seed: _workload(seed, lanes=2, family="diurnal_burst",
-                                events=2400, tenants=4),
+    run=run_family,
+    quick={"family": "diurnal_burst", "events": 600, "lanes": 2,
+           "backends": ("ours",)},
+    full={"family": "diurnal_burst", "events": 2400, "tenants": 4,
+          "lanes": 2, "backends": ("ours",)},
+    reduce=_workload,
 ))
 
 _register(BenchCase(
@@ -431,10 +486,24 @@ _register(BenchCase(
     seed=37,
     description="bundled recorded-trace replay across backends "
                 "(committed fixture)",
-    quick=lambda seed: _workload(seed, lanes=1, trace="mt_small",
-                                 backends=("ours", "cuda")),
-    full=lambda seed: _workload(seed, lanes=2, trace="mt_small",
-                                backends=("ours", "cuda", "hostbased")),
+    run=run_trace,
+    quick={"trace": "mt_small", "lanes": 1, "backends": ("ours", "cuda")},
+    full={"trace": "mt_small", "lanes": 2,
+          "backends": ("ours", "cuda", "hostbased")},
+    reduce=_workload,
+))
+
+_register(BenchCase(
+    name="serve_replay",
+    seed=41,
+    description="allocator-as-a-service: admission (quota+pressure) + "
+                "episode batching over the bundled trace",
+    run=run_serve,
+    quick={"trace": "mt_small", "batch_max": 16, "quota_bytes": 16 << 10,
+           "backends": ("ours", "cuda")},
+    full={"trace": "serve_small", "batch_max": 32, "quota_bytes": 16 << 10,
+          "backends": ("ours", "cuda", "hostbased")},
+    reduce=_serve_replay,
 ))
 
 #: roster for the host-based backend case: the paper allocator, the two
@@ -443,27 +512,14 @@ _register(BenchCase(
 _HOSTBASED_ROSTER = ("ours", "cuda", "lock-buddy", "hostbased")
 
 _register(BenchCase(
-    name="serve_replay",
-    seed=41,
-    description="allocator-as-a-service: admission (quota+pressure) + "
-                "episode batching over the bundled trace",
-    quick=lambda seed: _serve_replay(seed, "mt_small",
-                                     quota_bytes=16 << 10,
-                                     backends=("ours", "cuda")),
-    full=lambda seed: _serve_replay(seed, "serve_small", batch_max=32,
-                                    quota_bytes=16 << 10,
-                                    backends=("ours", "cuda", "hostbased")),
-))
-
-_register(BenchCase(
     name="backends_hostbased",
     seed=11,
     description="registry shootout incl. the host-based backend "
                 "[Bell et al. 2024]",
-    quick=lambda seed: _shootout(seed, nthreads=256, iters=1,
-                                 backends=_HOSTBASED_ROSTER),
-    full=lambda seed: _shootout(seed, nthreads=1024, iters=2,
-                                backends=_HOSTBASED_ROSTER),
+    run=shootout.run,
+    quick={"nthreads": 256, "iters": 1, "which": _HOSTBASED_ROSTER},
+    full={"nthreads": 1024, "iters": 2, "which": _HOSTBASED_ROSTER},
+    reduce=_shootout,
 ))
 
 
@@ -476,9 +532,9 @@ def run_case(case: BenchCase, tier: str = "quick") -> CaseRun:
     The simulator is seeded, so any drift means nondeterminism crept
     into a bench runner, which would silently poison the perf trajectory.
     """
-    runner = case.runner(tier)
-    metrics, params = runner(case.seed)
-    again, _ = runner(case.seed)
+    kwargs = case.kwargs(tier)
+    metrics, params = case.reduce(case.result(tier), kwargs)
+    again, _ = case.reduce(case.result(tier), kwargs)
     if again != metrics:
         changed = sorted(k for k in metrics.keys() | again.keys()
                          if again.get(k) != metrics.get(k))
@@ -512,14 +568,15 @@ def resolve_case(name: str) -> BenchCase:
             labels = ", ".join(get_backend(b).name for b in roster)
         except UnknownBackend as exc:
             raise UnknownCase(f"case {name!r}: {exc.args[0]}") from None
+        base = CASES["shootout"]
         return BenchCase(
             name=name,
-            seed=9,
+            seed=base.seed,
             description=f"parameterized churn shootout over {labels}",
-            quick=lambda seed: _shootout(seed, nthreads=512, iters=1,
-                                         backends=roster),
-            full=lambda seed: _shootout(seed, nthreads=2048, iters=2,
-                                        backends=roster),
+            run=base.run,
+            quick={**base.quick, "which": roster},
+            full={**base.full, "which": roster},
+            reduce=base.reduce,
         )
     raise UnknownCase(
         f"unknown case {name!r}; registered: {sorted(CASES)} "
@@ -530,7 +587,7 @@ def resolve_case(name: str) -> BenchCase:
 def _run_case_named(name: str, tier: str) -> CaseRun:
     """Module-level shard worker: run one case by *name*.
 
-    ``BenchCase`` runners are lambdas and cannot cross a process
+    A ``BenchCase`` holds functions that need not cross a process
     boundary; the name can (including the ``shootout@...`` form, which
     re-resolves from the name alone), and every worker rebuilds the
     registry on import — so this is the picklable unit

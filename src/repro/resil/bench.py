@@ -24,7 +24,7 @@ on exactly the configuration it measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..backends import get as get_backend
 from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
@@ -151,8 +151,7 @@ def _run_level(plan_spec: str, nthreads: int, iters: int,
     )
 
 
-def run(nthreads: int = 128, iters: int = 2,
-        seed: int = 17) -> ResilBenchResult:
+def run(nthreads: int, iters: int, *, seed: int) -> ResilBenchResult:
     """Run the degradation sweep; one fresh allocator per level."""
     points = []
     for name, spec in LEVELS:
@@ -161,16 +160,3 @@ def run(nthreads: int = 128, iters: int = 2,
         points.append(p)
     return ResilBenchResult(sizes=SIZES, nthreads=nthreads,
                             iters=iters, points=points)
-
-
-def main() -> Optional[ResilBenchResult]:  # pragma: no cover - CLI convenience
-    res = run()
-    sizes = "/".join(str(s) for s in res.sizes)
-    print(f"Throughput under injected faults ({sizes} B churn, "
-          f"{res.nthreads} threads, {res.iters} iters):")
-    print(res.table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

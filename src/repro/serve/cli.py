@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from ..backends import pool_error
 from ..bench.reporting import si
-from ..cliargs import int_at_least, positive_float
+from ..cliargs import backend_arg, int_at_least, positive_float
 from ..workloads import families, replay as direct_replay
 from ..workloads.trace import TraceError, TraceRecorder, dump, load, validate
 from . import bench, loadgen
@@ -208,11 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _common(p, *, single_backend: bool) -> None:
         if single_backend:
-            p.add_argument("--backend", default="ours", metavar="NAME",
+            p.add_argument("--backend", type=backend_arg, default="ours",
+                           metavar="NAME",
                            help="backend to serve (default: ours)")
         else:
-            p.add_argument("--backend", action="append", metavar="NAME",
-                           default=None,
+            p.add_argument("--backend", action="append", type=backend_arg,
+                           metavar="NAME", default=None,
                            help="backend(s) to bench (repeatable; "
                                 "default: ours)")
         p.add_argument("--pool", type=int_at_least(1), default=1 << 20,
@@ -236,9 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(families.FAMILIES),
                        help="family to generate traffic from "
                             "(default multi_tenant_zipf)")
-        p.add_argument("--events", type=int, default=200, metavar="N",
+        p.add_argument("--events", type=int_at_least(1), default=200,
+                       metavar="N",
                        help="generated trace length (default 200)")
-        p.add_argument("--tenants", type=int, default=4, metavar="N",
+        p.add_argument("--tenants", type=int_at_least(1), default=4,
+                       metavar="N",
                        help="generated tenant count (default 4)")
 
     p_run = sub.add_parser("run", help="serve a backend over TCP until "

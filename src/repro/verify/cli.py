@@ -32,21 +32,10 @@ import sys
 import time
 from typing import List, Optional
 
-from .. import backends as backend_registry
-from ..cliargs import int_at_least, workers_arg
+from ..cliargs import backend_arg, int_at_least, workers_arg
 from .perturbation import DEFAULT_DECK, SMOKE_DECK
 from .runner import SCENARIOS, CaseResult, CaseSpec, sweep, run_case
 from .shrink import shrink_case
-
-
-def _backend_arg(raw: str) -> str:
-    """``argparse`` ``type=`` for ``--backend``: a registered backend name,
-    display label or alias (``python -m repro backends list``)."""
-    try:
-        backend_registry.get(raw)
-    except backend_registry.UnknownBackend as exc:
-        raise argparse.ArgumentTypeError(exc.args[0]) from None
-    return raw
 
 
 def _report_failures(failures: List[CaseResult], do_shrink: bool) -> None:
@@ -84,7 +73,7 @@ def main_explore(argv: Optional[List[str]] = None) -> int:
              f"default all: {', '.join(sorted(SCENARIOS))}",
     )
     parser.add_argument(
-        "--backend", type=_backend_arg, metavar="NAME", default="ours",
+        "--backend", type=backend_arg, metavar="NAME", default="ours",
         help="allocator backend to explore (default 'ours')",
     )
     parser.add_argument(
@@ -194,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              f"default all: {', '.join(sorted(SCENARIOS))}",
     )
     parser.add_argument(
-        "--backend", type=_backend_arg, metavar="NAME", default="ours",
+        "--backend", type=backend_arg, metavar="NAME", default="ours",
         help="allocator backend to sweep (a repro.backends registry "
              "name; default 'ours')",
     )

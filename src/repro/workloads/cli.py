@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..backends import pool_error
 from ..bench.reporting import si
-from ..cliargs import int_at_least, workers_arg
+from ..cliargs import backend_arg, int_at_least, workers_arg
 from ..par.pool import map_sharded
 from . import families
 from .replay import ReplayReport, replay
@@ -156,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="replay a trace against "
                                           "backend(s)")
     p_rep.add_argument("trace", metavar="TRACE", help="trace file to replay")
-    p_rep.add_argument("--backend", action="append", metavar="NAME",
-                       default=None,
+    p_rep.add_argument("--backend", action="append", type=backend_arg,
+                       metavar="NAME", default=None,
                        help="backend to drive (repeatable; registry names "
                             "from `python -m repro backends list`; "
                             "default: ours)")

@@ -76,10 +76,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             AllocatorConfig(min_alloc=24)
 
-    def test_rejects_bin_size_mismatch(self):
-        with pytest.raises(ValueError):
-            AllocatorConfig(bin_size=8192)
-
     def test_rejects_pool_smaller_than_chunk(self):
         with pytest.raises(ValueError):
             AllocatorConfig(pool_order=3)
@@ -142,10 +138,3 @@ class TestOrderForPool:
             AllocatorConfig.order_for_pool(-4096)
         with pytest.raises(ValueError):
             AllocatorConfig.order_for_pool(4096, page_size=3000)
-
-    def test_for_pool_builds_covering_config(self):
-        cfg = AllocatorConfig.for_pool(1 << 20)
-        assert cfg.pool_order == 8
-        assert cfg.pool_size == 1 << 20
-        with pytest.raises(ValueError):
-            AllocatorConfig.for_pool(1 << 20, pool_order=9)

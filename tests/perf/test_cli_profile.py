@@ -103,7 +103,7 @@ class TestProfiler:
         """The traced re-run is the profiled tier's own run: fig6 quick
         traces every configuration its runner measures, not a subset."""
         case = CASES["fig6"]
-        _, params = case.runner("quick")(case.seed)
+        _, params = case.reduce(case.result("quick"), case.quick)
         expected = Tracer()
         fig6.run(ratios=params["ratios"],
                  thread_targets=params["thread_targets"], seed=case.seed,

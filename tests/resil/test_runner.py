@@ -213,5 +213,7 @@ class TestBench:
     def test_bench_case_registered_in_perf_suite(self):
         from repro.perf.suite import CASES
 
+        from repro.resil import bench
+
         assert "resil" in CASES
-        assert CASES["resil"].runner("quick") is CASES["resil"].quick
+        assert CASES["resil"].run is bench.run

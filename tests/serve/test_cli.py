@@ -41,3 +41,44 @@ def test_bench_pacing_rate_must_be_positive(cps, capsys):
         cli.main(["bench", "--cps", cps])
     assert exc.value.code == 2
     assert "argument --cps: must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--backend", "nope"],
+    ["bench", "--backend", "ours", "--backend", "nope"],
+    ["run", "--backend", "nope"],
+    ["record", "--backend", "nope"],
+])
+def test_unknown_backend_is_a_usage_error(argv, tmp_path, capsys):
+    # these used to end in an UnknownBackend traceback (exit 1)
+    out = tmp_path / "served.jsonl"
+    if argv[0] == "record":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --backend: unknown backend 'nope'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "record"])
+@pytest.mark.parametrize("flag, value", [
+    ("--events", "0"), ("--events", "-1"),
+    ("--tenants", "0"), ("--tenants", "-2"),
+])
+def test_traffic_counts_must_be_positive(command, flag, value, tmp_path,
+                                         capsys):
+    # `record --events 0` used to write an empty trace and exit 0, and
+    # a negative tenant count was caught only by the generator
+    out = tmp_path / "served.jsonl"
+    argv = [command, flag, value]
+    if command == "record":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert (f"argument {flag}: must be >= 1 (got {value})"
+            in capsys.readouterr().err)
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Structured tracing / telemetry: timeline events, aggregates, export."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -364,30 +365,43 @@ class TestBenchIntegration:
 
     def test_cli_trace_flag_writes_json(self, tmp_path, monkeypatch, capsys):
         import repro.__main__ as cli
-        from repro.bench import fig5
+        from repro.perf.profile import trace_report
+        from repro.perf.suite import CASES
 
-        def tiny_fig5(tracer=None):
-            return fig5.run(thread_counts=(64,), batch=16, block=32,
-                            tracer=tracer)
-
-        monkeypatch.setitem(cli._TARGETS, "fig5", tiny_fig5)
+        tiny = replace(CASES["fig5"], full={"thread_counts": (64,),
+                                            "batch": 16, "block": 32})
+        monkeypatch.setitem(CASES, "fig5", tiny)
         out = tmp_path / "t.json"
         assert cli.main(["fig5", "--trace", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         captured = capsys.readouterr().out
         assert "== trace summary ==" in captured
+        # one tracing path: `perf profile` prints the same summary
+        assert trace_report(tiny, tier="full") in captured
 
-    def test_cli_trace_flag_rejects_untraceable_target(self, tmp_path):
+    def test_cli_trace_flag_rejects_untraceable_target(self, tmp_path, capsys):
         import repro.__main__ as cli
 
-        with pytest.raises(SystemExit):
-            cli.main(["shootout", "--trace", str(tmp_path / "t.json")])
+        path = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["shootout", "--trace", str(path)])
+        assert exc.value.code == 2
+        assert "--trace supports fig5, fig6, fig7" in capsys.readouterr().err
+        assert not path.exists()
 
-    def test_cli_trace_flag_rejects_unwritable_path_before_running(self, tmp_path):
+    def test_cli_trace_flag_rejects_unwritable_path_before_running(
+            self, tmp_path, monkeypatch):
         # An invalid path must fail at argument time, not after minutes
         # of simulation.
         import repro.__main__ as cli
+        from repro.perf.suite import CASES
 
-        with pytest.raises(SystemExit):
+        def must_not_run(*, seed, tracer=None, **kwargs):
+            raise AssertionError("the case ran before --trace was checked")
+
+        monkeypatch.setitem(CASES, "fig5",
+                            replace(CASES["fig5"], run=must_not_run))
+        with pytest.raises(SystemExit) as exc:
             cli.main(["fig5", "--trace", str(tmp_path / "no-dir" / "t.json")])
+        assert exc.value.code == 2

@@ -31,7 +31,7 @@ CALLER_DIRS = ("src", "benchmarks", "benchmark", "examples")
 
 _SEAM = "test seam: "
 _ARGV = "entry point: the console passes sys.argv, tests pass a list"
-_FIGURE = "called through the __main__ dispatch table, with a tracer"
+_TRACED = "a perf case's entry point: BenchCase.result passes the tracer"
 _SCENARIO = "a verify SCENARIOS entry, called through the table by run_case"
 
 #: "module:qualname(param)" -> why the option stays although no call in
@@ -82,8 +82,6 @@ ALLOWED = {
     "repro.verify.shrink:shrink_case(rerun)":
         _SEAM + "tests shrink against a fake runner",
     "repro.bench.fig5:run(block)": _SEAM + "tests run small launches",
-    "repro.bench.fig5:run_batch_sweep(block)":
-        _SEAM + "tests run small launches",
     "repro.bench.fig6:run(block)": _SEAM + "tests run small launches",
     "repro.bench.ablations:run_buddy_ablation(block)":
         _SEAM + "tests run small launches",
@@ -91,9 +89,11 @@ ALLOWED = {
         _SEAM + "tests run small launches",
     "repro.bench.fig7:run_size(max_pool)":
         _SEAM + "tests exhaust a smaller pool",
-    "repro.bench.fig5:main(tracer)": _FIGURE,
-    "repro.bench.fig6:main(tracer)": _FIGURE,
-    "repro.bench.fig7:main(tracer)": _FIGURE,
+    "repro.core.config:AllocatorConfig.order_for_pool(page_size)":
+        _SEAM + "tests size pools in pages other than 4 KB",
+    "repro.bench.fig5:run(tracer)": _TRACED,
+    "repro.bench.fig6:run(tracer)": _TRACED,
+    "repro.bench.fig7:run(tracer)": _TRACED,
     "repro.__main__:main(argv)": _ARGV,
     "repro.backends.cli:main(argv)": _ARGV,
     "repro.perf.cli:main(argv)": _ARGV,

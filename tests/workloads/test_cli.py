@@ -95,6 +95,9 @@ class TestReplay:
         (["--pool", "0"], "argument --pool: must be >= 1 (got 0)"),
         (["--pool", "-5"], "argument --pool: must be >= 1 (got -5)"),
         (["--pool", "100"], "argument --pool: ours cannot use 100 bytes: "),
+        (["--backend", "nope"], "argument --backend: unknown backend 'nope'"),
+        (["--backend", "ours", "--backend", "nope"],
+         "argument --backend: unknown backend 'nope'"),
     ])
     def test_hostile_options_are_usage_errors(self, trace_path, argv,
                                               message, capsys):
