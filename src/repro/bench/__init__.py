@@ -9,6 +9,8 @@ evaluation (§5), plus the ablations DESIGN.md calls out.
 * :mod:`repro.bench.shootout` — cross-allocator comparison including
   the §2.2 related-work designs.
 * :mod:`repro.bench.fragmentation` — fragmentation-over-time study.
+* :mod:`repro.bench.sweep` — the sweep loop: a bench's independent
+  points on one process per CPU.
 * :mod:`repro.bench.workloads` — shared workload builders.
 * :mod:`repro.bench.reporting` — series containers and tables.
 """

@@ -19,6 +19,7 @@ from ..core.tbuddy import TBuddy
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sync import CollectiveMutex
 from .reporting import Series, format_table, si
+from .sweep import map_points
 
 _NULL = DeviceMemory.NULL
 
@@ -42,14 +43,26 @@ class BuddyAblationResult:
         )
 
 
-def _storm_tbuddy(ctx, buddy):
+def _storm(ctx, buddy):
     addr = yield from buddy.alloc(ctx, 0)
     return addr
 
 
-def _storm_lock_buddy(ctx, buddy):
-    addr = yield from buddy.alloc(ctx, 0)
-    return addr
+def _buddy_point(spec: tuple) -> float:
+    """Throughput of one buddy design (``TBuddy`` or ``LockBuddy``)
+    under ``n`` single-page allocations."""
+    tree, n, block, seed = spec
+    page_size = 4096
+    max_order = (n - 1).bit_length() + 1  # pool comfortably > demand
+    mem = DeviceMemory((page_size << max_order) + (8 << 20))
+    cls = TBuddy if tree else LockBuddy
+    buddy = cls(mem, 0, page_size, max_order)
+    sched = Scheduler(mem, GPUDevice(), seed=seed)
+    grid = -(-n // block)
+    h = sched.launch(_storm, grid, min(block, n), args=(buddy,))
+    report = sched.run()
+    assert all(a != _NULL for a in h.results), "pool unexpectedly exhausted"
+    return report.throughput(h.n_threads)
 
 
 def run_buddy_ablation(
@@ -59,27 +72,13 @@ def run_buddy_ablation(
     block: int = 128,
 ) -> BuddyAblationResult:
     """Order-0 allocation storm: every thread takes one 4 KB page."""
-    device = GPUDevice()
-    page_size = 4096
     t_series = Series("TBuddy")
     l_series = Series("Lock buddy")
-    for n in thread_counts:
-        max_order = (n - 1).bit_length() + 1  # pool comfortably > demand
-        for series, cls, kernel in (
-            (t_series, "t", _storm_tbuddy),
-            (l_series, "l", _storm_lock_buddy),
-        ):
-            mem = DeviceMemory((page_size << max_order) + (8 << 20))
-            if cls == "t":
-                buddy = TBuddy(mem, 0, page_size, max_order)
-            else:
-                buddy = LockBuddy(mem, 0, page_size, max_order)
-            sched = Scheduler(mem, device, seed=seed)
-            grid = -(-n // block)
-            h = sched.launch(kernel, grid, min(block, n), args=(buddy,))
-            report = sched.run()
-            assert all(a != _NULL for a in h.results), "pool unexpectedly exhausted"
-            series.add(n, report.throughput(h.n_threads))
+    specs = [(tree, n, block, seed) for n in thread_counts
+             for tree in (True, False)]
+    for (tree, n, _, _), ops_per_s in zip(specs,
+                                          map_points(_buddy_point, specs)):
+        (t_series if tree else l_series).add(n, ops_per_s)
     return BuddyAblationResult(tbuddy=t_series, lock_buddy=l_series)
 
 
@@ -131,6 +130,33 @@ def _pop_collective(ctx, mutex: CollectiveMutex, lst: DList, out):
     yield from mutex.unlock_warp(ctx, mask)
 
 
+def _collective_point(spec: tuple) -> float:
+    """Throughput of one lock regime with ``n`` threads each popping one
+    element of an ``n``-element list."""
+    collective, n, block, seed = spec
+    mem = DeviceMemory(8 << 20)
+    lst = DList(mem)
+    # pre-populate one node per thread (32-byte nodes)
+    for _ in range(n):
+        node = mem.host_alloc(32)
+        # host-side insert at head
+        first = mem.load_word(lst.head + lst.next_off)
+        mem.store_word(node + lst.next_off, first)
+        mem.store_word(node + lst.prev_off, lst.head)
+        mem.store_word(first + lst.prev_off, node)
+        mem.store_word(lst.head + lst.next_off, node)
+    mutex = CollectiveMutex(mem)
+    out: list = []
+    sched = Scheduler(mem, GPUDevice(), seed=seed)
+    grid = -(-n // block)
+    kernel = _pop_collective if collective else _pop_plain
+    sched.launch(kernel, grid, min(block, n), args=(mutex, lst, out))
+    report = sched.run()
+    assert len(out) == n, f"popped {len(out)} of {n}"
+    assert len(set(out)) == n, "duplicate pops"
+    return report.throughput(n)
+
+
 def run_collective_ablation(
     thread_counts: Sequence[int],
     *,
@@ -138,29 +164,11 @@ def run_collective_ablation(
     block: int = 128,
 ) -> CollectiveAblationResult:
     """Every thread needs one list element; compare lock regimes."""
-    device = GPUDevice()
     plain = Series("plain mutex")
     coll = Series("collective mutex")
-    for n in thread_counts:
-        for series, kernel in ((plain, _pop_plain), (coll, _pop_collective)):
-            mem = DeviceMemory(8 << 20)
-            lst = DList(mem)
-            # pre-populate one node per thread (32-byte nodes)
-            for _ in range(n):
-                node = mem.host_alloc(32)
-                # host-side insert at head
-                first = mem.load_word(lst.head + lst.next_off)
-                mem.store_word(node + lst.next_off, first)
-                mem.store_word(node + lst.prev_off, lst.head)
-                mem.store_word(first + lst.prev_off, node)
-                mem.store_word(lst.head + lst.next_off, node)
-            mutex = CollectiveMutex(mem)
-            out: list = []
-            sched = Scheduler(mem, device, seed=seed)
-            grid = -(-n // block)
-            sched.launch(kernel, grid, min(block, n), args=(mutex, lst, out))
-            report = sched.run()
-            assert len(out) == n, f"popped {len(out)} of {n}"
-            assert len(set(out)) == n, "duplicate pops"
-            series.add(n, report.throughput(n))
+    specs = [(collective, n, block, seed) for n in thread_counts
+             for collective in (False, True)]
+    for (collective, n, _, _), ops_per_s in zip(
+            specs, map_points(_collective_point, specs)):
+        (coll if collective else plain).add(n, ops_per_s)
     return CollectiveAblationResult(plain=plain, collective=coll)

@@ -21,6 +21,7 @@ from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
 from ..sync import BulkSemaphore, CountingSemaphore
 from .reporting import Series, format_table, si
+from .sweep import map_points
 
 
 @dataclass
@@ -91,6 +92,11 @@ def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
     return report.throughput(grid * block)
 
 
+def _point(spec: tuple) -> float:
+    kind, nthreads, batch, block, seed, tracer = spec
+    return run_one(kind, nthreads, batch, block, seed, tracer=tracer)
+
+
 def run(
     thread_counts: Sequence[int],
     *,
@@ -102,8 +108,9 @@ def run(
     """Reproduce Figure 5 for one batch size."""
     counting = Series("Counting Semaphores")
     bulk = Series("Bulk Semaphores")
-    for n in thread_counts:
-        counting.add(n, run_one("counting", n, batch, block, seed,
-                                tracer=tracer))
-        bulk.add(n, run_one("bulk", n, batch, block, seed, tracer=tracer))
+    specs = [(kind, n, batch, block, seed, tracer) for n in thread_counts
+             for kind in ("counting", "bulk")]
+    for (kind, n, *_), ops_per_s in zip(specs,
+                                        map_points(_point, specs, tracer)):
+        (bulk if kind == "bulk" else counting).add(n, ops_per_s)
     return Fig5Result(batch=batch, counting=counting, bulk=bulk)

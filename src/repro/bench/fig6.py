@@ -25,6 +25,7 @@ from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
 from ..sync import RCU, SpinLock
 from .reporting import Series, format_table
+from .sweep import map_points
 
 #: element layout: word0 tag, word1 next, word2 prev
 TAG_OFF = 0
@@ -164,6 +165,11 @@ def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
     return report.cycles, share, ok
 
 
+def _point(spec: tuple):
+    n_writers, ratio, delegated, block, seed, tracer = spec
+    return run_one(n_writers, ratio, delegated, block, seed, tracer=tracer)
+
+
 def run(
     ratios: Sequence[int],
     thread_targets: Sequence[int],
@@ -181,23 +187,22 @@ def run(
     remaining grid preserves the figure's shape (speedup grows with
     thread count and with the writer share).
     """
-    points = []
+    configs = []
     for ratio in ratios:
         for target in thread_targets:
             w = max(1, target // (1 + ratio))
-            if w < 2:
-                continue
-            n_threads = w * (1 + ratio)
-            if n_threads * w > MAX_WORK:
-                continue
-            cyc_classic, _, ok1 = run_one(w, ratio, False, block, seed,
-                                          tracer=tracer)
-            cyc_deleg, share, ok2 = run_one(w, ratio, True, block, seed,
-                                            tracer=tracer)
-            if not (ok1 and ok2):
-                raise RuntimeError(
-                    f"fig6 correctness check failed (ratio={ratio}, w={w})"
-                )
-            points.append(Fig6Point(ratio, n_threads, cyc_classic,
-                                    cyc_deleg, share))
+            if w >= 2 and w * (1 + ratio) * w <= MAX_WORK:
+                configs.append((w, ratio))
+    specs = [(w, ratio, delegated, block, seed, tracer)
+             for w, ratio in configs for delegated in (False, True)]
+    runs = map_points(_point, specs, tracer)
+    points = []
+    for (w, ratio), (cyc_classic, _, ok1), (cyc_deleg, share, ok2) in zip(
+            configs, runs[::2], runs[1::2]):
+        if not (ok1 and ok2):
+            raise RuntimeError(
+                f"fig6 correctness check failed (ratio={ratio}, w={w})"
+            )
+        points.append(Fig6Point(ratio, w * (1 + ratio), cyc_classic,
+                                cyc_deleg, share))
     return Fig6Result(points)

@@ -29,6 +29,7 @@ from ..core import AllocatorConfig
 from ..sim import GPUDevice, DeviceMemory, Scheduler
 from ..sim.trace import Tracer
 from .reporting import Series, format_table, geometric_mean, si, size_label
+from .sweep import map_points
 from .workloads import malloc_storm
 
 _NULL = DeviceMemory.NULL
@@ -165,6 +166,11 @@ def run_size(
     )
 
 
+def _point(spec: tuple) -> Fig7Point:
+    size, allocator, seed, max_threads, tracer = spec
+    return run_size(size, allocator, seed, max_threads, tracer=tracer)
+
+
 def run(
     sizes: Sequence[int],
     *,
@@ -173,9 +179,6 @@ def run(
     tracer: Optional[Tracer] = None,
 ) -> Fig7Result:
     """Reproduce Figure 7 for both allocators across ``sizes``."""
-    points = []
-    for size in sizes:
-        for allocator in ("cuda", "ours"):
-            points.append(run_size(size, allocator, seed, max_threads,
-                                   tracer=tracer))
-    return Fig7Result(points)
+    specs = [(size, allocator, seed, max_threads, tracer)
+             for size in sizes for allocator in ("cuda", "ours")]
+    return Fig7Result(map_points(_point, specs, tracer))

@@ -37,6 +37,7 @@ from typing import List
 
 from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
 from .reporting import format_table, si
+from .sweep import map_points
 
 #: bytes handed to each lane per round (one 64-bit slot)
 ITEM_BYTES = 8
@@ -154,9 +155,14 @@ def run_one(kind: str, nthreads: int, rounds: int, seed: int = 13,
     )
 
 
+def _point(spec: tuple) -> LockstepPoint:
+    kind, nthreads, rounds, seed = spec
+    return run_one(kind, nthreads, rounds, seed=seed)
+
+
 def run(nthreads: int, rounds: int, plain_rounds: int, *,
         seed: int) -> LockstepResult:
     """Reproduce the §4.2 coalescing ablation at one launch width."""
-    co = run_one("coalesced", nthreads, rounds, seed=seed)
-    pl = run_one("plain", nthreads, plain_rounds, seed=seed)
+    co, pl = map_points(_point, [("coalesced", nthreads, rounds, seed),
+                                 ("plain", nthreads, plain_rounds, seed)])
     return LockstepResult(coalesced=co, plain=pl)

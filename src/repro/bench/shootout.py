@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from ..backends import get as get_backend
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from .reporting import format_table, si
+from .sweep import map_points
 
 _NULL = DeviceMemory.NULL
 
@@ -83,6 +84,30 @@ def _churn_kernel(malloc_fn, free_fn, size, iters, failures):
     return kernel
 
 
+def _point(spec: tuple) -> ShootoutPoint:
+    name, nthreads, iters, seed = spec
+    backend = get_backend(name)
+    device = GPUDevice(num_sms=2)
+    mem = DeviceMemory(POOL * 4 + (8 << 20))
+    handle = backend.build(mem, device, POOL)
+    failures: List[int] = []
+    kernel = _churn_kernel(handle.malloc, handle.free, SIZE, iters, failures)
+    sched = Scheduler(mem, device, seed=seed)
+    sched.launch(kernel, -(-nthreads // 256), min(256, nthreads))
+    report = sched.run()
+    n_fail = sum(failures)
+    ok_pairs = nthreads * iters - n_fail
+    # A total wipeout used to report throughput(1) — one phantom pair
+    # per run — which ranked a 100%-failure allocator above a
+    # slow-but-correct one.  Zero completed pairs is zero throughput.
+    return ShootoutPoint(
+        name=backend.display,
+        throughput=report.throughput(ok_pairs) if ok_pairs > 0 else 0.0,
+        failures=n_fail,
+        cycles=report.cycles,
+    )
+
+
 def run(
     nthreads: int,
     iters: int,
@@ -96,29 +121,8 @@ def run(
     (historic callers pass display labels like ``"ours (scalar)"``);
     ``None`` runs :data:`DEFAULT_BACKENDS`.
     """
-    device = GPUDevice(num_sms=2)
-    roster = [get_backend(n) for n in (which if which is not None
-                                       else DEFAULT_BACKENDS)]
-    points = []
-    for backend in roster:
-        mem = DeviceMemory(POOL * 4 + (8 << 20))
-        handle = backend.build(mem, device, POOL)
-        failures: List[int] = []
-        kernel = _churn_kernel(handle.malloc, handle.free, SIZE, iters,
-                               failures)
-        sched = Scheduler(mem, device, seed=seed)
-        sched.launch(kernel, -(-nthreads // 256), min(256, nthreads))
-        report = sched.run()
-        n_fail = sum(failures)
-        ok_pairs = nthreads * iters - n_fail
-        # A total wipeout used to report throughput(1) — one phantom
-        # pair per run — which ranked a 100%-failure allocator above a
-        # slow-but-correct one.  Zero completed pairs is zero throughput.
-        points.append(ShootoutPoint(
-            name=backend.display,
-            throughput=report.throughput(ok_pairs) if ok_pairs > 0 else 0.0,
-            failures=n_fail,
-            cycles=report.cycles,
-        ))
+    roster = which if which is not None else DEFAULT_BACKENDS
+    # every name resolves here, so an unknown one fails before any point
+    specs = [(get_backend(n).name, nthreads, iters, seed) for n in roster]
     return ShootoutResult(size=SIZE, nthreads=nthreads, iters=iters,
-                          points=points)
+                          points=map_points(_point, specs))

@@ -9,8 +9,10 @@ serial run's, independent of worker count and completion order.
 
 :mod:`repro.par.pool` holds the sharding engine (:func:`map_sharded`),
 the one deck loop behind ``perf run``, ``verify`` (sweep and explore),
-``resil run`` and ``workloads replay``.  Each takes ``--workers N``
-(``0`` = one worker per CPU, capped at 8; ``1`` = inline, serial).
+``resil run``, ``workloads replay`` and every bench sweep.  Each deck
+takes ``--workers N`` (``0`` = one worker per CPU, capped at 8, and
+``1`` inside a pool worker; ``1`` = inline, serial); a bench sweep
+always asks for ``0``.
 A deck is one call with a pool of its own; a session of many calls
 (``verify explore``, one per batch) opens :func:`shard_pool` once at
 run time and passes it to every call, so it forks once per session.

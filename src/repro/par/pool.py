@@ -12,10 +12,16 @@ Design constraints (why this is not just ``Pool.map``):
   children — the serial path stays the reference implementation, and
   environments without working multiprocessing lose nothing.
 * **One deck loop.**  Every deck runner (verify sweep, resil deck, perf
-  suite, workloads replay) is a single :func:`map_sharded` call, so
-  ``--workers`` changes where a case runs, never which code runs it.
-  Fail-fast (``stop``) and per-case report lines (``describe``) are the
-  only caller hooks, and both behave identically on either path.
+  suite, workloads replay) and every bench sweep (the points of
+  ``repro.bench``, through :func:`repro.bench.sweep.map_points`) is a
+  single :func:`map_sharded` call, so ``--workers`` changes where a case
+  runs, never which code runs it.  Fail-fast (``stop``) and per-case
+  report lines (``describe``) are the only caller hooks, and both
+  behave identically on either path.
+* **No nested pools.**  ``workers=0`` resolves to one worker per CPU in
+  the main process and to ``1`` (inline) inside a pool worker, so a
+  bench sweep inside a sharded deck case never forks a second level of
+  pools.  An explicit positive count is still taken literally.
 * **Fork preferred.**  The fork start method inherits the registry
   modules (benchmark lambdas and scenario closures need never pickle);
   ``spawn`` is the fallback where fork is unavailable.  Only the worker
@@ -55,14 +61,19 @@ def preferred_start_method() -> str:
 def resolve_workers(workers: int = 0) -> int:
     """Normalize a ``--workers`` value to a concrete worker count.
 
-    ``0`` (the CLI default) means *auto*: one worker per CPU, capped at
-    8 — decks are short, and past that the fork/import overhead beats
-    the parallelism.  Negative values are an error; any positive value
-    is taken literally (``1`` = serial inline execution).
+    ``0`` means *auto*: one worker per CPU, capped at 8 — decks are
+    short, and past that the fork/import overhead beats the parallelism.
+    Inside a pool worker *auto* is ``1``: the outer deck already has one
+    process per CPU, so a bench sweep in a ``perf run --workers N`` case
+    runs inline instead of forking a pool per worker.  Negative values
+    are an error; any positive value is taken literally (``1`` = serial
+    inline execution).
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (got {workers})")
     if workers == 0:
+        if multiprocessing.parent_process() is not None:
+            return 1
         return min(os.cpu_count() or 1, 8)
     return workers
 

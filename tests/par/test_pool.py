@@ -37,6 +37,10 @@ def _square_and_pid(x: int) -> tuple:
     return x * x, os.getpid()
 
 
+def _auto_workers(x: int) -> tuple:
+    return resolve_workers(0), resolve_workers(3)
+
+
 def _boom_or_sleep(x: int) -> int:
     if x == 0:
         raise ValueError("fast shard went bad")
@@ -58,6 +62,14 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-1)
+
+    def test_auto_is_inline_inside_a_pool_worker(self, monkeypatch):
+        # a bench sweep inside a sharded deck case must not fork a
+        # second level of pools; an explicit count is still literal
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert resolve_workers(0) == 2
+        assert map_sharded(_auto_workers, [0, 1, 2], workers=2) == [
+            (1, 3)] * 3
 
 
 class TestWorkersArg:

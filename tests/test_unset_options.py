@@ -10,9 +10,10 @@ value only a test sets is a test seam, which stays only when ``ALLOWED``
 names it with its reason.
 
 Calls resolve through the file's imports and top-level names
-(``f(...)``, ``mod.f(...)``, ``Cls(...)``); ``functools.partial(f, ...)``
-is a call of ``f``.  ``obj.f(...)`` on anything but a module binds for
-every method named ``f``.  ``*args`` binds every positional parameter and
+(``f(...)``, ``mod.f(...)``, ``Cls(...)``, ``Cls.f(...)``);
+``functools.partial(f, ...)`` is a call of ``f``.  ``obj.f(...)`` on
+anything but an imported module or class binds for every method named
+``f``.  ``*args`` binds every positional parameter and
 ``**kwargs`` binds all of them.  A function reached only through a
 variable or a dict sees no call at all, so it needs an ``ALLOWED`` entry.
 
@@ -89,8 +90,6 @@ ALLOWED = {
         _SEAM + "tests run small launches",
     "repro.bench.fig7:run_size(max_pool)":
         _SEAM + "tests exhaust a smaller pool",
-    "repro.core.config:AllocatorConfig.order_for_pool(page_size)":
-        _SEAM + "tests size pools in pages other than 4 KB",
     "repro.bench.fig5:run(tracer)": _TRACED,
     "repro.bench.fig6:run(tracer)": _TRACED,
     "repro.bench.fig7:run(tracer)": _TRACED,
@@ -187,7 +186,7 @@ def scan() -> list[str]:
     for d in defs:
         module, _, qual = d.key.partition(":")
         top = qual.removesuffix(".__init__")
-        if "." not in top:
+        if "." not in top or (d.is_method and top.count(".") == 1):
             by_target.setdefault(f"{module}.{top}", []).append(d)
         if d.is_method:
             methods.setdefault(d.name, []).append(d)
