@@ -33,6 +33,7 @@ Usage::
     python -m repro resil run     # fault injection: verify scenarios
         # under deterministic fault plans with post-fault recovery
         # assertions and byte-for-byte trace replay (see `resil --help`).
+        # `resil` alone runs the `resil` perf case like any other case.
 
     python -m repro backends list     # registered allocator backends
     python -m repro backends conform  # conformance deck over backends
@@ -78,10 +79,20 @@ _SUBSYSTEMS = {
 }
 
 
+def _is_case(name: str) -> bool:
+    from .perf.suite import CASES
+
+    return name in CASES
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _SUBSYSTEMS:
+    # A name that is both a subsystem and a case (`resil`) runs the case
+    # when it is the only token; with more (`resil run`, `resil --help`)
+    # the subsystem owns the command line.
+    if (argv and argv[0] in _SUBSYSTEMS
+            and not (len(argv) == 1 and _is_case(argv[0]))):
         module_name, _ = _SUBSYSTEMS[argv[0]]
         return _load_cli(module_name)(list(argv[1:]))
     parser = argparse.ArgumentParser(

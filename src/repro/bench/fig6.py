@@ -183,9 +183,10 @@ def run(
     As in the paper, the x-axis is total concurrent threads and the
     writer count follows from the ratio (list length = writers = total /
     (1 + ratio)).  Configurations whose reader x list-length product
-    exceeds ``MAX_WORK`` are skipped to bound simulation time; the
-    remaining grid preserves the figure's shape (speedup grows with
-    thread count and with the writer share).
+    exceeds ``MAX_WORK`` are skipped to bound simulation time (the
+    1:32 ratio loses its ~12 K-thread point).  On the remaining grid
+    delegation wins everywhere and most at the most threads, but not
+    monotonically in thread count (EXPERIMENTS.md, Figure 6).
     """
     configs = []
     for ratio in ratios:

@@ -11,7 +11,8 @@ cannot replay):
 * a single **batcher thread** owns the :class:`~.engine.ServeEngine`:
   it drains the queue into batches (up to ``batch_max`` requests or a
   ``batch_window`` of wall-clock quiet), runs one episode per batch,
-  and writes the replies back on each session's socket.
+  and writes each session's replies back in one write, in that
+  session's request order.
 
 So the socket layer is concurrent the way a service must be, while the
 allocator, scheduler and admission ledgers are touched by exactly one
@@ -31,7 +32,7 @@ from __future__ import annotations
 import queue
 import socket
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import protocol
 from .engine import ServeEngine, ServeRequest
@@ -48,7 +49,10 @@ class _Session:
         self._wlock = threading.Lock()
 
     def send(self, msg: dict) -> None:
-        data = protocol.encode(msg)
+        self.write(protocol.encode(msg))
+
+    def write(self, data: bytes) -> None:
+        """Send encoded frames whole, under the session's write lock."""
         with self._wlock:
             try:
                 self.conn.sendall(data)
@@ -225,6 +229,9 @@ class ServeServer:
                 stats_entries.append(sess)
             else:
                 batch_entries.append((sess, req))
+        # Each session's reply frames, in its request order; one write
+        # per session sends them.
+        frames: Dict[_Session, List[bytes]] = {}
         if batch_entries:
             batch = [
                 ServeRequest(sess.tenant, req.op, size=req.size,
@@ -234,19 +241,23 @@ class ServeServer:
             outcomes = self.engine.submit(batch)
             for (sess, req), out in zip(batch_entries, outcomes):
                 if out.ok:
-                    sess.send(protocol.request_reply(
+                    reply = protocol.request_reply(
                         req.req, ok=True,
                         addr=out.addr if req.op == OP_MALLOC else None,
                         latency=out.latency, episode=out.episode,
-                    ))
+                    )
                 else:
-                    sess.send(protocol.request_reply(
-                        req.req, ok=False, cause=out.cause))
+                    reply = protocol.request_reply(
+                        req.req, ok=False, cause=out.cause)
+                frames.setdefault(sess, []).append(protocol.encode(reply))
         # Stats snapshots are answered after the batch they arrived
         # with, so a session that drains its replies before asking sees
         # its own requests reflected.
         if stats_entries:
             snap = self.engine.snapshot()
             snap.update({"ok": True, "op": OP_STATS})
+            frame = protocol.encode(snap)
             for sess in stats_entries:
-                sess.send(snap)
+                frames.setdefault(sess, []).append(frame)
+        for sess, parts in frames.items():
+            sess.write(b"".join(parts))

@@ -44,7 +44,6 @@ from .trace import Tracer
 _ST_READY = 0
 _ST_BARRIER = 1
 _ST_CONV = 2
-_ST_DONE = 3
 
 #: how a timer entry folds into ``state_digest`` (timers are queued
 #: under negative ids; the digest sees them all as this one value)
@@ -98,23 +97,22 @@ class _Thread:
 
 
 class _Block:
-    __slots__ = ("bid", "sm", "tids", "n_live", "barrier_waiters", "dispatched")
+    __slots__ = ("bid", "sm", "threads", "n_live", "barrier_waiters", "dispatched")
 
     def __init__(self, bid: int, sm: int):
         self.bid = bid
         self.sm = sm
-        self.tids: List[int] = []
+        self.threads: List[_Thread] = []
         self.n_live = 0
         self.barrier_waiters: List[int] = []
         self.dispatched = False
 
 
 class _Warp:
-    __slots__ = ("lanes", "n_unparked", "conv_waiters", "conv_keys",
+    __slots__ = ("n_unparked", "conv_waiters", "conv_keys",
                  "conv_gen", "conv_timer_gen", "sync_waiters", "bcast_values")
 
     def __init__(self):
-        self.lanes: List[int] = []
         # Lanes neither parked (barrier/convergence) nor finished — the
         # lanes that block a pending warp_converge.  Maintained at every
         # state transition so the convergence check is O(1), not an
@@ -175,15 +173,19 @@ class SimReport:
 
 
 class LaunchHandle:
-    """Handle to one kernel launch; exposes per-thread return values."""
+    """Handle to one kernel launch; exposes per-thread return values.
 
-    def __init__(self, scheduler: "Scheduler", tids: List[int]):
-        self._scheduler = scheduler
-        self._tids = tids
+    The handle holds its own threads: the scheduler forgets a thread
+    once it finishes, so a handle's results outlive the scheduler's
+    table, and dropping the handle frees them.
+    """
+
+    def __init__(self, threads: List[_Thread]):
+        self._threads = threads
 
     @property
     def n_threads(self) -> int:
-        return len(self._tids)
+        return len(self._threads)
 
     @property
     def tids(self) -> List[int]:
@@ -193,19 +195,19 @@ class LaunchHandle:
         scheduler, so kernels that index per-launch state by lane must
         subtract ``tids[0]`` from ``ctx.tid`` rather than use it raw.
         """
-        return list(self._tids)
+        return [th.tid for th in self._threads]
 
     @property
     def results(self) -> List[Any]:
         """Per-thread kernel return values (valid after ``run()``)."""
-        return [self._scheduler._threads[t].retval for t in self._tids]
+        return [th.retval for th in self._threads]
 
     @property
     def finish_times(self) -> List[int]:
         """Per-thread virtual completion times (valid after ``run()``;
         ``-1`` for threads still live).  Service-style harnesses derive
         per-request latency from these: ``finish - launch_now``."""
-        return [self._scheduler._threads[t].finish_time for t in self._tids]
+        return [th.finish_time for th in self._threads]
 
 
 class Scheduler:
@@ -284,9 +286,16 @@ class Scheduler:
         self.schedule_probe = schedule_probe
         self.probe_every = probe_every
         self._rng = random.Random(seed)
-        self._threads: List[_Thread] = []
-        self._blocks: List[_Block] = []
-        self._warps: List[_Warp] = []
+        # Live threads, indexed by tid: a finished thread's slot is
+        # reset to None (its LaunchHandle keeps the thread), so a
+        # long-lived scheduler holds one empty slot per thread it ran,
+        # not the thread.  A list beats a dict of live tids in the run
+        # loops' per-event lookup.  Thread, block and warp ids stay
+        # global and monotonic: the next tid is the table's length, and
+        # the counters below hand out the others.
+        self._threads: List[Optional[_Thread]] = []
+        self._n_blocks = 0
+        self._n_warps = 0
         # The event queue: a heap of distinct pending times, and each
         # time's FIFO list of thread ids.  Timers are negative ids with
         # their callbacks in ``_timers``.  ``_drained`` is the consumed
@@ -373,25 +382,25 @@ class Scheduler:
             )
         warp_size = self.device.warp_size
         nthreads = grid * block
-        tids: List[int] = []
+        launched: List[_Thread] = []
         for b in range(grid):
             sm = self._next_block_sm
             self._next_block_sm = (self._next_block_sm + 1) % self.device.num_sms
-            blk = _Block(len(self._blocks), sm)
-            self._blocks.append(blk)
+            blk = _Block(self._n_blocks, sm)
+            self._n_blocks += 1
             warp: Optional[_Warp] = None
             for t in range(block):
                 tid = len(self._threads)
                 if t % warp_size == 0:
                     warp = _Warp()
-                    self._warps.append(warp)
+                    self._n_warps += 1
                 assert warp is not None
                 ctx = ThreadCtx(
                     tid=tid,
                     block=blk.bid,
                     tid_in_block=t,
                     lane=t % warp_size,
-                    warp=len(self._warps) - 1,
+                    warp=self._n_warps - 1,
                     sm=sm,
                     nthreads=nthreads,
                     block_dim=block,
@@ -404,15 +413,14 @@ class Scheduler:
                     gen = _instant_thread(gen)
                 th = _Thread(tid, gen, ctx, blk, warp)
                 self._threads.append(th)
-                blk.tids.append(tid)
-                warp.lanes.append(tid)
+                blk.threads.append(th)
                 warp.n_unparked += 1
-                tids.append(tid)
+                launched.append(th)
             blk.n_live = block
             self._sm_queues[sm].append(blk)
             self._live_threads += block
         self._dispatch_ready_blocks(self._now)
-        return LaunchHandle(self, tids)
+        return LaunchHandle(launched)
 
     def _dispatch_ready_blocks(self, t: int) -> None:
         for sm in range(self.device.num_sms):
@@ -433,8 +441,8 @@ class Scheduler:
             self.tracer.block_dispatched(blk, start, self._sm_resident[blk.sm])
         extra = self.dispatch_jitter
         steer = self.steer
-        for tid in blk.tids:
-            th = self._threads[tid]
+        for th in blk.threads:
+            tid = th.tid
             # Stagger warps slightly so launches do not start in perfect
             # lockstep; deterministic given the seed.
             jitter = (th.ctx.tid_in_block // warp_size) * 2 + self._rng.randrange(4)
@@ -871,7 +879,7 @@ class Scheduler:
         if self._live_threads:
             parked = sum(
                 1 for th in self._threads
-                if th.state in (_ST_BARRIER, _ST_CONV)
+                if th is not None and th.state in (_ST_BARRIER, _ST_CONV)
             )
             raise DeadlockError(
                 f"event queue drained with {self._live_threads} live threads "
@@ -924,13 +932,17 @@ class Scheduler:
     # Thread completion, barriers, convergence
     # ------------------------------------------------------------------
     def _finish_thread(self, th: _Thread, t: int) -> None:
-        th.state = _ST_DONE
+        # The thread leaves the scheduler: only its LaunchHandle still
+        # reads it, for ``retval`` and ``finish_time``, so everything
+        # else it holds (generator, ctx and its rng, block, warp) goes.
+        self._threads[th.tid] = None
         th.finish_time = t
         self._live_threads -= 1
         blk = th.block
         blk.n_live -= 1
         warp = th.warp
         warp.n_unparked -= 1
+        th.gen = th.send = th.ctx = th.block = th.warp = None
         self._maybe_release_barrier(blk, t)
         self._maybe_release_conv(warp, t)
         if blk.n_live == 0:
@@ -1137,6 +1149,8 @@ class Scheduler:
         # parked threads (barrier / convergence waiters)
         acc = 0
         for th in self._threads:
+            if th is None:
+                continue
             st = th.state
             if st == _ST_BARRIER or st == _ST_CONV:
                 e = _FNV_OFFSET

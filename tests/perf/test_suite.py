@@ -184,6 +184,36 @@ class TestFrontDoor:
         assert "=== one " in out and "table of seed 0" in out
         assert "=== two " in out and "table of seed 1" in out
 
+    def test_resil_alone_runs_the_case(self, monkeypatch, capsys):
+        # `resil` names both a subsystem and a case; alone it is the case
+        import repro.__main__ as cli
+
+        case = replace(CASES["resil"], full={"nthreads": 64, "iters": 1})
+        monkeypatch.setitem(CASES, "resil", case)
+        assert cli.main(["resil"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("=== resil ")
+        assert case.result("full").table() in out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["resil", "--help"], 0),
+        (["resil", "list"], 0),
+        (["resil", "nope"], 2),
+    ])
+    def test_resil_with_more_tokens_is_the_subsystem(self, argv, code,
+                                                     capsys):
+        import repro.__main__ as cli
+
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        out = capsys.readouterr()
+        assert "===" not in out.out
+        if argv[1] == "--help":
+            assert "python -m repro resil" in out.out
+
     def test_unknown_case_is_a_usage_error(self, capsys):
         import repro.__main__ as cli
 

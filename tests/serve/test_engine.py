@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from repro.serve.engine import RequestOutcome, ServeEngine, ServeRequest
+from repro.sim.device import ThreadCtx
 from repro.workloads.trace import TraceRecorder, validate
 
 
@@ -110,6 +112,28 @@ class TestPersistence:
             return [(o.ok, o.addr, o.latency, o.episode) for o in outs]
 
         assert run() == run()
+
+    def test_finished_episodes_leave_no_thread_state(self):
+        # ThreadCtx has __slots__ and no __weakref__, so count instances
+        def live_ctxs():
+            gc.collect()
+            return sum(type(o) is ThreadCtx for o in gc.get_objects())
+
+        eng = _engine(seed=4)
+        before = live_ctxs()
+        addrs = []
+        for i in range(200):
+            if i % 2 == 0:
+                outs = eng.submit([_malloc(0, 64), _malloc(1, 96),
+                                   _malloc(0, 128)])
+                addrs = [o.addr for o in outs]
+            else:
+                outs = eng.submit([_free(0, addrs[0]), _free(1, addrs[1]),
+                                   _free(0, addrs[2])])
+            assert all(o.ok for o in outs)
+        assert eng.episodes == 200 and eng.live_allocations == 0
+        assert eng.sched.live_threads == 0 and not any(eng.sched._threads)
+        assert live_ctxs() <= before
 
 
 class TestHarnessMode:

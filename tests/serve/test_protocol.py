@@ -34,6 +34,19 @@ class TestFraming:
         b = encode({"a": 2, "b": 1})
         assert a == b
 
+    @pytest.mark.parametrize("msg", [
+        {"ok": True, "req": 7, "addr": 4202496, "latency": 857,
+         "episode": 3},
+        {"ok": False, "req": 0, "cause": "quota"},
+        {"ok": False, "error": "protocol", "detail": "caf\u00e9 \"x\"\n"},
+        {"z": [1, {"b": None, "a": 2.5}], "a": {"y": -1, "x": ""}},
+    ])
+    def test_encode_bytes_equal_sorted_json_dumps(self, msg):
+        # the shared encoder writes exactly what json.dumps writes
+        want = (json.dumps(msg, sort_keys=True) + "\n").encode("utf-8")
+        assert encode(msg) == want
+        assert encode(msg) == want  # and again: the encoder keeps no state
+
     def test_bad_json_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_line("{nope")

@@ -191,3 +191,51 @@ class TestConcurrentTenants:
             st = srv.engine.stats[t]
             assert st.bytes_requested == self.OPS_EACH * (64 + 32 * t)
             assert st.bytes_served == st.bytes_requested
+
+
+class TestPipelinedSessionsInOneBatch:
+    N_EACH = 10
+
+    def test_each_session_gets_its_replies_once_in_order(self, monkeypatch):
+        from repro.serve import server as server_mod
+
+        writes = []
+        real_write = server_mod._Session.write
+
+        def recording_write(sess, data):
+            writes.append((sess.tenant, data))
+            real_write(sess, data)
+
+        monkeypatch.setattr(server_mod._Session, "write", recording_write)
+        # a window far above the gap between the two bursts puts both
+        # sessions' requests in one batch
+        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
+                          batch_window=0.5, batch_max=64)
+        with srv as (host, port):
+            clients = [_Client(host, port, tenant) for tenant in (0, 1)]
+            writes.clear()
+            for tenant, c in enumerate(clients):
+                burst = [{"op": "malloc", "req": i, "size": 64 + 32 * tenant}
+                         for i in range(self.N_EACH)]
+                burst.append({"op": "stats"})
+                c.conn.sendall(b"".join(protocol.encode(m) for m in burst))
+            replies = {}
+            for tenant, c in enumerate(clients):
+                lines = [c.reader.readline() for _ in range(self.N_EACH + 1)]
+                assert all(line.endswith("\n") and line.count("\n") == 1
+                           for line in lines)
+                replies[tenant] = [json.loads(line) for line in lines]
+                c.close()  # its next line is the bye reply, nothing stray
+        assert srv.protocol_errors == 0
+        episodes = set()
+        for tenant in (0, 1):
+            *mallocs, stats = replies[tenant]
+            assert [r["req"] for r in mallocs] == list(range(self.N_EACH))
+            assert all(r["ok"] and "addr" in r for r in mallocs)
+            episodes.update(r["episode"] for r in mallocs)
+            assert stats["op"] == "stats" and stats["ok"]
+        assert len(episodes) == 1
+        # one write per session for the whole batch, stats included
+        batch_writes = [(t, d) for t, d in writes if b'"bye"' not in d]
+        assert sorted(t for t, _ in batch_writes) == [0, 1]
+        assert all(d.count(b"\n") == self.N_EACH + 1 for _, d in batch_writes)

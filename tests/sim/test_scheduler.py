@@ -396,12 +396,16 @@ class TestResidency:
         s.launch(kernel, 7, 8)  # 4 dispatched, 3 queued
         assert s._sm_resident[0] == 4
         assert len(s._sm_queues[0]) == 3
-        retired = next(b for b in s._blocks if b.dispatched)
+        # every thread is still live, so the table reaches all 7 blocks
+        blocks = list({id(th.block): th.block
+                       for th in s._threads}.values())
+        assert len(blocks) == 7
+        retired = next(b for b in blocks if b.dispatched)
         s._sm_resident[0] = 2  # simulate two slots freed without refill
         s._retire_block(retired, t=100)
         assert len(s._sm_queues[0]) == 0  # ALL queued blocks dispatched
         assert s._sm_resident[0] == 4
-        assert all(b.dispatched for b in s._blocks)
+        assert all(b.dispatched for b in blocks)
 
     def test_sm_queue_is_deque(self):
         from collections import deque
@@ -510,3 +514,79 @@ class TestErrors:
         assert all(isinstance(k, str) for k in named)
         # sorted by count descending
         assert list(named.values()) == sorted(named.values(), reverse=True)
+
+
+class TestLiveThreadTable:
+    """The scheduler holds live threads only; a finished thread is read
+    through its LaunchHandle, and tids stay global across launches."""
+
+    def test_multi_launch_run_keeps_no_finished_thread(self):
+        mem = DeviceMemory(1 << 12)
+
+        def kernel(ctx, base):
+            yield ops.sleep(10 * (ctx.tid - base[0]))
+            return ctx.tid * 3
+
+        s = Scheduler(mem, seed=5)
+        handles, starts = [], []
+        for grid, block in ((2, 32), (1, 48), (3, 16)):
+            base = [0]
+            starts.append(s.now)
+            h = s.launch(kernel, grid, block, args=(base,))
+            base[0] = h.tids[0]
+            handles.append(h)
+            rep = s.run()
+            assert s.live_threads == 0 and not any(s._threads)
+        # tids are global and monotonic; the report counts every launch
+        assert [h.tids[0] for h in handles] == [0, 64, 112]
+        assert rep.n_threads == 160
+        for h, t0 in zip(handles, starts):
+            assert h.results == [3 * tid for tid in h.tids]
+            finishes = h.finish_times
+            assert len(finishes) == h.n_threads
+            assert all(f >= t0 + 10 * lane for lane, f in enumerate(finishes))
+
+    def test_finished_threads_leave_while_others_run(self):
+        mem = DeviceMemory(1 << 12)
+        seen = []
+
+        def kernel(ctx):
+            if ctx.tid % 2:
+                yield ops.sleep(500)
+                seen.append([th.tid for th in s._threads if th])
+            return ctx.tid
+
+        s = Scheduler(mem)
+        h = s.launch(kernel, 1, 8)
+        s.run()
+        # the even lanes finished at once, so a late odd lane sees only
+        # odd lanes (those still live) in the table
+        assert seen and all(t % 2 for tids in seen for t in tids)
+        assert h.results == list(range(8))
+
+    def test_tracer_and_race_checker_on_a_multi_launch_run(self):
+        from repro.core import AllocatorConfig, ThroughputAllocator
+        from repro.verify import RaceChecker
+
+        device = GPUDevice(num_sms=2)
+        mem = DeviceMemory(8 << 20)
+        alloc = ThroughputAllocator(mem, device,
+                                    AllocatorConfig(pool_order=8))
+        checker = RaceChecker()
+        checker.watch_allocator(alloc)
+        s = Scheduler(mem, device, seed=3, tracer=checker)
+
+        def kernel(ctx):
+            p = yield from alloc.malloc(ctx, 64 << (ctx.tid % 3))
+            yield from alloc.free(ctx, p)
+            return p
+
+        for _ in range(3):
+            h = s.launch(kernel, 2, 64)
+            s.run()
+            assert not any(s._threads)
+            assert DeviceMemory.NULL not in h.results
+        # Tracer.now timed the lock spans of every launch
+        assert checker.lock_wait.n > 0 and checker.lock_hold.n > 0
+        assert checker.ok, checker.summary()
+        assert len(checker.runs) == 1 and checker.runs[0]["t1"] >= s.now
