@@ -19,11 +19,10 @@ Usage::
         # https://ui.perfetto.dev) and prints the telemetry summary
         # (semaphore wait histograms, top stall words, SM occupancy).
 
-    python -m repro verify        # concurrency verification: schedule
-        # fuzzing + race detection + replay (see `verify --help`).
-    python -m repro verify explore # coverage-guided schedule exploration:
-        # digest-steered case budget, coverage = distinct schedules
-        # visited (see `verify explore --help`).
+    python -m repro verify        # concurrency verification: coverage-
+        # guided schedule exploration (digest-steered case budget,
+        # coverage = distinct schedules visited) + race detection +
+        # replay and shrink (see `verify --help`).
 
     python -m repro perf run      # benchmark suite -> BENCH_*.json artifact
     python -m repro perf compare  # regression gate over the trajectory
@@ -70,7 +69,7 @@ def _load_cli(module_name: str):
 #: (cli module, one-line description for --help).  Dispatch happens
 #: before the experiment parser ever sees the argv.
 _SUBSYSTEMS = {
-    "verify": ("verify", "schedule fuzzing + race detection + replay"),
+    "verify": ("verify", "schedule exploration + race detection + replay"),
     "perf": ("perf", "benchmark suite, regression gate, profiling"),
     "resil": ("resil", "fault injection with recovery assertions"),
     "backends": ("backends", "allocator-backend registry + conformance"),

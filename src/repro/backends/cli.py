@@ -11,6 +11,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..cliargs import backend_arg
 from . import builders  # noqa: F401  -- populates the registry
 from .conformance import run_all
 from .registry import get, names
@@ -19,14 +20,7 @@ from .registry import get, names
 def _cmd_list(args: argparse.Namespace) -> int:
     for name in names():
         b = get(name)
-        if args.verbose:
-            print(f"{name}")
-            print(f"  display:  {b.display}")
-            if b.aliases:
-                print(f"  aliases:  {', '.join(b.aliases)}")
-            print(f"  about:    {b.description}")
-        else:
-            print(f"{name:16s} {b.display:20s} {b.description}")
+        print(f"{name:16s} {b.display:20s} {b.description}")
     return 0
 
 
@@ -53,15 +47,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_list = sub.add_parser("list", help="list registered backends")
-    p_list.add_argument("--verbose", "-v", action="store_true",
-                        help="multi-line detail per backend")
     p_list.set_defaults(fn=_cmd_list)
 
     p_conform = sub.add_parser(
         "conform", help="run the conformance deck against backends"
     )
     p_conform.add_argument(
-        "--backend", action="append", metavar="NAME",
+        "--backend", action="append", type=backend_arg, metavar="NAME",
         help="restrict to this backend (repeatable; default: all)",
     )
     p_conform.set_defaults(fn=_cmd_conform)

@@ -11,11 +11,12 @@ Design constraints (why this is not just ``Pool.map``):
   the calling process with no executor, no pickling and no forked
   children — the serial path stays the reference implementation, and
   environments without working multiprocessing lose nothing.
-* **One deck loop.**  Every deck runner (verify sweep, resil deck, perf
-  suite, workloads replay) and every bench sweep (the points of
-  ``repro.bench``, through :func:`repro.bench.sweep.map_points`) is a
-  single :func:`map_sharded` call, so ``--workers`` changes where a case
-  runs, never which code runs it.  Fail-fast (``stop``) and per-case
+* **One deck loop.**  Every deck runner (resil deck, perf suite,
+  workloads replay), every explore batch and every bench sweep (the
+  points of ``repro.bench``, through
+  :func:`repro.bench.sweep.map_points`) is a single :func:`map_sharded`
+  call, so ``--workers`` changes where a case runs, never which code
+  runs it.  Fail-fast (``stop``) and per-case
   report lines (``describe``) are the only caller hooks, and both
   behave identically on either path.
 * **No nested pools.**  ``workers=0`` resolves to one worker per CPU in

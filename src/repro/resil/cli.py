@@ -14,7 +14,7 @@ Every case runs a verify scenario under a deterministic fault plan and
 must pass the post-fault recovery assertions (quiescent
 ``host_checkpoint``, pressure-gauge/tree agreement, no lost supply).
 ``run`` executes each case twice and compares the fault traces
-byte-for-byte (``--no-replay-check`` skips the second run); ``replay``
+byte-for-byte; ``replay``
 re-executes one case and prints its full fault trace.  Exit status is
 0 iff every case passed.
 """
@@ -83,11 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "a deck (repeatable)",
     )
     p_run.add_argument(
-        "--no-replay-check", action="store_true",
-        help="skip the second run that verifies the fault trace is "
-             "reproduced byte-for-byte",
-    )
-    p_run.add_argument(
         "--fail-fast", action="store_true",
         help="stop at the first failing case",
     )
@@ -152,12 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"no {args.tier}-deck cases for scenario(s) "
                     f"{', '.join(args.scenario)}"
                 )
-    print(f"resil: running {len(deck)} case(s)"
-          + (" (replay check off)" if args.no_replay_check else ""))
-    results = run_deck(
-        deck, replay_check=not args.no_replay_check,
-        fail_fast=args.fail_fast, log=print, workers=args.workers,
-    )
+    print(f"resil: running {len(deck)} case(s)")
+    results = run_deck(deck, fail_fast=args.fail_fast, log=print,
+                       workers=args.workers)
     return _report(results, time.time() - t0)
 
 

@@ -18,8 +18,7 @@ assertions on top:
   is never reached verifies nothing and is reported as a failure, not
   silently passed;
 * replaying the same ``(scenario, seed, plan)`` must reproduce the
-  identical fault trace byte-for-byte (``--no-replay-check`` skips the
-  second run).
+  identical fault trace byte-for-byte.
 """
 
 from __future__ import annotations

@@ -198,6 +198,14 @@ def _cmd_record(args) -> int:
     return 0
 
 
+def _port(raw: str) -> int:
+    """``type=`` of ``--port``: a TCP port, 0..65535 (0 = ephemeral)."""
+    value = int_at_least(0)(raw)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535 (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p_run, single_backend=True)
     p_run.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    p_run.add_argument("--port", type=int, default=0,
+    p_run.add_argument("--port", type=_port, default=0,
                        help="bind port (default 0 = ephemeral)")
     p_run.add_argument("--batch-window", type=positive_float, default=0.005,
                        metavar="SECONDS",

@@ -6,43 +6,34 @@ scheduler seed plus a small set of cost-model/dispatch knobs that bend
 which interleavings the seed explores.  This package turns that
 determinism into a verification workflow:
 
-* **Schedule fuzzing** (:mod:`.runner`): sweep seeds x perturbations
-  over allocator torture scenarios, validating structural and
+* **Torture cases** (:mod:`.runner`): allocator scenarios run under one
+  ``(seed, perturbation)`` pair, validating structural and
   semaphore-accounting invariants plus leak accounting at quiescent
   phase checkpoints.
 * **Race detection** (:mod:`.race`): a :class:`~repro.sim.trace.Tracer`
   subclass that watches every memory op for protocol violations —
   plain stores clobbering held node locks, lock words released by
   non-owners, RCU-unlinked nodes written before their grace period.
+* **Coverage-guided exploration** (:mod:`.explore`): scheduler
+  state-digest feedback steers the case budget toward unvisited
+  interleavings; coverage is reported as distinct schedules visited,
+  and every explored case is an ordinary replay triple (the steering
+  decision rides in the ``steer`` knob).
 * **Replay + shrink** (:mod:`.cli`, :mod:`.shrink`): every failure
   reports a ``scenario:seed:perturbation`` triple replayable with
   ``python -m repro verify --replay``, and the perturbation set can be
   bisected to a minimal reproducer.
-* **Coverage-guided exploration** (:mod:`.explore`): scheduler
-  state-digest feedback steers the case budget toward unvisited
-  interleavings instead of a fixed grid; coverage is reported as
-  distinct schedules visited, and every explored case is an ordinary
-  replay triple (the steering decision rides in the ``steer`` knob).
 
-Entry points: ``python -m repro verify`` and
-``python -m repro verify explore`` (see ``--help``).
+Entry point: ``python -m repro verify`` (see ``--help``).
 """
 
-from .explore import (
-    ExploreReport,
-    Explorer,
-    ScheduleCoverage,
-    deck_coverage,
-    explore,
-)
-from .perturbation import DEFAULT_DECK, SMOKE_DECK, Perturbation
+from .explore import ExploreReport, Explorer, ScheduleCoverage, explore
+from .perturbation import Perturbation
 from .race import RaceChecker, RaceFinding
-from .runner import CaseResult, CaseSpec, SCENARIOS, run_case, sweep
+from .runner import CaseResult, CaseSpec, SCENARIOS, run_case
 from .shrink import shrink_case
 
 __all__ = [
-    "DEFAULT_DECK",
-    "SMOKE_DECK",
     "Perturbation",
     "RaceChecker",
     "RaceFinding",
@@ -50,11 +41,9 @@ __all__ = [
     "CaseSpec",
     "SCENARIOS",
     "run_case",
-    "sweep",
     "shrink_case",
     "Explorer",
     "ExploreReport",
     "ScheduleCoverage",
     "explore",
-    "deck_coverage",
 ]

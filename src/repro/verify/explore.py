@@ -1,11 +1,10 @@
 """Coverage-guided schedule-space exploration.
 
-The random sweep (:func:`~repro.verify.runner.sweep`) executes a fixed
-``seeds x DEFAULT_DECK`` grid with no notion of which *schedules* it
-actually visited: two grid cells frequently collapse onto the same
-interleaving, and the interesting corners of the schedule space (renege
-storms on a contended bulk semaphore, TBuddy lock convoys, RCU grace
-windows) are reached only by luck.  This module replaces luck with
+A fixed grid of seeds x perturbations has no notion of which
+*schedules* it actually visited: two grid cells frequently collapse onto
+the same interleaving, and the interesting corners of the schedule space
+(renege storms on a contended bulk semaphore, TBuddy lock convoys, RCU
+grace windows) are reached only by luck.  This module replaces luck with
 feedback, simsched-style:
 
 1. Every explored case runs with the scheduler's
@@ -32,7 +31,7 @@ Budget-exhausted cases (:attr:`CaseResult.budget_exhausted`) are
 reported separately and never enter the corpus: a livelock-guard trip
 is an artifact of the budget, not a protocol violation to chase.
 
-Entry point: ``python -m repro verify explore`` (see ``--help``).
+Entry point: ``python -m repro verify`` (see ``--help``).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Set, Tuple)
 
 from ..sim.scheduler import PROBE_EVERY
-from .perturbation import DEFAULT_DECK, STEER_KNOB, Perturbation
+from .perturbation import STEER_KNOB, Perturbation
 from .runner import SCENARIOS, CaseResult, CaseSpec, run_case
 
 if TYPE_CHECKING:
@@ -62,9 +61,8 @@ MAX_KNOBS = 4
 #: failures are identical no matter how the batch is sharded.
 BATCH = 4
 
-#: timing-knob mutation catalog: knob -> candidate values.  Values
-#: bracket the DEFAULT_DECK's (the deck is a subset of this space) and
-#: stay within 8x so mutated cases cannot blow the event budget by
+#: timing-knob mutation catalog: knob -> candidate values.  Values stay
+#: within 8x so mutated cases cannot blow the event budget by
 #: construction.
 MUTATION_KNOBS: Dict[str, Tuple[float, ...]] = {
     "atomic_latency": (0.25, 2.0, 4.0, 8.0),
@@ -178,7 +176,6 @@ class ExploreReport:
     budget_failures: List[CaseResult] = field(default_factory=list)
     scenarios: Sequence[str] = ()
     backend: str = "ours"
-    label: str = "explore"
 
     @property
     def coverage_per_case(self) -> float:
@@ -207,7 +204,7 @@ class ExploreReport:
 
     def describe(self) -> str:
         lines = [
-            f"{self.label}: {self.cases} case(s) over "
+            f"explore: {self.cases} case(s) over "
             f"{len(self.scenarios)} scenario(s) on backend "
             f"'{self.backend}'",
             f"  coverage: {self.distinct_schedules} distinct schedule(s) "
@@ -436,48 +433,3 @@ def explore(
         scenarios=scenarios, budget=budget, backend=backend,
         master_seed=master_seed, workers=workers,
     ).run(log=log)
-
-
-def deck_coverage(
-    scenarios: Optional[Sequence[str]] = None,
-    budget: int = 64,
-    backend: str = "ours",
-    workers: int = 1,
-    log: Optional[Callable[[str], None]] = None,
-) -> ExploreReport:
-    """Measure the random sweep's schedule coverage at an equal budget.
-
-    Runs the canonical ``seeds -> deck -> scenarios`` grid (the exact
-    order :func:`~repro.verify.runner.sweep` uses), truncated at
-    ``budget`` cases, with the same digest probes and coverage metric as
-    the explorer — the apples-to-apples baseline for the
-    coverage-vs-budget comparison in EXPERIMENTS.md.
-    """
-    from ..par.pool import map_sharded
-
-    names = list(scenarios) if scenarios else sorted(SCENARIOS)
-    specs: List[CaseSpec] = []
-    seed = 0
-    while len(specs) < budget:
-        for pert in DEFAULT_DECK:
-            for name in names:
-                specs.append(CaseSpec(name, seed, pert, backend))
-        seed += 1
-    specs = specs[:budget]
-    coverage = ScheduleCoverage()
-    report = ExploreReport(
-        cases=0, distinct_schedules=0, distinct_prefixes=0,
-        peak_contention=0, scenarios=names, backend=backend,
-        label="deck",
-    )
-    outcomes = map_sharded(run_probed, specs, workers=workers,
-                           label=lambda spec: spec.replay)
-    for out in outcomes:
-        _, new_schedule = report.observe(out, coverage)
-        if log is not None:
-            mark = "+" if new_schedule else "="
-            log(f"  [{report.cases}/{budget}] {mark} "
-                f"{out.result.describe().splitlines()[0]}")
-    report.distinct_schedules = len(coverage.schedules)
-    report.distinct_prefixes = len(coverage.prefixes)
-    return report

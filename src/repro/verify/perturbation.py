@@ -9,8 +9,8 @@ for the scheduler's deterministic dispatch-phase offset (the
 exploration engine's steering decision — see :mod:`repro.verify.explore`).
 Stretching latencies relative to each other moves
 every inter-thread timing relationship, so a fixed seed explores a
-different interleaving under each perturbation — that, plus the seed
-sweep, is the fuzzing dimension of :mod:`repro.verify`.
+different interleaving under each perturbation — that, plus the seed,
+is the search space :mod:`repro.verify.explore` steers through.
 
 Perturbations serialize to a stable spec string
 (``"atomic_latency=4,jitter=256"``) so a failure can be replayed
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from ..sim.cost_model import CostModel
 
@@ -57,9 +57,10 @@ _VALID = frozenset(COST_KNOBS) | _INT_KNOBS
 
 def format_float(value: float) -> str:
     """Spec text for a float that parses back to exactly ``value``:
-    the short ``%g`` form wherever that is exact (every deck value),
-    else ``repr``.  ``%g`` alone keeps six digits, so ``1234567`` or
-    ``1/3`` used to print a spec that replayed a different case."""
+    the short ``%g`` form wherever that is exact (every mutation-catalog
+    value), else ``repr``.  ``%g`` alone keeps six digits, so
+    ``1234567`` or ``1/3`` used to print a spec that replayed a
+    different case."""
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
 
@@ -173,33 +174,3 @@ class Perturbation:
 
     def __str__(self) -> str:
         return self.spec or "<baseline>"
-
-
-def deck(specs: Iterable[str]) -> Tuple[Perturbation, ...]:
-    """Build a perturbation deck from spec strings."""
-    return tuple(Perturbation.parse(s) for s in specs)
-
-
-#: The default sweep deck.  Entries are chosen to bend the timing
-#: relationships the allocator's protocols depend on: atomic service
-#: pressure (semaphore/lock words), load/store skew (plain accesses
-#: racing atomics), cheap yields (hot spin loops re-polling faster than
-#: publishes land), and dispatch jitter (desynchronized block starts).
-DEFAULT_DECK: Tuple[Perturbation, ...] = deck([
-    "",                                   # baseline schedule
-    "atomic_latency=4",
-    "atomic_service=4",
-    "load_latency=4,store_latency=0.25",
-    "store_latency=8",
-    "yield_cost=0.25",
-    "jitter=256",
-    "atomic_latency=4,jitter=512",
-])
-
-#: Reduced deck for CI smoke runs (still crosses every knob family).
-SMOKE_DECK: Tuple[Perturbation, ...] = deck([
-    "",
-    "atomic_service=4",
-    "load_latency=4,store_latency=0.25",
-    "jitter=256",
-])

@@ -1,4 +1,4 @@
-"""Schedule-fuzzing runner: scenarios, cases, and the sweep loop.
+"""Schedule-fuzzing runner: scenarios and cases.
 
 A *scenario* is an allocator torture workload with quiescent phase
 checkpoints; a *case* is one scenario executed under one
@@ -23,14 +23,13 @@ from typing import (Callable, ClassVar, Dict, List, Optional, Sequence, Type,
 
 from .. import backends as backend_registry
 from ..bench import workloads
-from ..par import pool
 from ..sim import ops
 from ..sim.cost_model import DEFAULT_COST_MODEL
 from ..sim.device import GPUDevice
 from ..sim.errors import EventBudgetExceeded, SimError
 from ..sim.memory import DeviceMemory
 from ..sim.scheduler import Scheduler
-from .perturbation import DEFAULT_DECK, Perturbation
+from .perturbation import Perturbation
 from .race import RaceChecker, RaceFinding
 
 _NULL = DeviceMemory.NULL
@@ -459,7 +458,7 @@ SCENARIOS: Dict[str, tuple] = {
 
 
 # ----------------------------------------------------------------------
-# case execution + sweep
+# case execution
 # ----------------------------------------------------------------------
 def run_case(spec: CaseSpec, check_races: bool = True,
              allocator_hook: Optional[Callable] = None,
@@ -495,28 +494,3 @@ def run_case(spec: CaseSpec, check_races: bool = True,
     if checker is not None:
         result.findings = list(checker.findings)
     return result
-
-
-def sweep(seeds: Sequence[int], deck: Sequence[Perturbation] = DEFAULT_DECK,
-          scenarios: Optional[Sequence[str]] = None,
-          fail_fast: bool = False,
-          log: Optional[Callable[[str], None]] = None,
-          workers: int = 1, backend: str = "ours") -> List[CaseResult]:
-    """Run the full seeds x deck x scenarios grid; returns all results.
-
-    The seeds -> deck -> scenarios nesting order is the grid's
-    *canonical* order: replay listings, failure reports and sharded
-    merges all follow it.  The grid goes through
-    :func:`repro.par.pool.map_sharded` (``workers`` as there: ``1``
-    inline, ``0`` one per CPU); each case builds its own seeded
-    simulator, so results are identical at any worker count, and
-    ``fail_fast`` ends the returned list at the first failure either way.
-    """
-    names = list(scenarios) if scenarios else list(SCENARIOS)
-    grid = [CaseSpec(name, seed, pert, backend)
-            for seed in seeds for pert in deck for name in names]
-    return pool.map_sharded(
-        run_case, grid, workers=workers, log=log,
-        stop=(lambda res: not res.ok) if fail_fast else None,
-        describe=CaseResult.describe,
-    )

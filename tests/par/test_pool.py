@@ -84,14 +84,15 @@ class TestWorkersArg:
 
     @pytest.mark.parametrize("argv", [
         ["verify"],
-        ["verify", "explore"],
+        ["verify", "--replay", "churn:0"],
         ["resil", "run"],
         ["perf", "run"],
         ["workloads", "replay", "unused.jsonl"],
     ])
     def test_negative_workers_exit_2_on_every_command(self, argv, capsys):
-        # negative counts used to run serially (or, in `verify explore`,
-        # raise a traceback from deep inside the pool)
+        # negative counts used to run serially (or, in `verify`, raise
+        # a traceback from deep inside the pool); a replay ignores
+        # --workers but still rejects a hostile value at parse time
         with pytest.raises(SystemExit) as exc:
             repro_main.main(argv + ["--workers", "-1"])
         assert exc.value.code == 2

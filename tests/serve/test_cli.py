@@ -82,3 +82,17 @@ def test_traffic_counts_must_be_positive(command, flag, value, tmp_path,
     assert (f"argument {flag}: must be >= 1 (got {value})"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("port, message", [
+    ("70000", "argument --port: must be <= 65535 (got 70000)"),
+    ("65536", "argument --port: must be <= 65535 (got 65536)"),
+    ("-1", "argument --port: must be >= 0 (got -1)"),
+])
+def test_port_out_of_range_is_a_usage_error(port, message, capsys):
+    # these used to reach bind() and end in an OverflowError traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--port", port])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

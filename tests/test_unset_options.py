@@ -80,6 +80,8 @@ ALLOWED = {
         _SEAM + "mutation tests break the allocator after setup",
     "repro.verify.runner:run_case(check_races)":
         _SEAM + "tests run a case without the race checker",
+    "repro.resil.runner:run_deck(replay_check)":
+        _SEAM + "tests skip the second, trace-comparing run of each case",
     "repro.verify.shrink:shrink_case(rerun)":
         _SEAM + "tests shrink against a fake runner",
     "repro.bench.fig5:run(block)": _SEAM + "tests run small launches",

@@ -7,8 +7,9 @@ store therefore requires a schedule that contends that exact node at
 that exact moment, which is precisely the kind of corner a fixed
 perturbation grid visits only by luck and a coverage-guided explorer is
 built to reach.  The target node was calibrated (see TREE_NODE below)
-so the DEFAULT_DECK grid misses the bug at an equal case budget while
-the explorer's steered schedules hit it.
+so a fixed reference grid (GRID_PERTURBATIONS x seeds 0-1) misses the
+bug at an equal case budget while the explorer's steered schedules hit
+it.
 """
 
 import pytest
@@ -21,18 +22,50 @@ from repro.verify.cli import main as verify_main
 from repro.verify.explore import (
     BATCH,
     Explorer,
-    deck_coverage,
+    ScheduleCoverage,
     explore,
     run_probed,
 )
 
+#: the reference grid the explorer is measured against: a fixed deck of
+#: perturbations chosen by hand to bend the timing relationships the
+#: protocols depend on (atomic service pressure, load/store skew, cheap
+#: yields, dispatch jitter), run at seeds 0 and 1
+GRID_PERTURBATIONS = (
+    "",
+    "atomic_latency=4",
+    "atomic_service=4",
+    "load_latency=4,store_latency=0.25",
+    "store_latency=8",
+    "yield_cost=0.25",
+    "jitter=256",
+    "atomic_latency=4,jitter=512",
+)
+GRID_SEEDS = (0, 1)
+
 #: equal-budget comparison point for the separation tests: 16 cases is
-#: the DEFAULT_DECK's full 2-seed grid over one scenario.
-SEP_BUDGET = 16
+#: the reference grid over one scenario.
+SEP_BUDGET = len(GRID_PERTURBATIONS) * len(GRID_SEEDS)
+
+
+def grid_run(scenario):
+    """Run the reference grid over one scenario, probed like the
+    explorer; returns its schedule coverage and its failing results."""
+    coverage = ScheduleCoverage()
+    failures = []
+    for seed in GRID_SEEDS:
+        for pert in GRID_PERTURBATIONS:
+            out = run_probed(
+                CaseSpec(scenario, seed, Perturbation.parse(pert)))
+            coverage.observe(out)
+            if not out.result.ok:
+                failures.append(out.result)
+    return coverage, failures
+
 
 #: the seeded bug's gated tree node.  Calibrated empirically (schedule-
 #: neutral spy on ``_transition`` entry loads): at SEP_BUDGET over the
-#: storm scenario, no DEFAULT_DECK schedule ever observes this node's
+#: storm scenario, no reference-grid schedule ever observes this node's
 #: lock bit set at transition entry, while explorer schedules (master
 #: seed 0) do.  If a scheduler change shifts schedules, re-run the spy
 #: (record nodes with LOCK_BIT set at the first ``_transition`` load,
@@ -47,7 +80,7 @@ def contended_publish(monkeypatch):
 
     The wrapper forwards the original generator's ops verbatim until
     the gate fires, so every schedule is byte-identical to the clean
-    run up to the moment the bug executes — the deck/explorer
+    run up to the moment the bug executes — the grid/explorer
     separation measured on clean runs carries over exactly.
     """
     orig = tb_mod.TBuddy._transition
@@ -157,10 +190,10 @@ class TestCoverage:
         steered walk visits strictly more distinct schedules than the
         fixed grid (deterministic, so pinned with strict >)."""
         ex = explore(scenarios=["churn"], budget=SEP_BUDGET)
-        deck = deck_coverage(scenarios=["churn"], budget=SEP_BUDGET)
-        assert ex.cases == deck.cases == SEP_BUDGET
-        assert ex.distinct_schedules > deck.distinct_schedules
-        assert ex.distinct_prefixes > deck.distinct_prefixes
+        grid, _ = grid_run("churn")
+        assert ex.cases == SEP_BUDGET
+        assert ex.distinct_schedules > len(grid.schedules)
+        assert ex.distinct_prefixes > len(grid.prefixes)
 
 
 #: the teeth test's failing replay strings, pinned so that every worker
@@ -176,11 +209,11 @@ class TestTeeth:
         # At workers=2 the cases run in the session's forked pool, so a
         # pool forked before the monkeypatch (a process-global one) would
         # run clean TBuddy code and miss the bug.
-        deck = deck_coverage(scenarios=["storm"], budget=SEP_BUDGET)
-        assert not deck.failures, (
-            "calibration drifted: the DEFAULT_DECK grid now catches the "
+        _, grid_failures = grid_run("storm")
+        assert not grid_failures, (
+            "calibration drifted: the reference grid now catches the "
             "gated bug — re-calibrate TREE_NODE (see module docstring)\n"
-            + deck.describe()
+            + "\n".join(res.describe() for res in grid_failures)
         )
         ex = explore(scenarios=["storm"], budget=SEP_BUDGET, workers=workers)
         assert ex.failures, (
@@ -228,15 +261,15 @@ class TestBudgetTaxonomy:
 
 
 class TestCli:
-    def test_explore_subcommand_smoke(self, capsys):
-        rc = verify_main(["explore", "--budget", "6", "--scenario",
+    def test_exploration_smoke(self, capsys):
+        rc = verify_main(["--budget", "6", "--scenario",
                           "churn", "--quiet", "--min-coverage", "4"])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "distinct schedule(s)" in out
 
     def test_coverage_floor_fails_the_run(self, capsys):
-        rc = verify_main(["explore", "--budget", "4", "--scenario",
+        rc = verify_main(["--budget", "4", "--scenario",
                           "churn", "--quiet", "--min-coverage", "999"])
         out = capsys.readouterr().out
         assert rc == 1, out
@@ -252,6 +285,14 @@ class TestCli:
     def test_hostile_options_are_usage_errors(self, argv, message, capsys):
         # these used to raise a ValueError traceback (exit 1) mid-run
         with pytest.raises(SystemExit) as exc:
-            verify_main(["explore", *argv])
+            verify_main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_explore_subcommand_is_gone(self, capsys):
+        # exploring is what `verify` does; the old subcommand word is
+        # now an unrecognized argument, not a silent alias
+        with pytest.raises(SystemExit) as exc:
+            verify_main(["explore", "--budget", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: explore" in capsys.readouterr().err

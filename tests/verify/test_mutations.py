@@ -1,7 +1,8 @@
 """Mutation tests: prove the verification subsystem has teeth.
 
 Each test re-introduces a *known-bad* variant of an allocator protocol
-and asserts the default-budget sweep catches it deterministically:
+and asserts a case the explorer always runs — its round 0 is every
+scenario at seeds 0 and 1, unperturbed — catches it deterministically:
 
 * **Unlocked merge store** — TBuddy's free/merge path publishing BUSY
   with a plain store instead of the locked ``_transition``.  A stale
@@ -26,8 +27,8 @@ from repro.sync.bulk_semaphore import BulkSemaphore
 from repro.verify import CaseSpec, run_case
 from repro.verify import runner as runner_mod
 
-#: seeds the sweep default (4 seeds) would cover; empirically the
-#: mutations below are caught at the very first ones.
+#: the seeds of the explorer's round 0; empirically the mutations
+#: below are caught at the very first ones.
 MUTATION_A_SEEDS = (0, 1)
 
 
@@ -85,7 +86,7 @@ def test_storm_control_passes_without_mutation_a():
 
 def test_skipped_renege_is_caught(skipped_renege):
     res = run_case(CaseSpec("storm_oom", 0))
-    assert not res.ok, "sweep missed the skipped renege"
+    assert not res.ok, "storm_oom:0 missed the skipped renege"
     assert res.error is not None
     # structural deadlock, the livelock guard (waiters spinning on the
     # phantom expectation past the event budget), or the quiescent

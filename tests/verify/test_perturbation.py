@@ -3,13 +3,7 @@
 import pytest
 
 from repro.sim.cost_model import DEFAULT_COST_MODEL
-from repro.verify.perturbation import (
-    COST_KNOBS,
-    DEFAULT_DECK,
-    SMOKE_DECK,
-    Perturbation,
-    deck,
-)
+from repro.verify.perturbation import Perturbation
 
 
 class TestSpec:
@@ -142,23 +136,3 @@ class TestShrinkSupport:
     def test_without_missing_knob_is_noop(self):
         p = Perturbation.parse("jitter=256")
         assert p.without("atomic_latency") == p
-
-
-class TestDecks:
-    def test_default_deck_starts_at_baseline(self):
-        assert not DEFAULT_DECK[0]
-
-    def test_smoke_deck_is_subset_sized(self):
-        assert len(SMOKE_DECK) < len(DEFAULT_DECK)
-        assert not SMOKE_DECK[0]
-
-    def test_every_deck_entry_applies_cleanly(self):
-        for pert in DEFAULT_DECK + SMOKE_DECK:
-            cost, jitter = pert.apply(DEFAULT_COST_MODEL)
-            assert jitter >= 0
-            for knob in COST_KNOBS:
-                assert getattr(cost, knob) >= 1
-
-    def test_deck_builder(self):
-        d = deck(["", "jitter=16"])
-        assert len(d) == 2 and not d[0] and d[1].spec == "jitter=16"

@@ -1,4 +1,4 @@
-"""Runner, replay specs, sweep and the ``verify`` CLI surface."""
+"""Runner, replay specs and the ``verify`` CLI surface."""
 
 import re
 from pathlib import Path
@@ -11,9 +11,9 @@ import repro.__main__ as repro_main
 from repro import backends
 from repro.resil import cli as resil_cli
 from repro.resil.runner import ResilSpec
-from repro.verify import CaseSpec, Perturbation, run_case, sweep
+from repro.verify import CaseSpec, ExploreReport, Perturbation, run_case
 from repro.verify import cli
-from repro.verify.perturbation import COST_KNOBS, JITTER_KNOB, STEER_KNOB, deck
+from repro.verify.perturbation import COST_KNOBS, JITTER_KNOB, STEER_KNOB
 from repro.verify.runner import SCENARIOS, CaseResult
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -246,33 +246,6 @@ class TestRunCase:
         assert res.ok and seen["c"] is None
 
 
-class TestSweep:
-    def test_grid_shape_and_all_pass(self):
-        results = sweep([0, 1], deck=deck(["", "jitter=256"]),
-                        scenarios=["churn"])
-        assert len(results) == 4
-        assert all(r.ok for r in results)
-
-    def test_log_callback_sees_every_case(self):
-        lines = []
-        sweep([0], deck=deck([""]), scenarios=["churn"],
-              log=lines.append)
-        assert lines == ["PASS churn:0:"]
-
-    def test_fail_fast_stops_at_first_failure(self, monkeypatch):
-        calls = []
-
-        def fake_run(spec, **kw):
-            calls.append(spec)
-            return CaseResult(spec, error="boom")
-
-        import repro.verify.runner as runner_mod
-        monkeypatch.setattr(runner_mod, "run_case", fake_run)
-        results = runner_mod.sweep([0, 1], deck=deck(["", "jitter=256"]),
-                                   scenarios=["churn"], fail_fast=True)
-        assert len(results) == len(calls) == 1
-
-
 class TestCli:
     def test_replay_passing_case_exits_zero(self, capsys):
         assert cli.main(["--replay", "churn:0"]) == 0
@@ -293,55 +266,56 @@ class TestCli:
         assert exc.value.code == 2
         assert f"bad replay spec {raw!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--seeds", "0"], "argument --seeds: must be >= 1 (got 0)"),
-        (["--seeds", "-2"], "argument --seeds: must be >= 1 (got -2)"),
-        (["--backend", "nope"], "argument --backend: unknown backend 'nope'"),
-    ])
-    def test_hostile_sweep_options_are_usage_errors(self, argv, message,
-                                                    capsys):
-        # --seeds 0 used to print "all 0 cases passed" and exit 0 (a
-        # vacuous green); --backend nope ended in a ValueError traceback
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
-
-    def test_small_sweep_exits_zero(self, capsys):
-        rc = cli.main(["--scenario", "churn", "--seeds", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "all 8 cases passed" in out  # 1 seed x default deck (8)
-
-    def test_smoke_flag_reduces_grid(self, capsys):
-        rc = cli.main(["--smoke", "--scenario", "churn"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        # 2 seeds x smoke deck (4) x 1 scenario
-        assert "= 8 cases" in out
-
-    def test_failing_sweep_prints_replay_line(self, monkeypatch, capsys):
-        bad = CaseResult(CaseSpec("churn", 0,
-                                  Perturbation.parse("jitter=256")),
-                         error="AssertionError: leak")
-
-        monkeypatch.setattr(cli, "sweep", lambda *a, **kw: [bad])
-        rc = cli.main(["--seeds", "1"])
+    def test_failing_replay_with_shrink_reports_minimal(self, monkeypatch,
+                                                        capsys):
+        spec = CaseSpec("churn", 0, Perturbation.parse("jitter=256"))
+        monkeypatch.setattr(cli, "run_case",
+                            lambda s: CaseResult(s, error="AssertionError"))
+        monkeypatch.setattr(cli, "shrink_case",
+                            lambda s, log=None: CaseSpec("churn", 0))
+        rc = cli.main(["--replay", spec.replay, "--shrink"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "1 failing case(s)" in out
-        assert "replay: python -m repro verify --replay 'churn:0:jitter=256'" in out
+        assert "FAIL churn:0:jitter=256" in out
+        assert "minimal reproducer: python -m repro verify --replay " \
+               "'churn:0:'" in out
 
-    def test_failing_sweep_with_shrink_reports_minimal(self, monkeypatch, capsys):
+    def test_small_exploration_exits_zero(self, capsys):
+        rc = cli.main(["--scenario", "churn", "--budget", "4", "--quiet"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "explore: 4 case(s) over 1 scenario(s)" in out
+        assert "failures: 0 protocol, 0 budget-exhausted" in out
+
+    @staticmethod
+    def _failing_explore(monkeypatch):
         spec = CaseSpec("churn", 0, Perturbation.parse("jitter=256"))
         bad = CaseResult(spec, error="AssertionError: leak")
-        monkeypatch.setattr(cli, "sweep", lambda *a, **kw: [bad])
-        monkeypatch.setattr(cli, "shrink_case",
-                            lambda s, log=None: s)
-        rc = cli.main(["--seeds", "1", "--shrink"])
+        report = ExploreReport(cases=1, distinct_schedules=1,
+                               distinct_prefixes=1, peak_contention=0,
+                               failures=[bad], scenarios=["churn"])
+        monkeypatch.setattr(cli, "explore", lambda **kw: report)
+
+    def test_failing_exploration_prints_replay_line(self, monkeypatch,
+                                                    capsys):
+        self._failing_explore(monkeypatch)
+        rc = cli.main(["--budget", "1"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "minimal reproducer" in out
+        assert "failures: 1 protocol, 0 budget-exhausted" in out
+        assert "replay: python -m repro verify --replay 'churn:0:jitter=256'" in out
+
+    def test_failing_exploration_with_shrink_reports_minimal(self, monkeypatch,
+                                                            capsys):
+        self._failing_explore(monkeypatch)
+        monkeypatch.setattr(cli, "shrink_case",
+                            lambda s, log=None: CaseSpec("churn", 0))
+        rc = cli.main(["--budget", "1", "--shrink"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "shrinking churn:0:jitter=256 ..." in out
+        assert "minimal reproducer: python -m repro verify --replay " \
+               "'churn:0:'" in out
 
     def test_main_module_dispatches_verify(self, capsys):
         assert repro_main.main(["verify", "--replay", "churn:0"]) == 0
