@@ -54,6 +54,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -158,4 +159,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed reader is seen here, not at exit
+    except BrokenPipeError:
+        # The reader closed early (`... | head -1`).  Point stdout at
+        # devnull so the interpreter's exit flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -24,9 +24,11 @@ persists across all of them.  This package is that front end:
     latency streams back from the lane completion times.
 
 :mod:`~repro.serve.server`
-    The socket front end: thread-per-connection readers feeding one
-    batcher thread, so the engine — and therefore the simulated device —
-    stays single-threaded and deterministic per batch.
+    The socket front end: one event-loop thread reads every session,
+    closes a batch when it is full or its oldest request has waited
+    ``batch_window``, and runs it on the engine — so the engine, and
+    therefore the simulated device, stays single-threaded and
+    deterministic per batch.
 
 :mod:`~repro.serve.loadgen`
     A seeded open-loop load generator replaying workload-zoo traces (or

@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (default 0 = ephemeral)")
     p_run.add_argument("--batch-window", type=positive_float, default=0.005,
                        metavar="SECONDS",
-                       help="batching quiet window (default 5 ms)")
+                       help="longest a request waits for its batch to close "
+                            "(default 5 ms)")
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="socket load generation + "
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     _traffic(p_bench)
     p_bench.add_argument("--batch-window", type=positive_float, default=0.002,
                          metavar="SECONDS",
-                         help="batching quiet window (default 2 ms)")
+                         help="longest a request waits for its batch to "
+                              "close (default 2 ms)")
     p_bench.add_argument("--cps", type=positive_float, default=None,
                          metavar="CYCLES_PER_SEC",
                          help="pace sends: virtual-cycle gaps become "

@@ -134,8 +134,8 @@ class ServeEngine:
         self.stats: Dict[int, TenantStats] = {}
         #: failure counts by cause, admission and episode combined
         self.causes: Dict[str, int] = {}
-        #: per-request virtual latencies of every executed request
-        self.latencies: List[int] = []
+        #: virtual latency -> number of executed requests that took it
+        self.latencies: Dict[int, int] = {}
         self.episodes = 0
         self.requests = 0
 
@@ -245,9 +245,9 @@ class ServeEngine:
         finishes = lh.finish_times
         for lane, (slot, r, freed_size, eid) in enumerate(admitted):
             out = outcomes[slot]
-            out.latency = finishes[lane] - start
+            latency = out.latency = finishes[lane] - start
             out.episode = episode
-            self.latencies.append(out.latency)
+            self.latencies[latency] = self.latencies.get(latency, 0) + 1
             st = self._tenant_stats(r.tenant)
             if r.op == OP_MALLOC:
                 p = results[lane]
@@ -283,11 +283,15 @@ class ServeEngine:
         if not 0 <= pct <= 100:
             # a negative rank would index from the top of the ordering
             raise ValueError(f"pct must be in 0..100 (got {pct})")
-        if not self.latencies:
+        n = sum(self.latencies.values())
+        if not n:
             return 0
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1, int(pct / 100.0 * len(ordered)))
-        return ordered[rank]
+        rank = min(n - 1, int(pct / 100.0 * n))
+        for value in sorted(self.latencies):
+            rank -= self.latencies[value]
+            if rank < 0:
+                break
+        return value
 
     def report(self) -> ReplayReport:
         """The service session summarized as a

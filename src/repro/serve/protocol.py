@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 #: protocol identifier; bump the suffix on breaking changes
 PROTOCOL = "repro.serve/1"
@@ -72,10 +72,16 @@ def encode(msg: dict) -> bytes:
     return (_ENCODER.encode(msg) + "\n").encode("utf-8")
 
 
-def decode_line(line: str) -> dict:
-    """Parse one received line into a message object."""
+def decode_line(line: Union[str, bytes]) -> dict:
+    """Parse one received line (text, or the UTF-8 bytes off the wire)
+    into a message object."""
     if len(line) > MAX_LINE:
         raise ProtocolError(f"line exceeds {MAX_LINE} bytes")
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ProtocolError(f"not valid UTF-8: {e}") from None
     try:
         msg = json.loads(line)
     except json.JSONDecodeError as e:

@@ -1,27 +1,21 @@
 """The socket front end: many tenant sessions, one deterministic engine.
 
-Threading model (chosen so the *simulator* never sees concurrency it
-cannot replay):
+One **event-loop thread** serves everything, so the simulator never
+sees concurrency it cannot replay.  It runs a ``selectors`` loop over
+the listener, every session socket and a wake-up socket pair that
+:meth:`ServeServer.stop` writes to.  It reads whatever a ready socket
+holds and splits lines with the session's own buffer; ``hello``,
+``bye`` and malformed input (a counted protocol-error reply) are
+answered inline, and every well-formed request joins the pending batch
+stamped with the time it was read.  A batch closes when ``batch_max``
+requests are pending or when the oldest has waited ``batch_window``
+seconds; the loop runs one engine episode for it and writes each
+session's replies in one write, in request order, ``stats`` last.
 
-* an **accept thread** hands each incoming connection to a
-  **session thread**;
-* session threads only parse and validate — every well-formed request
-  is queued; malformed input is answered inline with a protocol-error
-  reply and counted;
-* a single **batcher thread** owns the :class:`~.engine.ServeEngine`:
-  it drains the queue into batches (up to ``batch_max`` requests or a
-  ``batch_window`` of wall-clock quiet), runs one episode per batch,
-  and writes each session's replies back in one write, in that
-  session's request order.
-
-So the socket layer is concurrent the way a service must be, while the
-allocator, scheduler and admission ledgers are touched by exactly one
-thread — batch composition depends on arrival timing (it is a real open
-system), but *within* any batch the outcome is the engine's
-deterministic contract.
-
-``port=0`` binds an ephemeral port; :meth:`ServeServer.start` returns
-the bound address.  The server is a context manager::
+Batch composition depends on arrival timing (it is a real open system),
+but *within* any batch the outcome is the engine's deterministic
+contract.  ``port=0`` binds an ephemeral port; :meth:`ServeServer.start`
+returns the bound address.  The server is a context manager::
 
     with ServeServer(engine) as (host, port):
         ...clients connect...
@@ -29,45 +23,45 @@ the bound address.  The server is a context manager::
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import threading
+from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
 from . import protocol
 from .engine import ServeEngine, ServeRequest
-from .protocol import OP_BYE, OP_FREE, OP_MALLOC, OP_STATS, ProtocolError
+from .protocol import OP_BYE, OP_MALLOC, OP_STATS, ProtocolError
+
+#: bytes asked of a ready socket per read
+_RECV_BYTES = 1 << 16
 
 
 class _Session:
-    """One connected client: socket, declared tenant, write lock."""
+    """One connected client: socket, declared tenant, unsplit input."""
 
-    def __init__(self, conn: socket.socket, peer: str):
+    def __init__(self, conn: socket.socket):
         self.conn = conn
-        self.peer = peer
         self.tenant: Optional[int] = None
-        self._wlock = threading.Lock()
+        #: received bytes after the last newline
+        self.buf = b""
 
     def send(self, msg: dict) -> None:
         self.write(protocol.encode(msg))
 
     def write(self, data: bytes) -> None:
-        """Send encoded frames whole, under the session's write lock."""
-        with self._wlock:
-            try:
-                self.conn.sendall(data)
-            except OSError:
-                pass  # peer vanished; its reader will observe EOF too
+        """Send encoded frames whole."""
+        try:
+            self.conn.sendall(data)
+        except OSError:
+            pass  # peer vanished; the loop observes EOF too
 
     def close(self) -> None:
         try:
             self.conn.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        self.conn.close()
 
 
 class ServeServer:
@@ -86,13 +80,12 @@ class ServeServer:
         self.batch_max = batch_max
         self._host = host
         self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        self._threads: List[threading.Thread] = []
-        self._sessions: List[_Session] = []
-        self._sessions_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._lock = threading.Lock()  # protocol_errors counter
+        self._thread: Optional[threading.Thread] = None
+        self._sel: Optional[selectors.BaseSelector] = None
+        self._wake: Optional[socket.socket] = None
+        self._stopping = False
+        #: (session, request, time read) in arrival order
+        self._pending: List[Tuple[_Session, protocol.Request, float]] = []
         #: malformed messages received across all sessions (the CI
         #: smoke gate: any nonzero count fails the run)
         self.protocol_errors = 0
@@ -102,32 +95,32 @@ class ServeServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        if self._listener is not None:
+        if self._thread is not None:
             raise RuntimeError("server already started")
         lst = socket.create_server((self._host, self._port))
-        self._listener = lst
+        lst.setblocking(False)
         self.address = lst.getsockname()[:2]
-        for fn, name in ((self._accept_loop, "serve-accept"),
-                         (self._batch_loop, "serve-batch")):
-            t = threading.Thread(target=fn, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+        wake_r, self._wake = socket.socketpair()
+        sel = self._sel = selectors.DefaultSelector()
+        sel.register(lst, selectors.EVENT_READ)
+        sel.register(wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, args=(lst,),
+                                        name="serve-loop", daemon=True)
+        self._thread.start()
         return self.address
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for s in sessions:
-            s.close()
-        self._queue.put(None)  # wake the batcher
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if self._thread is None or self._stopping:
+            return
+        self._stopping = True
+        try:
+            self._wake.send(b"\0")
+        except OSError:
+            pass  # the loop has already ended and closed its side
+        # A loop blocked in ``sendall`` to a client that stopped reading
+        # never sees the wake-up byte; return anyway and leave it behind.
+        self._thread.join(timeout=5.0)
+        self._wake.close()
 
     def __enter__(self) -> Tuple[str, int]:
         return self.start()
@@ -135,96 +128,99 @@ class ServeServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _count_protocol_error(self) -> None:
-        with self._lock:
-            self.protocol_errors += 1
-
     # ------------------------------------------------------------------
-    # accept + session threads (parse/validate only)
+    # the event loop (sole owner of the engine)
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            sess = _Session(conn, f"{peer[0]}:{peer[1]}")
-            with self._sessions_lock:
-                self._sessions.append(sess)
-            t = threading.Thread(target=self._session_loop, args=(sess,),
-                                 name=f"serve-session-{sess.peer}",
-                                 daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _session_loop(self, sess: _Session) -> None:
+    def _loop(self, lst: socket.socket) -> None:
+        sel = self._sel
+        pending = self._pending
         try:
-            reader = sess.conn.makefile("r", encoding="utf-8", newline="\n")
-        except OSError:
-            return
-        with reader:
-            for line in reader:
-                if self._stop.is_set():
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    msg = protocol.decode_line(line)
-                    if sess.tenant is None:
-                        hello = protocol.parse_hello(msg)
-                        sess.tenant = hello.tenant
-                        sess.send(protocol.hello_reply(
-                            self.engine.backend_name,
-                            self.engine.admission.quota_bytes,
-                            self.batch_max,
-                        ))
-                        continue
-                    req = protocol.parse_request(msg)
-                except ProtocolError as e:
-                    self._count_protocol_error()
-                    sess.send(protocol.protocol_error_reply(str(e)))
-                    continue
-                if req.op == OP_BYE:
-                    sess.send(protocol.bye_reply())
-                    break
-                # malloc/free/stats are serviced by the batcher thread
-                self._queue.put((sess, req))
+            while not self._stopping:
+                timeout = None
+                if pending:
+                    timeout = max(0.0, pending[0][2] + self.batch_window
+                                  - monotonic())
+                for key, _ in sel.select(timeout):
+                    if key.data is not None:
+                        self._read(key.data)
+                    elif key.fileobj is lst:
+                        self._accept(lst)
+                while pending and (
+                        len(pending) >= self.batch_max
+                        or monotonic() - pending[0][2] >= self.batch_window):
+                    self._run_batch(pending[:self.batch_max])
+                    del pending[:self.batch_max]
+        finally:
+            for key in list(sel.get_map().values()):
+                if key.data is not None:
+                    key.data.close()
+                else:
+                    key.fileobj.close()
+            sel.close()
+
+    def _accept(self, lst: socket.socket) -> None:
+        try:
+            conn, _ = lst.accept()
+        except BlockingIOError:
+            return  # the peer gave up before we got to it
+        conn.setblocking(True)
+        self._sel.register(conn, selectors.EVENT_READ, _Session(conn))
+
+    def _drop(self, sess: _Session) -> None:
+        self._sel.unregister(sess.conn)
         sess.close()
 
-    # ------------------------------------------------------------------
-    # the batcher thread (sole owner of the engine)
-    # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
-        q = self._queue
-        while True:
-            try:
-                first = q.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            if first is None:
+    def _read(self, sess: _Session) -> None:
+        try:
+            data = sess.conn.recv(_RECV_BYTES)
+        except OSError:
+            data = b""
+        if not data:
+            self._drop(sess)
+            return
+        now = monotonic()
+        *lines, sess.buf = (sess.buf + data).split(b"\n")
+        for line in lines:
+            if not self._handle_line(sess, line.strip(), now):
                 return
-            entries = [first]
-            # Collect the rest of the batch: up to batch_max requests,
-            # waiting at most batch_window for stragglers.
-            while len(entries) < self.batch_max:
-                try:
-                    nxt = q.get(timeout=self.batch_window)
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    self._run_batch(entries)
-                    return
-                entries.append(nxt)
-            self._run_batch(entries)
+        if len(sess.buf) > protocol.MAX_LINE:
+            self._protocol_error(
+                sess, f"line exceeds {protocol.MAX_LINE} bytes")
+            self._drop(sess)
+
+    def _protocol_error(self, sess: _Session, detail: str) -> None:
+        self.protocol_errors += 1
+        sess.send(protocol.protocol_error_reply(detail))
+
+    def _handle_line(self, sess: _Session, line: bytes, now: float) -> bool:
+        """Answer or queue one line; False once the session is closed."""
+        if not line:
+            return True
+        try:
+            msg = protocol.decode_line(line)
+            if sess.tenant is None:
+                sess.tenant = protocol.parse_hello(msg).tenant
+                sess.send(protocol.hello_reply(
+                    self.engine.backend_name,
+                    self.engine.admission.quota_bytes,
+                    self.batch_max,
+                ))
+                return True
+            req = protocol.parse_request(msg)
+        except ProtocolError as e:
+            self._protocol_error(sess, str(e))
+            return True
+        if req.op == OP_BYE:
+            sess.send(protocol.bye_reply())
+            self._drop(sess)
+            return False
+        self._pending.append((sess, req, now))
+        return True
 
     def _run_batch(self, entries) -> None:
         batch_entries = []
         stats_entries = []
-        for sess, req in entries:
+        for sess, req, _ in entries:
             if req.op == OP_STATS:
                 stats_entries.append(sess)
             else:

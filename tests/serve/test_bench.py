@@ -51,7 +51,7 @@ class TestFeedTrace:
         def run():
             eng = ServeEngine(pool=POOL, seed=5)
             feed_trace(eng, _trace(seed=5), batch_max=16)
-            return (eng.sched.now, eng.latencies,
+            return (eng.sched.now, sorted(eng.latencies.items()),
                     {t: vars(st) for t, st in eng.stats.items()})
 
         assert run() == run()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 
 import pytest
 
@@ -152,6 +153,7 @@ class TestTelemetry:
         eng.submit([_malloc(0, 64), _malloc(1, 128)])
         t = eng.totals()
         assert t.n_malloc == 2 and t.bytes_requested == 192
+        assert sum(eng.latencies.values()) == 2
         assert eng.latency_percentile(50) > 0
         assert eng.latency_percentile(99) >= eng.latency_percentile(50)
 
@@ -162,11 +164,24 @@ class TestTelemetry:
     def test_percentile_outside_0_to_100_is_rejected(self, pct):
         eng = _engine()
         # a negative rank used to index from the top: -50 gave 30 here
-        eng.latencies = [10, 20, 30, 40]
+        eng.latencies = {10: 1, 20: 1, 30: 1, 40: 1}
         with pytest.raises(ValueError, match="pct must be in 0..100"):
             eng.latency_percentile(pct)
         assert eng.latency_percentile(0) == 10
         assert eng.latency_percentile(100) == 40
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counted_percentile_matches_sorted_list_nearest_rank(self, seed):
+        rng = random.Random(seed)
+        samples = [rng.choice((300, 857, 857, 1200, 4000))
+                   for _ in range(rng.randint(1, 60))]
+        eng = _engine()
+        for lat in samples:
+            eng.latencies[lat] = eng.latencies.get(lat, 0) + 1
+        ordered = sorted(samples)
+        for pct in (0, 1, 25, 50, 90, 99, 99.9, 100):
+            rank = min(len(ordered) - 1, int(pct / 100.0 * len(ordered)))
+            assert eng.latency_percentile(pct) == ordered[rank], pct
 
     def test_report_reuses_replay_qos_vocabulary(self):
         eng = _engine()

@@ -12,10 +12,15 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 from repro.serve import protocol
 from repro.serve.engine import ServeEngine
 from repro.serve.server import ServeServer
+
+
+#: seconds a test client waits for one reply
+REPLY_TIMEOUT = 10.0
 
 
 class _Client:
@@ -23,6 +28,8 @@ class _Client:
 
     def __init__(self, host, port, tenant):
         self.conn = socket.create_connection((host, port))
+        # a reply that never comes fails the test instead of hanging it
+        self.conn.settimeout(REPLY_TIMEOUT)
         self.reader = self.conn.makefile("r", encoding="utf-8", newline="\n")
         self._req = 0
         self.hello = self._rpc({"op": "hello", "proto": protocol.PROTOCOL,
@@ -239,3 +246,115 @@ class TestPipelinedSessionsInOneBatch:
         batch_writes = [(t, d) for t, d in writes if b'"bye"' not in d]
         assert sorted(t for t, _ in batch_writes) == [0, 1]
         assert all(d.count(b"\n") == self.N_EACH + 1 for _, d in batch_writes)
+
+
+class TestBatchingContract:
+    def test_trickle_gets_a_reply_within_the_window(self):
+        # Requests 0.1 s apart never leave a 0.2 s quiet gap, so a quiet
+        # window would hold the first one until the trickle ends.
+        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
+                          batch_window=0.2, batch_max=64)
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+
+            def trickle():
+                for i in range(6):
+                    c.conn.sendall(protocol.encode(
+                        {"op": "malloc", "req": i, "size": 64}))
+                    time.sleep(0.1)
+
+            t0 = time.monotonic()
+            sender = threading.Thread(target=trickle, daemon=True)
+            sender.start()
+            first = json.loads(c.reader.readline())
+            waited = time.monotonic() - t0
+            rest = [json.loads(c.reader.readline()) for _ in range(5)]
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            c.close()
+        assert first["ok"] and first["req"] == 0
+        assert waited < 0.45, waited
+        assert [r["req"] for r in rest] == [1, 2, 3, 4, 5]
+        assert srv.protocol_errors == 0
+
+    def test_line_split_across_two_sends(self):
+        srv = _server()
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            frame = protocol.encode({"op": "malloc", "req": 7, "size": 96})
+            c.conn.sendall(frame[:9])
+            time.sleep(0.05)
+            c.conn.sendall(frame[9:])
+            reply = json.loads(c.reader.readline())
+            assert reply["ok"] and reply["req"] == 7
+            c.close()
+        assert srv.protocol_errors == 0
+
+    def test_one_chunk_of_many_lines_spans_batches_in_order(self):
+        srv = _server()  # batch_max 32
+        n = 80
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            c.conn.sendall(b"".join(
+                protocol.encode({"op": "malloc", "req": i, "size": 64})
+                for i in range(n)))
+            replies = [json.loads(c.reader.readline()) for _ in range(n)]
+            c.close()
+        assert [r["req"] for r in replies] == list(range(n))
+        assert all(r["ok"] for r in replies)
+        assert len({r["episode"] for r in replies}) >= 3
+        assert srv.protocol_errors == 0
+
+    def test_disconnect_with_pending_requests_spares_other_sessions(self):
+        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
+                          batch_window=0.3, batch_max=64)
+        with srv as (host, port):
+            gone, stays = _Client(host, port, 0), _Client(host, port, 1)
+            burst = [{"op": "malloc", "req": i, "size": 64} for i in range(5)]
+            gone.conn.sendall(b"".join(protocol.encode(m) for m in burst))
+            gone.conn.close()  # no bye, no reads: its replies have no reader
+            stays.conn.sendall(b"".join(protocol.encode(m) for m in burst))
+            replies = [json.loads(stays.reader.readline()) for _ in burst]
+            assert [r["req"] for r in replies] == list(range(5))
+            assert all(r["ok"] for r in replies)
+            assert stays.request("stats")["tenants"]["1"]["n_malloc"] == 5
+            stays.close()
+        assert srv.protocol_errors == 0
+
+
+class TestHostileInput:
+    def test_non_utf8_line_is_a_counted_protocol_error(self):
+        srv = _server()
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            c.conn.sendall(b'{"op": "st\xffats"}\n')
+            r = json.loads(c.reader.readline())
+            assert r["error"] == "protocol" and "UTF-8" in r["detail"]
+            # the session survives: well-formed traffic still works
+            assert c.request("malloc", size=64)["ok"]
+            c.close()
+        assert srv.protocol_errors == 1
+
+    def test_overlong_line_closes_only_its_session(self):
+        srv = _server()
+        with srv as (host, port):
+            bad, good = _Client(host, port, 0), _Client(host, port, 1)
+            bad.conn.sendall(b"x" * (protocol.MAX_LINE + 1))  # no newline
+            r = json.loads(bad.reader.readline())
+            assert r["error"] == "protocol" and "exceeds" in r["detail"]
+            assert bad.reader.readline() == ""  # closed by the server
+            bad.conn.close()
+            assert good.request("malloc", size=64)["ok"]
+            good.close()
+        assert srv.protocol_errors == 1
+
+    def test_stop_is_prompt_with_idle_sessions_connected(self):
+        srv = _server()
+        host, port = srv.start()
+        clients = [_Client(host, port, t) for t in range(3)]
+        t0 = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - t0 < 1.0
+        for c in clients:
+            assert c.reader.readline() == ""  # the server hung up
+            c.conn.close()
