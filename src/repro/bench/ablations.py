@@ -4,8 +4,8 @@
   tree + per-order bulk semaphores over the textbook design (§4.1).
 * **Collective vs per-thread mutex** — the §4.2.2 primitive, measured
   on the list-pop workload the paper motivates it with.
-* **Batch-size sweep** for Figure 5: ``benchmarks/test_ablations.py``
-  runs :func:`repro.bench.fig5.run` once per batch size.
+* **Warp coalescing** — transparent full-warp malloc vs scalar malloc
+  (§2.2: Widmer et al. need a non-standard per-warp interface).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..core.dlist import DList
 from ..core.tbuddy import TBuddy
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sync import CollectiveMutex
+from .fig7 import StormResult, run_storms
 from .reporting import Series, format_table, si
 from .sweep import map_points
 
@@ -172,3 +173,10 @@ def run_collective_ablation(
             specs, map_points(_collective_point, specs)):
         (coll if collective else plain).add(n, ops_per_s)
     return CollectiveAblationResult(plain=plain, collective=coll)
+
+
+def run_coalescing_ablation(*, seed: int, nthreads: int) -> StormResult:
+    """Every thread mallocs 64 B once, scalar and then warp-coalesced,
+    counting the atomic operations each storm issues."""
+    return run_storms({"scalar": (2, False), "warp-coalesced": (2, True)},
+                      nthreads, seed)

@@ -9,7 +9,7 @@ many concurrent refills as unmet demand requires.
 
 The paper plots allocations/second against concurrent threads for batch
 size 512 (matching UAlloc) and reports that other batch sizes look
-analogous — ``benchmarks/test_ablations.py`` sweeps them.
+analogous — :func:`run_batches` sweeps them at one thread count.
 """
 
 from __future__ import annotations
@@ -33,13 +33,26 @@ class Fig5Result:
     bulk: Series
 
     def table(self) -> str:
-        rows = []
-        for i, x in enumerate(self.counting.xs):
-            c, b = self.counting.ys[i], self.bulk.ys[i]
-            rows.append([int(x), si(c), si(b), f"{b / c:.2f}x" if c else "-"])
-        return format_table(
-            ["threads", "counting/s", "bulk/s", "bulk speedup"], rows
-        )
+        return _table("threads", self.counting, self.bulk)
+
+
+@dataclass
+class Fig5BatchResult:
+    """Throughput curves over batch size at one thread count."""
+
+    nthreads: int
+    counting: Series
+    bulk: Series
+
+    def table(self) -> str:
+        return (f"{self.nthreads} threads\n"
+                + _table("batch", self.counting, self.bulk))
+
+
+def _table(axis: str, counting: Series, bulk: Series) -> str:
+    rows = [[x, si(c), si(b), f"{b / c:.2f}x" if c else "-"]
+            for x, c, b in zip(counting.xs, counting.ys, bulk.ys)]
+    return format_table([axis, "counting/s", "bulk/s", "bulk speedup"], rows)
 
 
 #: cycles a batch refill takes.  The paper idealizes the refill as "a
@@ -48,6 +61,9 @@ class Fig5Result:
 #: refill latency so the primitive's *structure* (serial vs overlapped
 #: refills), not the simulator's wake-up artifacts, sets the gap.
 REFILL_CYCLES = 2000
+
+#: resource units per refill in Figure 5 (UAlloc's bin batch)
+BATCH = 512
 
 
 def _bulk_kernel(ctx, sem: BulkSemaphore, batch: int, refill_addr: int):
@@ -97,20 +113,31 @@ def _point(spec: tuple) -> float:
     return run_one(kind, nthreads, batch, block, seed, tracer=tracer)
 
 
+def _curves(specs, x: int, tracer: Optional[Tracer] = None):
+    """(counting, bulk) throughput against field ``x`` of the specs."""
+    curves = {"counting": Series("Counting Semaphores"),
+              "bulk": Series("Bulk Semaphores")}
+    for spec, ops_per_s in zip(specs, map_points(_point, specs, tracer)):
+        curves[spec[0]].add(spec[x], ops_per_s)
+    return curves["counting"], curves["bulk"]
+
+
 def run(
     thread_counts: Sequence[int],
     *,
     seed: int,
-    batch: int = 512,
     block: int = 256,
     tracer: Optional[Tracer] = None,
 ) -> Fig5Result:
-    """Reproduce Figure 5 for one batch size."""
-    counting = Series("Counting Semaphores")
-    bulk = Series("Bulk Semaphores")
-    specs = [(kind, n, batch, block, seed, tracer) for n in thread_counts
+    """Reproduce Figure 5 at batch size :data:`BATCH`."""
+    specs = [(kind, n, BATCH, block, seed, tracer) for n in thread_counts
              for kind in ("counting", "bulk")]
-    for (kind, n, *_), ops_per_s in zip(specs,
-                                        map_points(_point, specs, tracer)):
-        (bulk if kind == "bulk" else counting).add(n, ops_per_s)
-    return Fig5Result(batch=batch, counting=counting, bulk=bulk)
+    return Fig5Result(BATCH, *_curves(specs, 1, tracer))
+
+
+def run_batches(batches: Sequence[int], *, seed: int,
+                nthreads: int) -> Fig5BatchResult:
+    """Figure 5 at ``nthreads`` threads for every batch size (§5.1)."""
+    specs = [(kind, nthreads, batch, 256, seed, None) for batch in batches
+             for kind in ("counting", "bulk")]
+    return Fig5BatchResult(nthreads, *_curves(specs, 2))

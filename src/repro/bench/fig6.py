@@ -18,13 +18,13 @@ that resource-release effect is where the measured speedup comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.dlist import DList
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
 from ..sync import RCU, SpinLock
-from .reporting import Series, format_table
+from .reporting import format_table
 from .sweep import map_points
 
 #: element layout: word0 tag, word1 next, word2 prev
@@ -35,8 +35,10 @@ ELEM_SIZE = 24
 
 _NULL = DeviceMemory.NULL
 
-#: largest threads x list-length product a configuration may reach
-MAX_WORK = 2.0e6
+#: largest threads x list-length product a configuration may reach; it
+#: admits the paper's flagship 1:32 point at 12,276 threads (372
+#: writers, 4.57 M)
+MAX_WORK = 5.0e6
 
 
 def build_list(mem: DeviceMemory, n_elems: int) -> tuple[DList, List[int]]:
@@ -118,12 +120,6 @@ class Fig6Point:
 class Fig6Result:
     points: List[Fig6Point]
 
-    def series(self) -> Dict[int, Series]:
-        out: Dict[int, Series] = {}
-        for p in self.points:
-            out.setdefault(p.ratio, Series(f"1:{p.ratio}")).add(p.nthreads, p.speedup)
-        return out
-
     def table(self) -> str:
         rows = [
             [f"1:{p.ratio}", p.nthreads, p.cycles_classical, p.cycles_delegated,
@@ -183,10 +179,9 @@ def run(
     As in the paper, the x-axis is total concurrent threads and the
     writer count follows from the ratio (list length = writers = total /
     (1 + ratio)).  Configurations whose reader x list-length product
-    exceeds ``MAX_WORK`` are skipped to bound simulation time (the
-    1:32 ratio loses its ~12 K-thread point).  On the remaining grid
-    delegation wins everywhere and most at the most threads, but not
-    monotonically in thread count (EXPERIMENTS.md, Figure 6).
+    exceeds ``MAX_WORK`` are skipped to bound simulation time.  On the
+    grid delegation wins everywhere and most at the most writers, but
+    not monotonically in thread count (EXPERIMENTS.md, Figure 6).
     """
     configs = []
     for ratio in ratios:

@@ -22,13 +22,13 @@ Scaling substitutions (DESIGN.md): the paper sizes pools from 8 MB to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backends import get as get_backend
-from ..core import AllocatorConfig
-from ..sim import GPUDevice, DeviceMemory, Scheduler
+from ..core import AllocatorConfig, ThroughputAllocator
+from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
-from .reporting import Series, format_table, geometric_mean, si, size_label
+from .reporting import format_table, geometric_mean, si, size_label
 from .sweep import map_points
 from .workloads import malloc_storm
 
@@ -57,12 +57,6 @@ class Fig7Point:
 @dataclass
 class Fig7Result:
     points: List[Fig7Point]
-
-    def series(self) -> dict:
-        out = {}
-        for p in self.points:
-            out.setdefault(p.allocator, Series(p.allocator)).add(p.size, p.throughput)
-        return out
 
     def speedups(self) -> List[float]:
         """Per-size throughput ratio ours/CUDA (paper: 0.22x–346x)."""
@@ -182,3 +176,53 @@ def run(
     specs = [(size, allocator, seed, max_threads, tracer)
              for size in sizes for allocator in ("cuda", "ours")]
     return Fig7Result(map_points(_point, specs, tracer))
+
+
+@dataclass
+class StormResult:
+    """64 B malloc storms on a 2 MB pool away from the exhaustion tail,
+    one row per configuration."""
+
+    nthreads: int
+    #: label -> (malloc calls per virtual second, atomic operations)
+    rows: Dict[str, Tuple[float, int]]
+
+    def table(self) -> str:
+        rows = [[label, si(rate), atomics]
+                for label, (rate, atomics) in self.rows.items()]
+        return (f"64 B storm, {self.nthreads} threads\n"
+                + format_table(["config", "allocs/s", "atomics"], rows))
+
+
+def _storm_kernel(ctx, alloc, coalesced: bool):
+    yield from (alloc.malloc_coalesced if coalesced else alloc.malloc)(ctx, 64)
+
+
+def _storm_point(spec: tuple) -> Tuple[float, int]:
+    sms, coalesced, nthreads, seed = spec
+    device = GPUDevice(num_sms=sms)
+    mem = DeviceMemory((4096 << 9) * 2 + (8 << 20))
+    alloc = ThroughputAllocator(mem, device, AllocatorConfig(pool_order=9))
+    sched = Scheduler(mem, device, seed=seed)
+    sched.launch(_storm_kernel, -(-nthreads // BLOCK), BLOCK,
+                 args=(alloc, coalesced))
+    report = sched.run()
+    atomics = range(ops.OP_CAS, ops.OP_MIN + 1)
+    return report.throughput(nthreads), sum(
+        report.op_counts.get(op, 0) for op in atomics)
+
+
+def run_storms(configs: Dict[str, tuple], nthreads: int,
+               seed: int) -> StormResult:
+    """One storm per ``label: (SM count, warp-coalesced?)``."""
+    specs = [(*config, nthreads, seed) for config in configs.values()]
+    return StormResult(nthreads, dict(zip(configs,
+                                          map_points(_storm_point, specs))))
+
+
+def run_steady(sm_counts: Sequence[int], *, seed: int,
+               nthreads: int) -> StormResult:
+    """Context for Figure 7: away from the exhaustion tail the rate
+    scales with the SM count, because each SM has its own arena."""
+    return run_storms({f"{sms} SM": (sms, False) for sms in sm_counts},
+                      nthreads, seed)

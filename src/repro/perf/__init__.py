@@ -8,14 +8,14 @@ story that survives across PRs.  This package provides it:
   shootout, fragmentation, the ablations, …): its bench entry point,
   tier arguments and seed, reduced to **virtual** throughput (simulated
   cycles via the cost model), bit-deterministic; every case runs twice
-  and the runs must agree.  ``python -m repro <case>`` and
-  ``benchmarks/`` run the same cases.
+  and the runs must agree; its named claims are the paper's shapes.
+  ``python -m repro <case>`` runs the same cases.
 * :mod:`repro.perf.artifact` — a versioned, deterministically-serialized
   JSON schema; ``BENCH_PR<k>.json`` files at the repo root form the perf
   trajectory.
 * :mod:`repro.perf.compare` — the gate: exact equality on every
-  ``virtual:*`` metric against a baseline artifact; any change or
-  missing metric exits nonzero.
+  ``virtual:*`` metric against a baseline artifact of the same tier;
+  any change or missing metric, or a broken claim, exits nonzero.
 * :mod:`repro.perf.profile` — cProfile hotspot attribution per case plus
   tracer-derived hot-word/telemetry stats, so optimization PRs know
   where to aim.

@@ -7,14 +7,17 @@ Usage::
     python -m repro perf run --quick --case fig5 --case shootout
     python -m repro perf run --quick --workers 4   # shard cases
     python -m repro perf compare                # latest BENCH_* vs previous
-    python -m repro perf compare --current /tmp/now.json  # vs newest BENCH_*
+    python -m repro perf compare --current /tmp/now.json  # vs same-tier newest
     python -m repro perf profile                # hotspots for fig5 + shootout
     python -m repro perf profile --case fig7 --top 20
 
 ``run`` writes the trajectory artifact ``BENCH_<label>.json`` at the
 repo root (label defaults to the next free ``PR<k>``).  ``compare``
-exits 1 when any ``virtual:*`` metric differs from the baseline or is
-missing, and 2 when the artifacts cannot be compared.
+takes the newest committed artifact of the current one's tier as the
+baseline; it exits 1 when any ``virtual:*`` metric differs from the
+baseline or is missing, or when a full-tier artifact breaks one of
+the registry's paper-shape claims, and 2 when the artifacts cannot be
+compared.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import List, Optional
 from ..bench.reporting import format_table, si
 from ..cliargs import int_at_least, workers_arg
 from . import artifact, compare, profile as profiling
-from .suite import CASES, UnknownCase, resolve_case, run_suite
+from .suite import CASES, UnknownCase, check_claims, resolve_case, run_suite
 
 
 def _cmd_run(args) -> int:
@@ -63,7 +66,8 @@ def _cmd_run(args) -> int:
 
 
 def _pick_pair(root: Path, current: Optional[str], baseline: Optional[str]):
-    """Resolve the artifact pair: explicit paths beat trajectory order."""
+    """Resolve the artifact pair: explicit paths beat trajectory order,
+    which offers the newest other artifact of the current one's tier."""
     history = artifact.find_artifacts(root)
     if current is None:
         if not history:
@@ -73,19 +77,21 @@ def _pick_pair(root: Path, current: Optional[str], baseline: Optional[str]):
             )
         current = history[-1]
     current = Path(current)
+    cur = artifact.load_artifact(current)
     if baseline is None:
-        prior = [p for p in history if p.resolve() != current.resolve()]
+        prior = [p for p in history if p.resolve() != current.resolve()
+                 and artifact.load_artifact(p)["tier"] == cur["tier"]]
         # A one-artifact trajectory gates against itself: zero deltas,
         # always passes — that's the seed state of the trajectory.
         baseline = prior[-1] if prior else current
-    return Path(current), Path(baseline)
+    return current, cur, Path(baseline)
 
 
 def _cmd_compare(args) -> int:
     root = Path(args.root)
     try:
-        cur_path, base_path = _pick_pair(root, args.current, args.baseline)
-        cur = artifact.load_artifact(cur_path)
+        cur_path, cur, base_path = _pick_pair(root, args.current,
+                                              args.baseline)
         base = artifact.load_artifact(base_path)
         deltas = compare.compare_docs(cur, base)
     except (artifact.ArtifactError, compare.CompareError) as e:
@@ -99,7 +105,15 @@ def _cmd_compare(args) -> int:
     print("gate: exact equality on every virtual:* metric\n")
     print(compare.render_deltas(deltas, only_interesting=args.brief))
     print(f"\nverdict: {compare.summarize(deltas)}")
-    if compare.has_regressions(deltas):
+    failed = compare.has_regressions(deltas)
+    if cur["tier"] == "full":
+        claims = check_claims(cur["cases"])
+        broken = [name for name, holds in claims if not holds]
+        for name in broken:
+            print(f"claim FAILED: {name}")
+        print(f"claims: {len(claims) - len(broken)} of {len(claims)} hold")
+        failed = failed or bool(broken)
+    if failed:
         print("PERF GATE: FAIL", file=sys.stderr)
         return 1
     print("PERF GATE: ok")
@@ -168,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--current", default=None, metavar="PATH",
                        help="artifact under test (default: newest BENCH_*)")
     p_cmp.add_argument("--baseline", default=None, metavar="PATH",
-                       help="reference artifact (default: previous BENCH_*)")
+                       help="reference artifact (default: the newest "
+                            "other BENCH_* of the current one's tier)")
     p_cmp.add_argument("--root", default=".",
                        help="repo root holding the BENCH_* trajectory")
     p_cmp.add_argument("--brief", action="store_true",

@@ -11,14 +11,18 @@ same code produces bit-identical values, and
 :mod:`repro.perf.compare` gates them on exact equality.
 
 The registry is the only place an experiment's sweep is written down:
-``perf run``, ``perf profile``, ``python -m repro <case>`` and the
-paper-figure tests under ``benchmarks/`` all call
+``perf run``, ``perf profile`` and ``python -m repro <case>`` all call
 :meth:`BenchCase.result`.  Each case has a ``quick`` tier (seconds of
 host time — CI smoke and the gate) and a ``full`` tier (the
 paper-scale sweeps behind EXPERIMENTS.md).  :func:`run_case` runs a
 tier twice, and the two runs' metrics must agree exactly; a mismatch
 raises — determinism is part of the simulator's contract.  Host
 wall-clock is measured by ``benchmark/``, not here.
+
+A case's ``claims`` are the paper's shapes as data: named predicates
+over its full-tier metrics ("fig7: ours/cuda > 1.5x at 16-128 B").
+:func:`check_claims` reads them off an artifact, and ``perf compare``
+fails a full-tier run that breaks one, by name.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ class BenchCase:
     full: Mapping[str, object]
     #: ``reduce(result, tier_kwargs) -> (metrics, params)``
     reduce: Callable[[Any, Mapping[str, object]], RunnerOutput]
+    #: name -> what the full tier's metrics (keyed without ``virtual:``)
+    #: must show
+    claims: Mapping[str, Callable[[Mapping[str, float]], bool]] = field(
+        default_factory=dict)
 
     @property
     def traceable(self) -> bool:
@@ -204,20 +212,39 @@ def _fig5(res, kw) -> RunnerOutput:
         "bulk_ops_per_s_peak": b,
         "bulk_speedup_peak": (b / c) if c else 0.0,
     }
+    for n, c, b in zip(res.counting.xs, res.counting.ys, res.bulk.ys):
+        if n > res.batch:
+            metrics[f"bulk_speedup_{n}"] = b / c
     return metrics, {"thread_counts": list(kw["thread_counts"]),
                      "batch": res.batch}
 
 
+def _fig5_batch(res, kw) -> RunnerOutput:
+    metrics = {f"bulk_speedup_batch_{b}": res.bulk.y_at(b) / c
+               for b, c in zip(res.counting.xs, res.counting.ys)}
+    return metrics, dict(kw)
+
+
 def _fig6(res, kw) -> RunnerOutput:
     speedups = [p.speedup for p in res.points]
+    flagship = max(res.points, key=lambda p: p.nthreads // (1 + p.ratio))
     metrics = {
         "delegation_speedup_gmean": geometric_mean(speedups),
         "classical_cycles_total": float(sum(p.cycles_classical for p in res.points)),
         "delegated_cycles_total": float(sum(p.cycles_delegated for p in res.points)),
+        "delegation_speedup_min": min(speedups),
+        "delegation_speedup_max": max(speedups),
+        "delegation_speedup_most_writers": flagship.speedup,
     }
     return metrics, {"ratios": list(kw["ratios"]),
                      "thread_targets": list(kw["thread_targets"]),
                      "points": len(res.points)}
+
+
+#: Figure 7 sizes whose speedup the claims read (UAlloc's tail-using sizes)
+_FIG7_WIN_SIZES = (16, 32, 64, 128)
+#: Figure 7 sizes whose failure rate the claims read
+_FIG7_FAIL_SIZES = (8, 512, 1024, 2048, 4096, 16384, 65536)
 
 
 def _fig7(res, kw) -> RunnerOutput:
@@ -230,13 +257,36 @@ def _fig7(res, kw) -> RunnerOutput:
         "ours_failure_rate_mean":
             sum(p.failure_rate for p in ours) / len(ours) if ours else 0.0,
     }
+    cuda_at = {p.size: p for p in cuda}
+    for p in ours:
+        if p.size in _FIG7_WIN_SIZES:
+            metrics[f"speedup_{p.size}"] = (p.throughput
+                                            / cuda_at[p.size].throughput)
+        if p.size in _FIG7_FAIL_SIZES:
+            metrics[f"ours_failure_rate_{p.size}"] = p.failure_rate
     return metrics, {"sizes": list(kw["sizes"])}
+
+
+def _storms(res, kw) -> RunnerOutput:
+    metrics: Dict[str, float] = {}
+    for label, (rate, atomics) in res.rows.items():
+        metrics[f"ops_per_s_{_slug(label)}"] = rate
+        metrics[f"atomics_{_slug(label)}"] = float(atomics)
+    return metrics, dict(kw)
+
+
+#: shootout designs that never fail on the non-exhausting churn
+_SHOOTOUT_NEVER_FAIL = ("ours (scalar)", "CUDA-like")
+_NEVER_FAIL_CLAIM = {"ours and CUDA-like never fail on the churn": lambda m: (
+    m["failures_ours_scalar"] == m["failures_cuda_like"] == 0)}
 
 
 def _shootout(res, kw) -> RunnerOutput:
     metrics: Dict[str, float] = {}
     for p in res.points:
         metrics[f"pairs_per_s_{_slug(p.name)}"] = p.throughput
+        if p.name in _SHOOTOUT_NEVER_FAIL:
+            metrics[f"failures_{_slug(p.name)}"] = float(p.failures)
     base = {p.name: p for p in res.points}.get("ours (scalar)")
     cuda = {p.name: p for p in res.points}.get("CUDA-like")
     if base and cuda and cuda.throughput:
@@ -261,10 +311,16 @@ def _lockstep(res, kw) -> RunnerOutput:
 
 def _fragmentation(res, kw) -> RunnerOutput:
     o, b = res.ours[-1], res.bump[-1]
+    bump = [p.reserved for p in res.bump]
     metrics = {
         "ours_overhead_final": o.overhead,
         "bump_overhead_final": b.overhead,
         "ours_reserved_final_bytes": float(o.reserved),
+        "ours_overhead_first": res.ours[0].overhead,
+        "bump_reserved_first_bytes": float(bump[0]),
+        "bump_reserved_final_bytes": float(bump[-1]),
+        "bump_reserved_min_step_bytes": float(min(
+            (y - x for x, y in zip(bump, bump[1:])), default=0)),
     }
     return metrics, dict(kw)
 
@@ -329,26 +385,19 @@ def _serve_replay(res, kw) -> RunnerOutput:
     return metrics, params
 
 
-def _ablation_buddy(res, kw) -> RunnerOutput:
-    peak = kw["thread_counts"][-1]
-    ratios = [t / l for t, l in zip(res.tbuddy.ys, res.lock_buddy.ys) if l]
-    metrics = {
-        "tbuddy_ops_per_s_peak": res.tbuddy.y_at(peak),
-        "lock_buddy_ops_per_s_peak": res.lock_buddy.y_at(peak),
-        "tbuddy_speedup_gmean": geometric_mean(ratios),
-    }
-    return metrics, {"thread_counts": list(kw["thread_counts"])}
-
-
-def _ablation_collective(res, kw) -> RunnerOutput:
-    peak = kw["thread_counts"][-1]
-    ratios = [c / p for c, p in zip(res.collective.ys, res.plain.ys) if p]
-    metrics = {
-        "collective_ops_per_s_peak": res.collective.y_at(peak),
-        "plain_ops_per_s_peak": res.plain.y_at(peak),
-        "collective_speedup_gmean": geometric_mean(ratios),
-    }
-    return metrics, {"thread_counts": list(kw["thread_counts"])}
+def _ablation(ours: str, other: str):
+    """The reduction of an ablation's ``ours`` series against ``other``."""
+    def reduce(res, kw) -> RunnerOutput:
+        peak = kw["thread_counts"][-1]
+        a, b = getattr(res, ours), getattr(res, other)
+        metrics = {
+            f"{ours}_ops_per_s_peak": a.y_at(peak),
+            f"{other}_ops_per_s_peak": b.y_at(peak),
+            f"{ours}_speedup_gmean": geometric_mean(
+                [x / y for x, y in zip(a.ys, b.ys) if y]),
+        }
+        return metrics, {"thread_counts": list(kw["thread_counts"])}
+    return reduce
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +421,21 @@ _register(BenchCase(
     quick={"thread_counts": (256, 1024)},
     full={"thread_counts": (256, 1024, 4096, 16384)},
     reduce=_fig5,
+    claims={"bulk beats counting above the batch size": lambda m: min(
+        m[f"bulk_speedup_{n}"] for n in (1024, 4096, 16384)) > 1},
+))
+
+_register(BenchCase(
+    name="fig5_batch",
+    seed=1,
+    description="§5.1 'other batch sizes are analogous': Figure 5 per "
+                "batch size",
+    run=fig5.run_batches,
+    quick={"batches": (32, 128), "nthreads": 1024},
+    full={"batches": (32, 128, 512, 2048), "nthreads": 4096},
+    reduce=_fig5_batch,
+    claims={"bulk beats counting at every batch up to threads/4": lambda m:
+            min(m[f"bulk_speedup_batch_{b}"] for b in (32, 128, 512)) > 1},
 ))
 
 _register(BenchCase(
@@ -383,6 +447,14 @@ _register(BenchCase(
     full={"ratios": (32, 128, 512, 2048),
           "thread_targets": (1024, 4096, 12288)},
     reduce=_fig6,
+    claims={
+        "delegation never costs much (worst point > 0.85x)":
+            lambda m: m["delegation_speedup_min"] > 0.85,
+        "delegation clearly wins somewhere (best point > 1.3x)":
+            lambda m: m["delegation_speedup_max"] > 1.3,
+        "flagship 1:32 @ 12,276 threads (372 writers) > 3x":
+            lambda m: m["delegation_speedup_most_writers"] > 3,
+    },
 ))
 
 _register(BenchCase(
@@ -393,6 +465,32 @@ _register(BenchCase(
     quick={"sizes": (64, 4096, 65536)},
     full={"sizes": fig7.PAPER_SIZES},
     reduce=_fig7,
+    claims={
+        "ours/cuda > 1.5x at 16-128 B": lambda m: min(
+            m[f"speedup_{size}"] for size in _FIG7_WIN_SIZES) > 1.5,
+        "the degenerate 2 KB class fails > 40%":
+            lambda m: m["ours_failure_rate_2048"] > 0.4,
+        "8 B fails < 10%": lambda m: m["ours_failure_rate_8"] < 0.1,
+        "bin-residue failures rise: 512 B < 1 KB < 2 KB": lambda m: (
+            m["ours_failure_rate_512"] < m["ours_failure_rate_1024"]
+            < m["ours_failure_rate_2048"]),
+        "buddy sizes (4, 16, 64 KB) never fail": lambda m: max(
+            m[f"ours_failure_rate_{s}"] for s in (4096, 16384, 65536)) == 0,
+        "mean speedup over CUDA > 1.5x": lambda m: m["mean_speedup"] > 1.5,
+    },
+))
+
+_register(BenchCase(
+    name="fig7_steady",
+    seed=7,
+    description="Figure 7 context: 64 B malloc rate away from the "
+                "exhaustion tail, 1 vs 4 SMs",
+    run=fig7.run_steady,
+    quick={"sm_counts": (1, 4), "nthreads": 2048},
+    full={"sm_counts": (1, 4), "nthreads": 16384},
+    reduce=_storms,
+    claims={"arenas scale: 4 SMs > 2x the 1-SM rate":
+            lambda m: m["ops_per_s_4_sm"] > 2 * m["ops_per_s_1_sm"]},
 ))
 
 _register(BenchCase(
@@ -403,6 +501,13 @@ _register(BenchCase(
     quick={"nthreads": 512, "iters": 1},
     full={"nthreads": 2048, "iters": 2},
     reduce=_shootout,
+    claims={
+        "ours > 10x CUDA-like": lambda m: (
+            m["pairs_per_s_ours_scalar"] > 10 * m["pairs_per_s_cuda_like"]),
+        "ours > 10x XMalloc-like": lambda m: (
+            m["pairs_per_s_ours_scalar"] > 10 * m["pairs_per_s_xmalloc_like"]),
+        **_NEVER_FAIL_CLAIM,
+    },
 ))
 
 _register(BenchCase(
@@ -414,6 +519,8 @@ _register(BenchCase(
     quick={"nthreads": 4096, "rounds": 48, "plain_rounds": 6},
     full={"nthreads": 16384, "rounds": 64, "plain_rounds": 8},
     reduce=_lockstep,
+    claims={"whole-warp aggregation beats per-lane atomics":
+            lambda m: m["coalesce_speedup"] > 1},
 ))
 
 _register(BenchCase(
@@ -424,6 +531,17 @@ _register(BenchCase(
     quick={"rounds": 2, "nthreads": 256},
     full={"rounds": 6, "nthreads": 1024},
     reduce=_fragmentation,
+    claims={
+        "ours reclaims: overhead falls from the first round to the last":
+            lambda m: m["ours_overhead_final"] < m["ours_overhead_first"],
+        "bump reserved never shrinks":
+            lambda m: m["bump_reserved_min_step_bytes"] >= 0,
+        "bump reserved at round 6 > 5x round 1": lambda m: (
+            m["bump_reserved_final_bytes"]
+            > 5 * m["bump_reserved_first_bytes"]),
+        "ours reserves less than bump by the last round": lambda m: (
+            m["ours_reserved_final_bytes"] < m["bump_reserved_final_bytes"]),
+    },
 ))
 
 _register(BenchCase(
@@ -434,6 +552,12 @@ _register(BenchCase(
     quick={"nthreads": 128, "iters": 2},
     full={"nthreads": 512, "iters": 3},
     reduce=_resil,
+    claims={
+        "robust retries absorb every injected fault":
+            lambda m: m["heavy_failure_rate"] == 0,
+        "the heavy plan costs more than the light one": lambda m: (
+            m["throughput_retained_heavy"] < m["throughput_retained_light"]),
+    },
 ))
 
 _register(BenchCase(
@@ -443,7 +567,9 @@ _register(BenchCase(
     run=ablations.run_buddy_ablation,
     quick={"thread_counts": (64, 256)},
     full={"thread_counts": (64, 256, 1024)},
-    reduce=_ablation_buddy,
+    reduce=_ablation("tbuddy", "lock_buddy"),
+    claims={"TBuddy > 1.5x the global-lock buddy at 1,024 threads": lambda m: (
+        m["tbuddy_ops_per_s_peak"] > 1.5 * m["lock_buddy_ops_per_s_peak"])},
 ))
 
 _register(BenchCase(
@@ -453,7 +579,26 @@ _register(BenchCase(
     run=ablations.run_collective_ablation,
     quick={"thread_counts": (64, 256)},
     full={"thread_counts": (64, 256, 1024)},
-    reduce=_ablation_collective,
+    reduce=_ablation("collective", "plain"),
+    claims={"collective > 1.5x the plain mutex at 1,024 threads": lambda m: (
+        m["collective_ops_per_s_peak"] > 1.5 * m["plain_ops_per_s_peak"])},
+))
+
+_register(BenchCase(
+    name="ablation_coalescing",
+    seed=6,
+    description="warp-coalesced vs scalar 64 B malloc (§2.2, Widmer et "
+                "al.), with atomic counts",
+    run=ablations.run_coalescing_ablation,
+    quick={"nthreads": 1024},
+    full={"nthreads": 4096},
+    reduce=_storms,
+    claims={
+        "coalescing cuts atomics > 3x": lambda m: (
+            m["atomics_scalar"] > 3 * m["atomics_warp_coalesced"]),
+        "coalesced rate > 0.7x scalar": lambda m: (
+            m["ops_per_s_warp_coalesced"] > 0.7 * m["ops_per_s_scalar"]),
+    },
 ))
 
 _register(BenchCase(
@@ -467,6 +612,8 @@ _register(BenchCase(
     full={"family": "multi_tenant_zipf", "events": 2400, "tenants": 8,
           "lanes": 2, "backends": ("ours",)},
     reduce=_workload,
+    claims={"Zipfian skew shows as unfairness, not failures": lambda m: (
+        m["fairness_ours"] < 0.999 and m["failure_rate_ours"] == 0)},
 ))
 
 _register(BenchCase(
@@ -479,6 +626,8 @@ _register(BenchCase(
     full={"family": "diurnal_burst", "events": 2400, "tenants": 4,
           "lanes": 2, "backends": ("ours",)},
     reduce=_workload,
+    claims={"the uniform mix stays fair (> 0.95) with no failures": lambda m: (
+        m["fairness_ours"] > 0.95 and m["failure_rate_ours"] == 0)},
 ))
 
 _register(BenchCase(
@@ -491,6 +640,8 @@ _register(BenchCase(
     full={"trace": "mt_small", "lanes": 2,
           "backends": ("ours", "cuda", "hostbased")},
     reduce=_workload,
+    claims={"ours outruns CUDA-like on the recorded trace":
+            lambda m: m["ops_per_s_ours"] > m["ops_per_s_cuda"]},
 ))
 
 _register(BenchCase(
@@ -504,6 +655,13 @@ _register(BenchCase(
     full={"trace": "serve_small", "batch_max": 32, "quota_bytes": 16 << 10,
           "backends": ("ours", "cuda", "hostbased")},
     reduce=_serve_replay,
+    claims={
+        "every backend reports latency p99 >= p50 > 0": lambda m: all(
+            m[f"latency_cycles_p99_{b}"] >= m[f"latency_cycles_p50_{b}"] > 0
+            for b in ("ours", "cuda", "hostbased")),
+        "the 16 KiB quota rejects some of ours' mallocs":
+            lambda m: m["admission_failure_rate_ours"] > 0,
+    },
 ))
 
 #: roster for the host-based backend case: the paper allocator, the two
@@ -520,6 +678,11 @@ _register(BenchCase(
     quick={"nthreads": 256, "iters": 1, "which": _HOSTBASED_ROSTER},
     full={"nthreads": 1024, "iters": 2, "which": _HOSTBASED_ROSTER},
     reduce=_shootout,
+    claims={
+        "the single-server host queue caps host-based below ours": lambda m: (
+            m["pairs_per_s_host_based"] < m["pairs_per_s_ours_scalar"]),
+        **_NEVER_FAIL_CLAIM,
+    },
 ))
 
 
@@ -620,3 +783,21 @@ def run_suite(tier: str = "quick", names: Optional[Sequence[str]] = None,
             "reproduced"),
     )
     return SuiteResult(tier=tier, cases=runs)
+
+
+def check_claims(cases: Mapping[str, Mapping]) -> List[Tuple[str, bool]]:
+    """``("case: claim", holds)`` for each claim of each registered case
+    in an artifact's ``cases``; a missing metric fails its claim."""
+    out = []
+    for name, case in CASES.items():
+        if name not in cases:
+            continue
+        metrics = {k.removeprefix("virtual:"): v
+                   for k, v in cases[name]["metrics"].items()}
+        for claim, holds in case.claims.items():
+            try:
+                ok = bool(holds(metrics))
+            except KeyError:
+                ok = False
+            out.append((f"{name}: {claim}", ok))
+    return out

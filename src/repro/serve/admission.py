@@ -103,11 +103,6 @@ class AdmissionController:
             led = self._ledgers[tenant] = TenantLedger()
         return led
 
-    @property
-    def ledgers(self) -> Dict[int, TenantLedger]:
-        """Per-tenant ledgers, keyed by tenant id (live view)."""
-        return self._ledgers
-
     def begin_batch(self) -> None:
         """Sample the pressure gauge for the next batch's budget.
 

@@ -12,6 +12,10 @@ requests are pending or when the oldest has waited ``batch_window``
 seconds; the loop runs one engine episode for it and writes each
 session's replies in one write, in request order, ``stats`` last.
 
+Sessions are non-blocking: replies a socket does not take wait in the
+session's buffer, and a client that stops reading is dropped once
+:data:`MAX_UNSENT` bytes wait, so it stalls no one.
+
 Batch composition depends on arrival timing (it is a real open system),
 but *within* any batch the outcome is the engine's deterministic
 contract.  ``port=0`` binds an ephemeral port; :meth:`ServeServer.start`
@@ -36,27 +40,53 @@ from .protocol import OP_BYE, OP_MALLOC, OP_STATS, ProtocolError
 #: bytes asked of a ready socket per read
 _RECV_BYTES = 1 << 16
 
+#: unsent reply bytes past which a session that stopped reading is dropped
+MAX_UNSENT = 16 * protocol.MAX_LINE
+
 
 class _Session:
-    """One connected client: socket, declared tenant, unsplit input."""
+    """One connected client: socket, tenant, unsplit input, unsent output."""
 
-    def __init__(self, conn: socket.socket):
+    def __init__(self, conn: socket.socket, sel: selectors.BaseSelector):
         self.conn = conn
+        self.sel = sel
         self.tenant: Optional[int] = None
         #: received bytes after the last newline
         self.buf = b""
+        #: encoded frames the socket has not taken yet
+        self.out = bytearray()
+        self.open = True
+        sel.register(conn, selectors.EVENT_READ, self)
 
     def send(self, msg: dict) -> None:
         self.write(protocol.encode(msg))
 
     def write(self, data: bytes) -> None:
-        """Send encoded frames whole."""
+        """Send encoded frames; what the socket does not take waits."""
+        if self.open:
+            self.out += data
+            self.flush()
+
+    def flush(self) -> None:
+        """Send what waits; the socket has room, or a write queued it."""
         try:
-            self.conn.sendall(data)
+            del self.out[:self.conn.send(self.out)]
+        except BlockingIOError:
+            pass
         except OSError:
-            pass  # peer vanished; the loop observes EOF too
+            self.close()  # peer vanished
+            return
+        if len(self.out) > MAX_UNSENT:
+            self.close()
+        else:  # watch for room only while something waits
+            self.sel.modify(self.conn, selectors.EVENT_READ | (
+                selectors.EVENT_WRITE if self.out else 0), self)
 
     def close(self) -> None:
+        if not self.open:
+            return
+        self.open = False
+        self.sel.unregister(self.conn)
         try:
             self.conn.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -117,8 +147,6 @@ class ServeServer:
             self._wake.send(b"\0")
         except OSError:
             pass  # the loop has already ended and closed its side
-        # A loop blocked in ``sendall`` to a client that stopped reading
-        # never sees the wake-up byte; return anyway and leave it behind.
         self._thread.join(timeout=5.0)
         self._wake.close()
 
@@ -140,11 +168,14 @@ class ServeServer:
                 if pending:
                     timeout = max(0.0, pending[0][2] + self.batch_window
                                   - monotonic())
-                for key, _ in sel.select(timeout):
-                    if key.data is not None:
+                for key, events in sel.select(timeout):
+                    if key.data is None:
+                        if key.fileobj is lst:
+                            self._accept(lst)
+                    elif events & selectors.EVENT_WRITE:
+                        key.data.flush()  # reads wait until it drains
+                    else:
                         self._read(key.data)
-                    elif key.fileobj is lst:
-                        self._accept(lst)
                 while pending and (
                         len(pending) >= self.batch_max
                         or monotonic() - pending[0][2] >= self.batch_window):
@@ -163,39 +194,38 @@ class ServeServer:
             conn, _ = lst.accept()
         except BlockingIOError:
             return  # the peer gave up before we got to it
-        conn.setblocking(True)
-        self._sel.register(conn, selectors.EVENT_READ, _Session(conn))
-
-    def _drop(self, sess: _Session) -> None:
-        self._sel.unregister(sess.conn)
-        sess.close()
+        conn.setblocking(False)
+        _Session(conn, self._sel)
 
     def _read(self, sess: _Session) -> None:
         try:
             data = sess.conn.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
         except OSError:
             data = b""
         if not data:
-            self._drop(sess)
+            sess.close()
             return
         now = monotonic()
         *lines, sess.buf = (sess.buf + data).split(b"\n")
         for line in lines:
-            if not self._handle_line(sess, line.strip(), now):
+            self._handle_line(sess, line.strip(), now)
+            if not sess.open:
                 return
         if len(sess.buf) > protocol.MAX_LINE:
             self._protocol_error(
                 sess, f"line exceeds {protocol.MAX_LINE} bytes")
-            self._drop(sess)
+            sess.close()
 
     def _protocol_error(self, sess: _Session, detail: str) -> None:
         self.protocol_errors += 1
         sess.send(protocol.protocol_error_reply(detail))
 
-    def _handle_line(self, sess: _Session, line: bytes, now: float) -> bool:
-        """Answer or queue one line; False once the session is closed."""
+    def _handle_line(self, sess: _Session, line: bytes, now: float) -> None:
+        """Answer or queue one line."""
         if not line:
-            return True
+            return
         try:
             msg = protocol.decode_line(line)
             if sess.tenant is None:
@@ -205,17 +235,16 @@ class ServeServer:
                     self.engine.admission.quota_bytes,
                     self.batch_max,
                 ))
-                return True
+                return
             req = protocol.parse_request(msg)
         except ProtocolError as e:
             self._protocol_error(sess, str(e))
-            return True
+            return
         if req.op == OP_BYE:
             sess.send(protocol.bye_reply())
-            self._drop(sess)
-            return False
+            sess.close()
+            return
         self._pending.append((sess, req, now))
-        return True
 
     def _run_batch(self, entries) -> None:
         batch_entries = []

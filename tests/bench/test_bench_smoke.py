@@ -1,7 +1,7 @@
 """Smoke tests for the benchmark harnesses at tiny scales.
 
 These validate plumbing and the headline *directional* claims; the
-real measurements live under benchmarks/.
+paper-scale claims live in the perf registry's full tier.
 """
 
 import pytest
@@ -63,22 +63,20 @@ class TestFig5:
             fig5.run_one("mutex", 64, 32)
 
     def test_run_produces_aligned_series(self):
-        res = fig5.run(thread_counts=(64, 256), seed=1, batch=32,
-                       block=64)
+        res = fig5.run(thread_counts=(64, 256), seed=1, block=64)
         assert res.counting.xs == res.bulk.xs == [64, 256]
         assert res.table()
 
     def test_bulk_wins_at_high_concurrency(self):
         """The headline directional claim at a small scale."""
-        res = fig5.run(thread_counts=(2048,), seed=1, batch=128,
-                       block=256)
-        assert res.bulk.y_at(2048) > res.counting.y_at(2048)
+        res = fig5.run_batches((128,), seed=1, nthreads=2048)
+        assert res.bulk.y_at(128) > res.counting.y_at(128)
 
     def test_batch_sweep(self):
-        # §5.1's "other batch sizes": one fig5.run per batch size
-        out = [fig5.run((256,), seed=1, batch=b, block=64) for b in (16, 64)]
-        assert [r.batch for r in out] == [16, 64]
-        assert all(r.bulk.y_at(256) > 0 for r in out)
+        # §5.1's "other batch sizes": one sweep over every batch size
+        out = fig5.run_batches((16, 64), seed=1, nthreads=256)
+        assert out.counting.xs == out.bulk.xs == [16, 64]
+        assert all(y > 0 for y in out.bulk.ys) and out.table()
 
 
 class TestFig6:

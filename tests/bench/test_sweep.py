@@ -16,7 +16,11 @@ from repro.sim.trace import Tracer
 
 #: each sweep at smoke size
 SWEEPS = {
-    "fig5": lambda: fig5.run((64, 128), seed=1, batch=32, block=64),
+    "fig5": lambda: fig5.run((64, 128), seed=1, block=64),
+    "fig5_batch": lambda: fig5.run_batches((16, 32), seed=1, nthreads=128),
+    "fig7_steady": lambda: fig7.run_steady((1, 2), seed=7, nthreads=256),
+    "ablation_coalescing": lambda: ablations.run_coalescing_ablation(
+        seed=6, nthreads=128),
     "fig6": lambda: fig6.run((8, 32), (256,), seed=3, block=64),
     "fig7": lambda: fig7.run((64, 4096), seed=7, max_threads=256),
     "shootout": lambda: shootout.run(128, 1, seed=9,

@@ -141,7 +141,7 @@ class TestFrontDoor:
     @pytest.fixture
     def tiny_fig5(self, monkeypatch):
         case = replace(CASES["fig5"], full={"thread_counts": (64,),
-                                            "batch": 16, "block": 32})
+                                            "block": 32})
         monkeypatch.setitem(CASES, "fig5", case)
         return case
 

@@ -348,6 +348,34 @@ class TestHostileInput:
             good.close()
         assert srv.protocol_errors == 1
 
+    def test_client_that_stops_reading_stalls_no_one(self):
+        # A pipelines requests and never reads: its replies fill the
+        # socket buffers, then its outbound buffer, until the server
+        # drops it.  B is served meanwhile, and stop() finds the loop free.
+        srv = _server()
+        host, port = srv.start()
+        a = socket.socket()
+        a.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        a.connect((host, port))
+        b = _Client(host, port, tenant=1)
+        flood = protocol.encode({"op": "stats"}) * 20_000
+
+        def pipeline():
+            try:
+                a.sendall(protocol.encode({"op": "hello", "tenant": 0,
+                                           "proto": protocol.PROTOCOL}) + flood)
+            except OSError:
+                pass  # the server dropped A
+
+        threading.Thread(target=pipeline, daemon=True).start()
+        time.sleep(0.5)
+        assert b.request("malloc", size=64)["ok"]
+        t0 = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - t0 < 1.0
+        a.close()
+        b.conn.close()
+
     def test_stop_is_prompt_with_idle_sessions_connected(self):
         srv = _server()
         host, port = srv.start()

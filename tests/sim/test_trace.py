@@ -369,7 +369,7 @@ class TestBenchIntegration:
         from repro.perf.suite import CASES
 
         tiny = replace(CASES["fig5"], full={"thread_counts": (64,),
-                                            "batch": 16, "block": 32})
+                                            "block": 32})
         monkeypatch.setitem(CASES, "fig5", tiny)
         out = tmp_path / "t.json"
         assert cli.main(["fig5", "--trace", str(out)]) == 0

@@ -5,17 +5,19 @@ everywhere.  It is a constant dressed up as an option: it doubles the
 configurations a reader must consider and serves none of them.  This test
 scans ``src/`` with ``ast`` for defaulted parameters and checks each is
 bound, by keyword or by position, by some call in ``src/``,
-``benchmarks/``, ``benchmark/`` or ``examples/``.  Tests do not count: a
-value only a test sets is a test seam, which stays only when ``ALLOWED``
-names it with its reason.
+``benchmark/`` or ``examples/``.  Tests do not count: a value only a
+test sets is a test seam, which stays only when ``ALLOWED`` names it
+with its reason.
 
 Calls resolve through the file's imports and top-level names
 (``f(...)``, ``mod.f(...)``, ``Cls(...)``, ``Cls.f(...)``);
 ``functools.partial(f, ...)`` is a call of ``f``.  ``obj.f(...)`` on
-anything but an imported module or class binds for every method named
-``f``.  ``*args`` binds every positional parameter and
-``**kwargs`` binds all of them.  A function reached only through a
-variable or a dict sees no call at all, so it needs an ``ALLOWED`` entry.
+anything but an imported module or class does not resolve: its
+arguments bind for every method named ``f``, except ``**kwargs``,
+which binds nothing there.  In a resolved call ``*args`` binds every
+positional parameter and ``**kwargs`` binds all of them.  A function
+reached only through a variable or a dict sees no call at all, so it
+needs an ``ALLOWED`` entry.
 
 Run ``python tests/test_unset_options.py`` to print what the scan finds.
 """
@@ -28,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-CALLER_DIRS = ("src", "benchmarks", "benchmark", "examples")
+CALLER_DIRS = ("src", "benchmark", "examples")
 
 _SEAM = "test seam: "
 _ARGV = "entry point: the console passes sys.argv, tests pass a list"
@@ -194,14 +196,17 @@ def scan() -> list[str]:
             methods.setdefault(d.name, []).append(d)
 
     def resolve(func: ast.expr, imports: dict[str, str], module: str):
+        """(the defs a call may reach, whether it resolved to them)."""
         if isinstance(func, ast.Name):
-            return by_target.get(imports.get(func.id, f"{module}.{func.id}"), [])
+            return by_target.get(imports.get(func.id, f"{module}.{func.id}"),
+                                 []), True
         if isinstance(func, ast.Attribute):
             recv = func.value
             if isinstance(recv, ast.Name) and recv.id in imports:
-                return by_target.get(f"{imports[recv.id]}.{func.attr}", [])
-            return methods.get(func.attr, [])
-        return []
+                return by_target.get(f"{imports[recv.id]}.{func.attr}",
+                                     []), True
+            return methods.get(func.attr, []), False
+        return [], True
 
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -218,8 +223,9 @@ def scan() -> list[str]:
                 if name == "partial" and args:
                     func, args = args[0], args[1:]
                 starred = any(isinstance(a, ast.Starred) for a in args)
-                for d in resolve(func, imports, module):
-                    if any(k.arg is None for k in call.keywords):
+                reached, resolved = resolve(func, imports, module)
+                for d in reached:
+                    if resolved and any(k.arg is None for k in call.keywords):
                         d.bound.update(d.defaulted)
                     d.bound.update(d.positional if starred
                                    else d.positional[:len(args)])
