@@ -2,19 +2,19 @@
 
 Usage::
 
-    python -m repro resil run --tier quick      # CI smoke deck
-    python -m repro resil run --tier full       # nightly deck
-    python -m repro resil run --workers 4       # shard the deck
+    python -m repro resil run                   # placements + deck
+    python -m repro resil run --workers 4       # shard the cases
     python -m repro resil run --scenario churn  # restrict scenarios
     python -m repro resil run --case 'storm:1:site=tbuddy.split,p=0.5'
     python -m repro resil replay 'storm:1:site=tbuddy.split,p=0.5,max=8'
-    python -m repro resil list                  # sites, kinds, decks
+    python -m repro resil list                  # sites, kinds, deck
 
-Every case runs a verify scenario under a deterministic fault plan and
-must pass the post-fault recovery assertions (quiescent
-``host_checkpoint``, pressure-gauge/tree agreement, no lost supply).
-``run`` executes each case twice and compares the fault traces
-byte-for-byte; ``replay``
+``run`` runs every single-fault placement of each scenario, then the
+hand-written deck, and prints one certificate per scenario.  Every case
+runs a verify scenario under a deterministic fault plan and must pass
+the post-fault recovery assertions (quiescent ``host_checkpoint``,
+pressure-gauge/tree agreement, no lost supply).  ``run`` executes each
+case twice and compares the fault traces byte-for-byte; ``replay``
 re-executes one case and prints its full fault trace.  Exit status is
 0 iff every case passed.
 """
@@ -30,14 +30,26 @@ from ..cliargs import workers_arg
 from ..verify.runner import SCENARIOS
 from .plan import SITES
 from .runner import (
-    TIERS,
+    DECK,
+    FAIL_SITES,
     ResilResult,
     ResilSpec,
-    deck_for,
     kinds_injected,
+    placements,
     run_case,
     run_deck,
 )
+
+
+def _certify(placed: List[ResilSpec], results: List[ResilResult]) -> None:
+    """One line per scenario over its single-fault placements (results
+    come back in deck order, placements first)."""
+    ran = results[:len(placed)]
+    for name in dict.fromkeys(spec.scenario for spec in placed):
+        k = sum(spec.scenario == name for spec in placed)
+        ok = sum(r.ok for r in ran if r.spec.scenario == name)
+        tally = f"all {k}" if ok == k else f"{ok} of {k}"
+        print(f"{name}: {tally} single-fault placements recover")
 
 
 def _report(results: List[ResilResult], elapsed: float) -> int:
@@ -67,20 +79,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a resilience deck")
-    p_run.add_argument(
-        "--tier", choices=TIERS, default="quick",
-        help="deck size: quick (CI smoke) or full (nightly); default quick",
-    )
+    p_run = sub.add_parser("run", help="run the placements and the deck")
     p_run.add_argument(
         "--scenario", action="append", choices=sorted(SCENARIOS),
         metavar="NAME", default=None,
-        help="restrict the deck to cases of a scenario (repeatable)",
+        help="run only a scenario's placements and deck cases (repeatable)",
     )
     p_run.add_argument(
         "--case", action="append", metavar="SPEC", default=None,
         help="run explicit case(s) 'scenario:seed:fault-plan' instead of "
-             "a deck (repeatable)",
+             "the placements and the deck (repeatable)",
     )
     p_run.add_argument(
         "--fail-fast", action="store_true",
@@ -88,7 +96,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_run.add_argument(
         "--workers", type=workers_arg, default=1, metavar="N",
-        help="shard the deck across N worker processes (0 = one per "
+        help="shard the cases across N worker processes (0 = one per "
              "CPU; default 1 = serial); results merge in deck order and "
              "are identical to a serial run",
     )
@@ -101,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="case spec 'scenario:seed:fault-plan' (as printed by run)",
     )
 
-    sub.add_parser("list", help="print fault sites, kinds, and decks")
+    sub.add_parser("list", help="print fault sites, kinds, and the deck")
 
     args = parser.parse_args(argv)
 
@@ -109,11 +117,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("fault sites:")
         for site, (kind, desc) in sorted(SITES.items()):
             print(f"  {site:18s} {kind:10s} {desc}")
-        for tier in TIERS:
-            deck = deck_for(tier)
-            print(f"\n{tier} deck ({len(deck)} cases):")
-            for spec in deck:
-                print(f"  {spec.replay}")
+        print(f"\ndeck ({len(DECK)} cases; `run` adds every single-fault "
+              f"placement of {', '.join(FAIL_SITES)}):")
+        for spec in DECK:
+            print(f"  {spec.replay}")
         return 0
 
     t0 = time.time()
@@ -133,23 +140,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if res.ok else 1
 
     # run
+    placed: List[ResilSpec] = []
     if args.case:
+        if args.scenario:
+            parser.error("--case and --scenario cannot be combined: "
+                         "a --case spec names its own scenario")
         try:
             deck = [ResilSpec.parse(s) for s in args.case]
         except ValueError as e:
             parser.error(str(e))
     else:
-        deck = deck_for(args.tier)
-        if args.scenario:
-            deck = [s for s in deck if s.scenario in args.scenario]
-            if not deck:
-                parser.error(
-                    f"no {args.tier}-deck cases for scenario(s) "
-                    f"{', '.join(args.scenario)}"
-                )
+        scenarios = [n for n in SCENARIOS
+                     if not args.scenario or n in args.scenario]
+        placed = [spec for name in scenarios for spec in placements(name)]
+        deck = placed + [s for s in DECK if s.scenario in scenarios]
     print(f"resil: running {len(deck)} case(s)")
     results = run_deck(deck, fail_fast=args.fail_fast, log=print,
                        workers=args.workers)
+    _certify(placed, results)
     return _report(results, time.time() - t0)
 
 

@@ -321,12 +321,9 @@ class FaultInjector:
         return dict(sorted(out.items()))
 
     @property
-    def counts_by_site(self) -> Dict[str, int]:
-        """Injected fault counts keyed by site, sorted by site."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.site] = out.get(ev.site, 0) + 1
-        return dict(sorted(out.items()))
+    def occurrences(self) -> Dict[str, int]:
+        """Probe occurrences keyed by site, fired or not, sorted by site."""
+        return dict(sorted(self._occurrences.items()))
 
     def trace_lines(self) -> List[str]:
         return [ev.line for ev in self.events]

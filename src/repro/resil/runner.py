@@ -31,10 +31,7 @@ from ..par import pool
 from ..sim.errors import SimError
 from ..verify.perturbation import Perturbation
 from ..verify.runner import SCENARIOS, ReplaySpec, _Harness
-from .plan import FaultInjector, FaultPlan
-
-#: nominal sizes for ``run_deck(tier=...)``
-TIERS = ("quick", "full")
+from .plan import SITES, STALL_KINDS, FaultInjector, FaultPlan, FaultRule
 
 #: a case fails unless at least this many faults were injected
 MIN_INJECTED = 1
@@ -87,16 +84,21 @@ class ResilResult:
         return "\n".join(lines)
 
 
+def _play(spec: ResilSpec, inj: FaultInjector) -> _Harness:
+    """Run ``spec``'s scenario with ``inj`` attached; returns the harness."""
+    harness_kwargs, scenario = SCENARIOS[spec.scenario]
+    h = _Harness(spec.seed, Perturbation(), checker=None,
+                 fault_injector=inj, backend=spec.backend, **harness_kwargs)
+    scenario(h)
+    return h
+
+
 def _run_once(spec: ResilSpec) -> ResilResult:
     """Execute the case once and apply the recovery assertions."""
-    harness_kwargs, scenario = SCENARIOS[spec.scenario]
     inj = FaultInjector(spec.plan, seed=spec.seed)
     result = ResilResult(spec)
     try:
-        h = _Harness(spec.seed, Perturbation(), checker=None,
-                     fault_injector=inj, backend=spec.backend,
-                     **harness_kwargs)
-        scenario(h)
+        h = _play(spec, inj)
         # Post-fault recovery assertions.  The scenario's final
         # checkpoint already validated every structural and accounting
         # invariant after the faults; re-assert the parts the paper's
@@ -146,35 +148,60 @@ def run_case(spec: ResilSpec, replay_check: bool = True) -> ResilResult:
 
 
 # ----------------------------------------------------------------------
-# decks
+# placements and the deck
 # ----------------------------------------------------------------------
+#: the seed every placement's clean counting run and faulted runs use
+PLACEMENT_SEED = 1
+
+#: sites whose fault is a failure arm (stalls need a rate: see DECK)
+FAIL_SITES = tuple(site for site, (kind, _) in SITES.items()
+                   if kind not in STALL_KINDS)
+
+#: storm_oom places only chunk failures: organically 1,856 of its 1,859
+#: TBuddy.alloc calls already return NULL, which takes the same NULL and
+#: split-renege arms, while its 2,983 TBuddy placements would add about
+#: seven minutes to every run
+STORM_OOM_SITES = ("ualloc.new_chunk",)
+
+
+def placements(scenario: str) -> List[ResilSpec]:
+    """Every single-fault placement of ``scenario``: a clean run counts
+    each fail-kind site's probes, and occurrence ``k`` of site ``S``
+    becomes ``site=S,every=1,max=1,after=k``.  The faulted run matches
+    the clean one up to the fault, so every placement fires once."""
+    inj = FaultInjector(FaultPlan(), seed=PLACEMENT_SEED)
+    _play(ResilSpec(scenario, PLACEMENT_SEED), inj)
+    sites = STORM_OOM_SITES if scenario == "storm_oom" else FAIL_SITES
+    return [ResilSpec(scenario, PLACEMENT_SEED,
+                      FaultPlan((FaultRule(site, every=1, max=1, after=k),)))
+            for site in sites for k in range(inj.occurrences.get(site, 0))]
+
+
 def _spec(scenario: str, seed: int, planspec: str,
           backend: str = "ours") -> ResilSpec:
     return ResilSpec(scenario, seed, FaultPlan.parse(planspec), backend)
 
 
-#: CI smoke deck — covers all four fault kinds (renege, null-alloc,
-#: stall, rcu-delay) across both allocators' failure arms.
-QUICK_DECK: List[ResilSpec] = [
-    # renege: TBuddy split ascent fails after the order-sem promise
-    _spec("storm", 1, "site=tbuddy.split,p=0.5,max=8"),
-    # null-alloc: TBuddy returns NULL at uncontrolled depths
-    _spec("storm", 2, "site=tbuddy.alloc,p=0.25,max=12"),
-    # null-alloc at one controlled depth: only chunk-order allocations
-    # fail, driving UAlloc's new-chunk renege arm specifically
-    _spec("storm", 3, "site=tbuddy.alloc,detail=6,p=1,max=4"),
-    # renege: chunk allocation fails after the bin-sem batch promise
-    _spec("churn", 1, "site=ualloc.new_chunk,p=1,max=4"),
-    # stall: lock holders hold SpinLocks for 3k extra cycles
+#: what a single placement cannot express: lock-holder stalls, stretched
+#: RCU grace periods, the baselines' global locks, and mixed plans.
+DECK: List[ResilSpec] = [
+    # stall: lock holders hold SpinLocks for extra cycles
     _spec("churn", 2, "site=spinlock.hold,p=0.05,cycles=3000"),
+    _spec("churn", 5, "site=spinlock.hold,p=0.15,cycles=8000"),
+    _spec("producer_consumer", 1, "site=spinlock.hold,every=3,cycles=4000"),
     # stall: TBuddy node locks held mid-transition
     _spec("storm", 4, "site=tbuddy.lock,p=0.05,cycles=2000,max=50"),
     # rcu-delay: grace periods stretched while holding the writer mutex
     _spec("churn", 3, "site=rcu.grace,p=1,cycles=5000,max=8"),
-    # mixed plan: reneges under oom pressure plus lock-holder stalls
+    _spec("producer_consumer", 2, "site=rcu.grace,p=1,cycles=10000,max=4"),
+    # mixed plans: reneges under oom pressure plus lock-holder stalls
     _spec("storm_oom", 1,
           "site=tbuddy.split,p=0.3,max=6;"
           "site=tbuddy.lock,p=0.02,cycles=1500,max=20"),
+    _spec("storm_oom", 3,
+          "site=tbuddy.split,p=0.5,max=10;"
+          "site=ualloc.new_chunk,p=0.5,max=6;"
+          "site=spinlock.hold,p=0.05,cycles=2000"),
     # stall the *baselines'* global locks: spinlock.hold lives in the
     # shared SpinLock, so the same scenarios exercise any backend built
     # on it through the registry
@@ -182,50 +209,17 @@ QUICK_DECK: List[ResilSpec] = [
           backend="cuda"),
     _spec("churn", 2, "site=spinlock.hold,p=0.05,cycles=2000",
           backend="lock-buddy"),
-    # multi-tenant workload under faults: per-tenant accounting and the
-    # leak-free end must survive NULL injections (skipped-free protocol)
-    # and lock-holder stalls alike
-    _spec("multi_tenant", 1, "site=tbuddy.alloc,p=0.2,max=10"),
-    _spec("multi_tenant", 2, "site=spinlock.hold,p=0.05,cycles=2000"),
-    # served session under faults: admission ledgers, episode batching
-    # and the skipped-free protocol must reconcile when NULLs are
-    # injected mid-episode (the refund path) and recovery must still
-    # end leak-free
-    _spec("serve_session", 1, "site=tbuddy.alloc,p=0.2,max=8"),
-]
-
-#: nightly deck — quick plus higher rates, more seeds, more scenarios.
-FULL_DECK: List[ResilSpec] = QUICK_DECK + [
-    _spec("storm", 5, "site=tbuddy.split,p=1,max=20"),
-    _spec("storm", 6, "site=tbuddy.alloc,p=0.5,max=40"),
-    _spec("churn", 4, "site=ualloc.new_chunk,every=2,max=8"),
-    _spec("churn", 5, "site=spinlock.hold,p=0.15,cycles=8000"),
-    _spec("producer_consumer", 1, "site=spinlock.hold,every=3,cycles=4000"),
-    _spec("producer_consumer", 2, "site=rcu.grace,p=1,cycles=10000,max=4"),
-    _spec("storm_oom", 2, "site=tbuddy.alloc,p=0.4,max=30"),
-    _spec("storm_oom", 3,
-          "site=tbuddy.split,p=0.5,max=10;"
-          "site=ualloc.new_chunk,p=0.5,max=6;"
-          "site=spinlock.hold,p=0.05,cycles=2000"),
     _spec("storm", 7, "site=spinlock.hold,p=0.1,cycles=4000",
           backend="cuda"),
     _spec("producer_consumer", 3,
           "site=spinlock.hold,every=4,cycles=3000", backend="lock-buddy"),
-    _spec("multi_tenant", 3, "site=tbuddy.split,p=0.5,max=8"),
-    _spec("trace_replay", 1, "site=tbuddy.alloc,p=0.3,max=12"),
+    # the workload scenarios under stalls: tenant and admission ledgers
+    # must still reconcile and end leak-free
+    _spec("multi_tenant", 2, "site=spinlock.hold,p=0.05,cycles=2000"),
     _spec("multi_tenant", 1, "site=spinlock.hold,p=0.05,cycles=2000",
           backend="cuda"),
     _spec("serve_session", 2, "site=spinlock.hold,p=0.05,cycles=2000"),
-    _spec("serve_session", 3, "site=tbuddy.split,p=0.4,max=6"),
 ]
-
-
-def deck_for(tier: str) -> List[ResilSpec]:
-    if tier == "quick":
-        return list(QUICK_DECK)
-    if tier == "full":
-        return list(FULL_DECK)
-    raise ValueError(f"unknown tier {tier!r}; choose from {', '.join(TIERS)}")
 
 
 def run_deck(deck: Sequence[ResilSpec], replay_check: bool = True,

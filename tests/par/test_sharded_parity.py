@@ -9,7 +9,18 @@ from __future__ import annotations
 
 from repro.perf.suite import run_suite
 from repro.resil import runner as resil_runner
-from repro.resil.runner import QUICK_DECK, ResilResult, ResilSpec, run_deck
+from repro.resil.runner import (
+    DECK,
+    ResilResult,
+    ResilSpec,
+    placements,
+    run_deck,
+)
+
+
+def _churn_pair():
+    """Two cheap churn cases: a chunk-failure placement and a stall."""
+    return [placements("churn")[-1], DECK[0]]
 
 
 def _fake_failing_run_case(spec, replay_check=True):
@@ -22,7 +33,7 @@ def _fake_failing_run_case(spec, replay_check=True):
 
 class TestResilShardedParity:
     def test_deck_matches_serial(self):
-        deck = QUICK_DECK[3:5]  # the two cheap churn cases
+        deck = _churn_pair()
         serial = run_deck(deck, replay_check=False)
         sharded = run_deck(deck, replay_check=False, workers=2)
         assert [r.describe() for r in sharded] == \
@@ -52,7 +63,7 @@ class TestResilShardedParity:
 
         monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(pool, "ProcessPoolExecutor", SpyPool)
-        results = run_deck(QUICK_DECK[3:5], replay_check=False, workers=0)
+        results = run_deck(_churn_pair(), replay_check=False, workers=0)
         assert pools == [2]
         assert all(r.ok for r in results)
 

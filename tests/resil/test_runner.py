@@ -1,4 +1,5 @@
-"""Resil runner: specs, decks, recovery assertions, replay, bench."""
+"""Resil runner: specs, placements, the deck, recovery assertions,
+replay, bench."""
 
 import dataclasses
 
@@ -10,16 +11,49 @@ from repro import backends
 from repro.resil import ALL_KINDS, FaultPlan
 from repro.resil import cli
 from repro.resil.plan import SITES, FaultRule
+from repro.resil import runner as resil_runner
 from repro.resil.runner import (
-    FULL_DECK,
-    QUICK_DECK,
+    DECK,
+    FAIL_SITES,
+    ResilResult,
     ResilSpec,
-    deck_for,
     kinds_injected,
+    placements,
     run_case,
     run_deck,
 )
 from repro.verify.runner import SCENARIOS
+
+#: single-fault placements per scenario at the placement seed; each is
+#: the K of that scenario's `resil run` certificate
+PLACEMENT_COUNTS = {
+    "storm": 200, "churn": 8, "producer_consumer": 6, "storm_oom": 65,
+    "multi_tenant": 45, "trace_replay": 45, "serve_session": 477,
+}
+
+#: sampled fail-kind plans that the placements replaced in the deck;
+#: replay strings printed before stay runnable
+RATE_PLANS = [
+    "storm:1:site=tbuddy.split,p=0.5,max=8",
+    "storm:2:site=tbuddy.alloc,p=0.25,max=12",
+    "storm:3:site=tbuddy.alloc,max=4,detail=6",
+    "churn:1:site=ualloc.new_chunk,max=4",
+    "multi_tenant:1:site=tbuddy.alloc,p=0.2,max=10",
+    "serve_session:1:site=tbuddy.alloc,p=0.2,max=8",
+    "storm:5:site=tbuddy.split,max=20",
+    "storm:6:site=tbuddy.alloc,p=0.5,max=40",
+    "churn:4:site=ualloc.new_chunk,every=2,max=8",
+    "storm_oom:2:site=tbuddy.alloc,p=0.4,max=30",
+    "multi_tenant:3:site=tbuddy.split,p=0.5,max=8",
+    "trace_replay:1:site=tbuddy.alloc,p=0.3,max=12",
+    "serve_session:3:site=tbuddy.split,p=0.4,max=6",
+]
+
+
+@pytest.fixture(scope="module")
+def placed():
+    """Every scenario's placements (seven clean counting runs)."""
+    return {name: placements(name) for name in SCENARIOS}
 
 fault_rules = st.builds(
     FaultRule,
@@ -89,8 +123,8 @@ class TestResilSpec:
                 assert ResilSpec.parse(spec.replay) == spec
                 assert ResilSpec.parse(spec.replay).replay == spec.replay
 
-    def test_deck_replays_round_trip_byte_for_byte(self):
-        for spec in FULL_DECK:
+    def test_deck_replays_round_trip_byte_for_byte(self, placed):
+        for spec in DECK + [p for specs in placed.values() for p in specs]:
             assert ResilSpec.parse(spec.replay) == spec
             assert ResilSpec.parse(spec.replay).replay == spec.replay
 
@@ -118,32 +152,52 @@ class TestResilSpec:
         names = [f.name for f in dataclasses.fields(ResilSpec)]
         assert names == ["scenario", "seed", "plan", "backend"]
 
-    def test_deck_covers_workload_scenarios(self):
-        # the multi-tenant workload runs under faults in the smoke deck,
-        # and the recorded-trace replay in the nightly deck
-        assert any(s.scenario == "multi_tenant" for s in QUICK_DECK)
-        assert any(s.scenario == "trace_replay" for s in FULL_DECK)
+    def test_deck_covers_workload_scenarios(self, placed):
+        # the workload scenarios run under stalls in the deck, and every
+        # scenario under single-fault placements
+        assert {"multi_tenant", "serve_session"} <= \
+            {s.scenario for s in DECK}
+        assert all(placed[name] for name in SCENARIOS)
+
+
+class TestPlacements:
+    def test_counts_pin_each_certificate(self, placed):
+        assert {name: len(specs) for name, specs in placed.items()} == \
+            PLACEMENT_COUNTS
+        assert sum(PLACEMENT_COUNTS.values()) == 846
+
+    def test_each_placement_fails_one_occurrence(self, placed):
+        for name, specs in placed.items():
+            for spec in specs:
+                (rule,) = spec.plan.rules
+                assert (spec.scenario, spec.seed, spec.backend) == \
+                    (name, 1, "ours")
+                assert (rule.every, rule.max) == (1, 1)
+                assert rule.site in FAIL_SITES
+        # occurrences are numbered from 0 without gaps, per site
+        afters = [s.plan.rules[0].after for s in placed["churn"]
+                  if s.plan.rules[0].site == "tbuddy.alloc"]
+        assert afters == list(range(len(afters)))
+        assert {s.plan.rules[0].site for s in placed["storm_oom"]} == \
+            {"ualloc.new_chunk"}
+
+    def test_a_placement_injects_exactly_one_fault(self, placed):
+        res = run_case(placed["churn"][-1], replay_check=True)
+        assert res.ok, res.describe()
+        assert res.n_injected == 1 and res.replay_ok
 
 
 class TestDecks:
-    def test_deck_for_tiers(self):
-        assert deck_for("quick") == QUICK_DECK
-        assert deck_for("full") == FULL_DECK
-        with pytest.raises(ValueError):
-            deck_for("nightly")
-
-    def test_full_deck_extends_quick(self):
-        assert FULL_DECK[:len(QUICK_DECK)] == QUICK_DECK
-        assert len(FULL_DECK) > len(QUICK_DECK)
-
-    def test_quick_deck_plans_cover_all_kinds(self):
-        # The acceptance bar: the CI smoke deck must be able to inject
-        # every distinct fault kind the plan model defines.
-        kinds = {k for spec in QUICK_DECK for k in spec.plan.kinds}
+    def test_deck_and_placements_cover_all_kinds(self, placed):
+        # every fault kind the plan model defines is injected somewhere
+        kinds = {k for spec in DECK for k in spec.plan.kinds}
+        kinds |= {k for specs in placed.values()
+                  for spec in specs for k in spec.plan.kinds}
         assert kinds == set(ALL_KINDS)
 
-    def test_deck_specs_are_unique(self):
-        replays = [spec.replay for spec in FULL_DECK]
+    def test_deck_specs_are_unique(self, placed):
+        replays = [spec.replay for spec in DECK]
+        replays += [p.replay for specs in placed.values() for p in specs]
         assert len(replays) == len(set(replays))
 
 
@@ -159,6 +213,46 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == 2
         assert f"bad resil replay spec {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_case_with_scenario_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--scenario", "storm",
+                      "--case", "churn:1:site=ualloc.new_chunk,p=1,max=4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--case" in err and "--scenario" in err
+
+    def test_tier_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--tier", "quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tier" in capsys.readouterr().err
+
+    def test_run_prints_one_certificate_per_scenario(self, capsys):
+        assert cli.main(["run", "--scenario", "producer_consumer"]) == 0
+        out = capsys.readouterr().out
+        assert "producer_consumer: all 6 single-fault placements recover" \
+            in out
+        # the three producer_consumer deck cases ride along
+        assert "all 9 cases recovered" in out
+
+    def test_a_failing_placement_breaks_its_certificate(self, monkeypatch,
+                                                         capsys):
+        def fail_first(spec, replay_check=True):
+            res = ResilResult(spec)
+            if spec.plan.spec == "site=tbuddy.alloc,every=1,max=1":
+                res.error = "AssertionError: boom"
+            return res
+
+        monkeypatch.setattr(resil_runner, "run_case", fail_first)
+        assert cli.main(["run", "--scenario", "churn"]) == 1
+        out = capsys.readouterr().out
+        assert "churn: 7 of 8 single-fault placements recover" in out
+
+    @pytest.mark.parametrize("replay", RATE_PLANS)
+    def test_rate_plans_still_replay(self, replay, capsys):
+        assert cli.main(["replay", replay]) == 0
+        assert "fault trace:" in capsys.readouterr().out
 
 
 class TestRunCase:

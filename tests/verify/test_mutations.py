@@ -15,13 +15,25 @@ scenario at seeds 0 and 1, unperturbed — catches it deterministically:
   manifests as a deadlock (threads spin past the event budget) or,
   on schedules that drain, as the ``E == 0`` checkpoint assertion.
 
-Both also run the unmutated control case to show the failure signal
-comes from the mutation, not the harness.
+* **Short chunk renege** — UAlloc's new-chunk failure arm reneging
+  ``n_regular_bins - 2`` instead of the ``n_regular_bins - 1`` it
+  promised leaves ``E == 1`` on the arena's bin semaphore.
+
+The skipped and the short renege must also fail resil's single-fault
+placement of their failure arm at the first firing.  Every mutant's
+case also runs unmutated as a control, to show the failure signal comes
+from the mutation, not the harness.
 """
+
+import inspect
+import textwrap
 
 import pytest
 
 from repro.core import tbuddy as tb_mod
+from repro.core import ualloc as ualloc_mod
+from repro.resil.runner import ResilSpec
+from repro.resil.runner import run_case as resil_run_case
 from repro.sim import ops
 from repro.sync.bulk_semaphore import BulkSemaphore
 from repro.verify import CaseSpec, run_case
@@ -109,3 +121,50 @@ def test_storm_oom_control_passes_without_mutation_b(monkeypatch):
     monkeypatch.setattr(runner_mod, "EVENT_BUDGET", 2_000_000)
     res = run_case(CaseSpec("storm_oom", 0))
     assert res.ok, res.describe()
+
+
+# ----------------------------------------------------------------------
+# the same mutants against resil's single-fault placements
+# ----------------------------------------------------------------------
+#: the placements that catch each mutant at the first firing; churn's
+#: placements catch them only once the event budget trips, so they are
+#: not used here
+SPLIT_PLACEMENT = "storm:1:site=tbuddy.split,every=1,max=1"
+CHUNK_PLACEMENT = "storm:1:site=ualloc.new_chunk,every=1,max=1"
+
+
+@pytest.fixture
+def short_chunk_renege(monkeypatch):
+    """Mutation C: UAlloc's new-chunk failure arm reneges one bin short
+    of its batch promise (``n_regular_bins - 2``)."""
+    src = textwrap.dedent(inspect.getsource(ualloc_mod.UAlloc._new_chunk))
+    good = "renege(ctx, self.cfg.n_regular_bins - 1)"
+    assert src.count(good) == 1, "the mutated line moved"
+    namespace = dict(vars(ualloc_mod))
+    exec(src.replace(good, "renege(ctx, self.cfg.n_regular_bins - 2)"),
+         namespace)
+    monkeypatch.setattr(ualloc_mod.UAlloc, "_new_chunk",
+                        namespace["_new_chunk"])
+
+
+def _placement(replay):
+    return resil_run_case(ResilSpec.parse(replay), replay_check=False)
+
+
+def test_skipped_renege_fails_its_placement(skipped_renege):
+    res = _placement(SPLIT_PLACEMENT)
+    assert not res.ok
+    assert "order 1: E=1 R=0" in res.error, res.error
+
+
+def test_short_chunk_renege_fails_its_placement(short_chunk_renege):
+    res = _placement(CHUNK_PLACEMENT)
+    assert not res.ok
+    assert "arena 0 bin_sem: E=1 R=0" in res.error, res.error
+
+
+@pytest.mark.parametrize("replay", [SPLIT_PLACEMENT, CHUNK_PLACEMENT])
+def test_placement_controls_pass_without_mutation(replay):
+    res = _placement(replay)
+    assert res.ok, res.describe()
+    assert res.n_injected == 1
