@@ -145,8 +145,8 @@ def map_sharded(
     the pooled path cannot see one shard's failure from another, so it
     runs every item and truncates the merged list at the same index.
     ``describe(result)``, with ``log``, reports each returned result in
-    deck order — inline as each one finishes (in place of the
-    ``[i/n]`` progress line), pooled after the merge.
+    deck order, in place of its ``[i/n]`` progress line — inline as each
+    one finishes, pooled as soon as every earlier item has finished.
 
     ``pool``, a :func:`shard_pool` executor, runs the items there
     instead of in a pool of this call's own (``workers`` is then only
@@ -169,7 +169,9 @@ def map_sharded(
         return results
 
     results: List[Any] = [None] * n
-    done_count = 0
+    done = [False] * n
+    done_count = reported = 0  # completions; deck-order prefix reported
+    end = n                    # the merged list's length after ``stop``
     with (nullcontext(pool) if pool is not None
           else shard_pool(min(workers, n))) as pool:
         futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
@@ -192,9 +194,16 @@ def map_sharded(
                 for fut in finished:
                     i = futures[fut]
                     results[i] = fut.result()  # re-raises worker exceptions
+                    done[i] = True
                     done_count += 1
-                    if log is not None:
+                    if log is not None and describe is None:
                         log(f"  [{done_count}/{n}] {label(items[i])}")
+                while reported < end and done[reported]:
+                    if stop is not None and stop(results[reported]):
+                        end = reported + 1
+                    if log is not None and describe is not None:
+                        log(describe(results[reported]))
+                    reported += 1
         except BaseException:
             # Fail fast: drop this call's queued shards and re-raise
             # *now*; shard_pool's exit shuts the pool down without
@@ -202,12 +211,4 @@ def map_sharded(
             for fut in futures:
                 fut.cancel()
             raise
-    if stop is not None:
-        for i, result in enumerate(results):
-            if stop(result):
-                results = results[:i + 1]
-                break
-    if describe is not None and log is not None:
-        for result in results:
-            log(describe(result))
-    return results
+    return results[:end]

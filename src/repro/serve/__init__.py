@@ -31,9 +31,10 @@ persists across all of them.  This package is that front end:
     deterministic per batch.
 
 :mod:`~repro.serve.loadgen`
-    A seeded open-loop load generator replaying workload-zoo traces (or
-    synthetic family traffic) against a running service at configurable
-    rates, keeping its own per-tenant ledgers for reconciliation.
+    An open-loop load generator replaying workload-zoo traces (or
+    synthetic family traffic) against a running service, flat out or
+    paced, one session per tenant driven from one event loop, keeping
+    its own per-tenant ledgers for reconciliation.
 
 :mod:`~repro.serve.bench`
     The deterministic (socket-free) feeder used by the perf suite, the

@@ -72,50 +72,31 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _mismatch(label: str, tenant, field: str, got, want) -> str:
-    return (f"  MISMATCH [{label}] tenant {tenant} {field}: "
-            f"{got} != {want}")
+#: the ledger fields the server sees: a free the client skips after a
+#: failed malloc never reaches it, so only the client (and a direct
+#: replay) counts ``n_free_skipped``
+SERVER_FIELDS = ("n_malloc", "n_malloc_failed", "n_free",
+                 "bytes_requested", "bytes_served")
+REPLAY_FIELDS = ("n_malloc", "n_malloc_failed", "n_free", "n_free_skipped",
+                 "bytes_requested", "bytes_served")
 
 
-def _check_against_server(report: loadgen.LoadReport,
-                          engine: ServeEngine) -> List[str]:
-    """Client ledgers vs the server's own accounting, field by field."""
+def _check_ledgers(label: str, report: loadgen.LoadReport, ledgers,
+                   fields) -> List[str]:
+    """Client ledgers vs reference ``ledgers`` (tenant -> stats), field
+    by field."""
     problems: List[str] = []
-    # No n_free_skipped: a free the client skips after a failed malloc
-    # never reaches the server, so only the client counts it.  The
-    # --reconcile direct replay checks that field.
-    fields = ("n_malloc", "n_malloc_failed", "n_free",
-              "bytes_requested", "bytes_served")
-    for t in sorted(set(report.tenants) | set(engine.stats)):
+    for t in sorted(set(report.tenants) | set(ledgers)):
         client = report.tenants.get(t)
-        server = engine.stats.get(t)
-        if client is None or server is None:
-            problems.append(f"  MISMATCH tenant {t} present on only one side")
-            continue
-        for f in fields:
-            got, want = getattr(client, f), getattr(server, f)
-            if got != want:
-                problems.append(_mismatch("server", t, f, got, want))
-    return problems
-
-
-def _check_against_replay(report: loadgen.LoadReport, trace,
-                          backend: str, pool: int, seed: int) -> List[str]:
-    """Client ledgers vs a direct (closed, non-service) replay."""
-    ref = direct_replay(trace, backend=backend, seed=seed, pool=pool)
-    problems: List[str] = []
-    for t in sorted(set(report.tenants) | set(ref.tenants)):
-        client = report.tenants.get(t)
-        want = ref.tenants.get(t)
+        want = ledgers.get(t)
         if client is None or want is None:
             problems.append(f"  MISMATCH tenant {t} present on only one side")
             continue
-        for f in ("n_malloc", "n_malloc_failed", "n_free", "n_free_skipped",
-                  "bytes_requested", "bytes_served"):
-            got = getattr(client, f)
-            if got != getattr(want, f):
-                problems.append(_mismatch("replay", t, f, got,
-                                          getattr(want, f)))
+        for f in fields:
+            got, ref = getattr(client, f), getattr(want, f)
+            if got != ref:
+                problems.append(
+                    f"  MISMATCH [{label}] tenant {t} {f}: {got} != {ref}")
     return problems
 
 
@@ -149,10 +130,13 @@ def _cmd_bench(args) -> int:
         print(f"  latency p50/p99: {engine.latency_percentile(50)}/"
               f"{engine.latency_percentile(99)} cycles; causes "
               f"{dict(sorted(engine.causes.items())) or '{}'}")
-        problems = _check_against_server(report, engine)
+        problems = _check_ledgers("server", report, engine.stats,
+                                  SERVER_FIELDS)
         if args.reconcile:
-            problems += _check_against_replay(report, trace, backend,
-                                              args.pool, args.seed)
+            ref = direct_replay(trace, backend=backend, seed=args.seed,
+                                pool=args.pool)
+            problems += _check_ledgers("replay", report, ref.tenants,
+                                       REPLAY_FIELDS)
         if server.protocol_errors:
             problems.append(
                 f"  {server.protocol_errors} protocol error(s) on the wire")

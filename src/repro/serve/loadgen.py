@@ -2,15 +2,15 @@
 
 Replays a workload-zoo :class:`~repro.workloads.trace.Trace` against a
 live :class:`~.server.ServeServer` the way real clients would: each
-tenant gets its own TCP session and its own thread, requests are
-**pipelined** (mallocs are fired without waiting for replies — open
-loop), and a reply-reader thread per session matches replies to requests
-by correlation id.  The only waits are causal: a ``free`` must wait for
-its paired malloc's reply because the address is in that reply; a free
-whose malloc failed is skipped client-side and counted, mirroring the
-replayer's skipped-free protocol so the client ledger reconciles with
-both the server snapshot and a direct
-:func:`repro.workloads.replay.replay` of the same trace.
+tenant gets its own TCP session and **pipelines** its requests (mallocs
+go out without waiting for replies — open loop); replies are matched to
+requests by correlation id.  Like the server, one ``selectors`` loop on
+the calling thread drives every session, reading replies between sends.
+The only waits are causal: a tenant parks at a ``free`` whose malloc is
+unanswered (the address is in that reply) while the others go on; a
+free whose malloc failed is skipped and counted, as the replayer does,
+so the client ledger reconciles with both the server snapshot and a
+direct :func:`repro.workloads.replay.replay` of the same trace.
 
 ``cycles_per_second`` optionally paces sends so inter-arrival gaps in
 virtual cycles become wall-clock gaps (an honest open-loop arrival
@@ -21,42 +21,26 @@ never between outcome classes, for traces that fit admission.
 
 from __future__ import annotations
 
+import math
+import selectors
 import socket
-import threading
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..workloads.replay import TenantStats
 from ..workloads.trace import OP_MALLOC as EV_MALLOC
 from ..workloads.trace import Trace, validate
 from . import protocol
-from .protocol import OP_BYE, OP_FREE, OP_MALLOC, PROTOCOL
+from .protocol import (OP_BYE, OP_FREE, OP_HELLO, OP_MALLOC, PROTOCOL,
+                       ProtocolError)
 
 #: per-reply wait bound; loopback replies land in microseconds, so a
 #: timeout means the server died — fail loudly, do not hang the suite
 REPLY_TIMEOUT = 30.0
 
-
-class _Future:
-    """One outstanding request's reply slot."""
-
-    __slots__ = ("event", "reply")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.reply: Optional[dict] = None
-
-    def resolve(self, reply: dict) -> None:
-        self.reply = reply
-        self.event.set()
-
-    def wait(self) -> dict:
-        if not self.event.wait(REPLY_TIMEOUT):
-            raise RuntimeError(
-                f"no reply within {REPLY_TIMEOUT}s — server hung or died")
-        assert self.reply is not None
-        return self.reply
+#: bytes asked of a ready socket per read
+_RECV_BYTES = 1 << 16
 
 
 @dataclass
@@ -81,152 +65,158 @@ class LoadReport:
         return out
 
 
-class _TenantSession:
-    """One tenant's connection, reader thread and event stream."""
+class _Tenant:
+    """One tenant's session: socket, event cursor, requests in flight."""
 
-    def __init__(self, host: str, port: int, tenant: int,
-                 events: List, report: LoadReport, lock: threading.Lock,
-                 cycles_per_second: Optional[float]):
+    def __init__(self, tenant: int, events: List, address: Tuple[str, int],
+                 sel: selectors.BaseSelector, now: float):
         self.tenant = tenant
         self.events = events
-        self.report = report
-        self.lock = lock
-        self.cps = cycles_per_second
+        self.conn = conn = socket.create_connection(address)
+        self.sel = sel
         self.stats = TenantStats()
-        self.conn = socket.create_connection((host, port))
-        self._reader = self.conn.makefile("r", encoding="utf-8",
-                                          newline="\n")
-        self._futures: Dict[int, _Future] = {}
-        self._flock = threading.Lock()
-        self._next_req = 0
-        self.hello: Optional[dict] = None
-        self.error: Optional[BaseException] = None
-        self.thread = threading.Thread(
-            target=self._run, name=f"loadgen-t{tenant}", daemon=True)
+        self.cursor = 0                       # next event to send
+        self.origin: Optional[Tuple[float, int]] = None  # (wall t0, time)
+        #: req (the event's index) -> (op, size, event id), until replied
+        self.inflight: Dict[int, Tuple[str, int, int]] = {}
+        #: malloc event id -> its reply's address (None: it failed)
+        self.addrs: Dict[int, Optional[int]] = {}
+        self.state = "hello"                  # -> "open" -> "bye" -> "closed"
+        self.heard = now                      # last reply, or wait start
+        self.buf = b""                        # bytes after the last LF
+        self.out = bytearray()                # encoded frames not yet sent
+        conn.setblocking(False)
+        sel.register(conn, selectors.EVENT_READ, self)
+        self._queue({"op": OP_HELLO, "proto": PROTOCOL, "tenant": tenant},
+                    now)
 
-    # -- wire helpers --------------------------------------------------
-    def _send(self, msg: dict) -> None:
-        self.conn.sendall(protocol.encode(msg))
+    def fail(self, why: str) -> RuntimeError:
+        return RuntimeError(f"tenant {self.tenant} session failed: {why}")
 
-    def _issue(self, msg: dict) -> _Future:
-        fut = _Future()
-        with self._flock:
-            req = self._next_req
-            self._next_req += 1
-            self._futures[req] = fut
-        msg["req"] = req
-        self._send(msg)
-        return fut
+    def deadline(self, now: float) -> float:
+        """When silence from the server becomes a failure; raises after."""
+        if not self.inflight and self.state == "open":
+            return math.inf
+        if now > self.heard + REPLY_TIMEOUT:
+            raise self.fail(f"no reply within {REPLY_TIMEOUT}s — " + (
+                "server wedged without closing the session after bye"
+                if self.state == "bye" else "server hung or died"))
+        return self.heard + REPLY_TIMEOUT
 
-    def _reader_loop(self) -> None:
+    def _queue(self, msg: dict, now: float,
+               request: Optional[Tuple[str, int, int]] = None) -> None:
+        """Queue one frame; a ``request`` awaits its reply."""
+        if not self.inflight:
+            self.heard = now  # a reply is awaited from here on
+        if request is not None:
+            msg["req"] = self.cursor
+            self.inflight[self.cursor] = request
+        self.out += protocol.encode(msg)
+
+    def flush(self) -> None:
+        """Send what waits; watch for room only while something does."""
         try:
-            for line in self._reader:
-                line = line.strip()
-                if not line:
-                    continue
-                reply = protocol.decode_line(line)
-                if reply.get("error") == "protocol":
-                    with self.lock:
-                        self.report.protocol_errors += 1
-                    continue
-                req = reply.get("req")
-                if req is None:
-                    continue  # hello/bye are handled synchronously
-                with self._flock:
-                    fut = self._futures.pop(req, None)
-                if fut is not None:
-                    fut.resolve(reply)
-        except (OSError, ValueError):
-            # Session teardown closes the socket under us (normally, or
-            # after a wedged-session timeout).  Exiting is the right
-            # response: outstanding futures time out and report, so
-            # nothing is lost by not crashing the thread.
-            return
+            del self.out[:self.conn.send(self.out)]
+        except BlockingIOError:
+            pass
+        except OSError as e:
+            raise self.fail(f"send failed: {e}") from e
+        self.sel.modify(self.conn, selectors.EVENT_READ | (
+            selectors.EVENT_WRITE if self.out else 0), self)
 
-    # -- the tenant's request stream -----------------------------------
-    def _run(self) -> None:
-        try:
-            self._send({"op": "hello", "proto": PROTOCOL,
-                        "tenant": self.tenant})
-            self.hello = protocol.decode_line(self._reader.readline())
-            if not self.hello.get("ok"):
-                raise RuntimeError(f"hello rejected: {self.hello}")
-            reader = threading.Thread(target=self._reader_loop,
-                                      name=f"loadgen-t{self.tenant}-rd",
-                                      daemon=True)
-            reader.start()
-            self._replay_events()
-            self._send({"op": OP_BYE})
-            reader.join(timeout=REPLY_TIMEOUT)
-            if reader.is_alive():
-                # The join timing out is a result, not a formality: the
-                # server took our BYE and then neither answered nor
-                # closed, so the reader is wedged mid-recv.  Silently
-                # dropping that here used to report the session as
-                # clean.
-                raise RuntimeError(
-                    f"reply reader still alive {REPLY_TIMEOUT}s after "
-                    "bye — server wedged without closing the session")
-        except BaseException as e:  # surfaced by LoadGen.run
-            self.error = e
-        finally:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-
-    def _replay_events(self) -> None:
-        st = self.stats
-        malloc_futs: Dict[int, _Future] = {}  # trace event id -> future
-        pending: List = []                    # (op, size, future)
-        # Pacing is anchored to one absolute schedule: event k's send
-        # time is t0 + (virtual gap from the first event) / cps.  Paced
-        # by per-event deltas instead, every sleep's overshoot and all
-        # the send/wait time in between accumulated, so long traces
-        # drifted arbitrarily far behind the arrival process they were
-        # supposed to model.
-        origin: Optional[tuple] = None        # (wall t0, first event time)
-        for e in self.events:
-            if self.cps:
-                if origin is None:
-                    origin = (_time.monotonic(), e.time)
-                else:
-                    target = origin[0] + (e.time - origin[1]) / self.cps
-                    delay = target - _time.monotonic()
-                    if delay > 0:
-                        _time.sleep(delay)
+    def advance(self, now: float, cps: Optional[float]) -> float:
+        """Send every due event; returns the next paced send time
+        (infinite when the tenant waits on replies alone)."""
+        wait = math.inf
+        while self.state == "open" and self.cursor < len(self.events):
+            e = self.events[self.cursor]
+            # Pacing is anchored to one absolute schedule: event k is
+            # due at t0 + (virtual gap from the first event) / cps, so
+            # late wake-ups never accumulate into drift.
+            if cps:
+                if self.origin is None:
+                    self.origin = (now, e.time)
+                due = self.origin[0] + (e.time - self.origin[1]) / cps
+                if due > now:
+                    wait = due
+                    break
             if e.op == EV_MALLOC:
-                st.n_malloc += 1
-                st.bytes_requested += e.size
-                fut = self._issue({"op": OP_MALLOC, "size": e.size})
-                malloc_futs[e.id] = fut
-                pending.append((OP_MALLOC, e.size, fut))
+                self.stats.n_malloc += 1
+                self.stats.bytes_requested += e.size
+                self._queue({"op": OP_MALLOC, "size": e.size}, now,
+                            (OP_MALLOC, e.size, e.id))
+            elif e.id not in self.addrs:
+                break  # causal wait: the free needs its malloc's address
             else:
-                # causal wait: the free needs its malloc's address
-                reply = malloc_futs.pop(e.id).wait()
-                if not reply.get("ok"):
-                    st.n_free_skipped += 1
-                    continue
-                fut = self._issue({"op": OP_FREE, "addr": reply["addr"]})
-                pending.append((OP_FREE, 0, fut))
-        # drain every outstanding reply, then account by request kind
-        for op, size, fut in pending:
-            reply = fut.wait()
-            if reply.get("ok"):
-                if op == OP_MALLOC:
-                    st.bytes_served += size
+                addr = self.addrs.pop(e.id)
+                if addr is None:
+                    self.stats.n_free_skipped += 1
                 else:
-                    st.n_free += 1
-                if reply.get("latency") is not None:
-                    with self.lock:
-                        self.report.latencies.append(reply["latency"])
+                    self._queue({"op": OP_FREE, "addr": addr}, now,
+                                (OP_FREE, 0, e.id))
+            self.cursor += 1
+        if (self.state == "open" and self.cursor == len(self.events)
+                and not self.inflight):
+            self._queue({"op": OP_BYE}, now)
+            self.state = "bye"
+        if self.out:
+            self.flush()
+        return wait
+
+    def read(self, report: LoadReport, now: float) -> None:
+        try:
+            data = self.conn.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError as e:
+            raise self.fail(f"receive failed: {e}") from e
+        if not data:
+            if self.state != "bye":
+                raise self.fail(
+                    f"server closed the session with {len(self.inflight)} "
+                    "request(s) unanswered")
+            self.state = "closed"
+            self.sel.unregister(self.conn)
+            return
+        self.heard = now
+        *lines, self.buf = (self.buf + data).split(b"\n")
+        for line in lines:
+            if line.strip():
+                self._on_reply(line, report)
+
+    def _on_reply(self, line: bytes, report: LoadReport) -> None:
+        try:
+            reply = protocol.decode_line(line)
+        except ProtocolError as e:
+            raise self.fail(f"bad reply {line[:80]!r}: {e}") from None
+        if self.state == "hello":
+            if not reply.get("ok"):
+                raise self.fail(f"hello rejected: {reply}")
+            self.state = "open"
+            return
+        if reply.get("error") == "protocol":
+            report.protocol_errors += 1
+            return
+        if "req" not in reply:
+            return  # the bye reply
+        sent = self.inflight.pop(reply["req"], None)
+        if sent is None:
+            raise self.fail(f"reply to no request in flight: {reply}")
+        op, size, event_id = sent
+        if reply.get("ok"):
+            if op == OP_MALLOC:
+                self.addrs[event_id] = reply["addr"]
+                self.stats.bytes_served += size
             else:
-                if op == OP_MALLOC:
-                    st.n_malloc_failed += 1
-                cause = reply.get("cause", "unknown")
-                with self.lock:
-                    self.report.causes[cause] = (
-                        self.report.causes.get(cause, 0) + 1)
+                self.stats.n_free += 1
+            if reply.get("latency") is not None:
+                report.latencies.append(reply["latency"])
+        else:
+            if op == OP_MALLOC:
+                self.addrs[event_id] = None
+                self.stats.n_malloc_failed += 1
+            cause = reply.get("cause", "unknown")
+            report.causes[cause] = report.causes.get(cause, 0) + 1
 
 
 def run(trace: Trace, host: str, port: int, *,
@@ -237,22 +227,31 @@ def run(trace: Trace, host: str, port: int, *,
     for e in trace.events:
         per_tenant.setdefault(e.tenant, []).append(e)
     report = LoadReport(sessions=len(per_tenant))
-    lock = threading.Lock()
-    sessions = [
-        _TenantSession(host, port, t, evs, report, lock, cycles_per_second)
-        for t, evs in sorted(per_tenant.items())
-    ]
     t0 = _time.monotonic()
-    for s in sessions:
-        s.thread.start()
-    for s in sessions:
-        s.thread.join(timeout=REPLY_TIMEOUT * 4)
-        if s.thread.is_alive():
-            raise RuntimeError(f"tenant {s.tenant} session hung")
-        if s.error is not None:
-            raise RuntimeError(
-                f"tenant {s.tenant} session failed: {s.error}") from s.error
+    tenants: List[_Tenant] = []
+    with selectors.DefaultSelector() as sel:
+        try:
+            for t, evs in sorted(per_tenant.items()):
+                tenants.append(_Tenant(t, evs, (host, port), sel,
+                                       _time.monotonic()))
+            live = list(tenants)
+            while live:
+                now = _time.monotonic()
+                wake = math.inf
+                for s in live:
+                    due = s.advance(now, cycles_per_second)
+                    wake = min(wake, due, s.deadline(now))  # raises if hung
+                ready = sel.select(max(0.0, wake - now))
+                now = _time.monotonic()
+                for key, mask in ready:
+                    if mask & selectors.EVENT_WRITE:
+                        key.data.flush()
+                    if mask & selectors.EVENT_READ:
+                        key.data.read(report, now)
+                live = [s for s in live if s.state != "closed"]
+        finally:
+            for s in tenants:
+                s.conn.close()
     report.wall_seconds = _time.monotonic() - t0
-    for s in sessions:
-        report.tenants[s.tenant] = s.stats
+    report.tenants = {s.tenant: s.stats for s in tenants}
     return report

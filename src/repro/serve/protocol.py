@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 #: protocol identifier; bump the suffix on breaking changes
 PROTOCOL = "repro.serve/1"
@@ -72,18 +72,17 @@ def encode(msg: dict) -> bytes:
     return (_ENCODER.encode(msg) + "\n").encode("utf-8")
 
 
-def decode_line(line: Union[str, bytes]) -> dict:
-    """Parse one received line (text, or the UTF-8 bytes off the wire)
-    into a message object."""
+def decode_line(line: bytes) -> dict:
+    """Parse one received line (the UTF-8 bytes off the wire) into a
+    message object."""
     if len(line) > MAX_LINE:
         raise ProtocolError(f"line exceeds {MAX_LINE} bytes")
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ProtocolError(f"not valid UTF-8: {e}") from None
     try:
-        msg = json.loads(line)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ProtocolError(f"not valid UTF-8: {e}") from None
+    try:
+        msg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ProtocolError(f"not valid JSON: {e}") from None
     if not isinstance(msg, dict):

@@ -405,8 +405,7 @@ class Explorer:
             batch = queue[:BATCH]
             queue = queue[BATCH:]
             outcomes = map_sharded(run_probed, [spec for spec, _ in batch],
-                                   workers=self.workers,
-                                   label=lambda spec: spec.replay, pool=pool)
+                                   workers=self.workers, pool=pool)
             for (spec, parent), out in zip(batch, outcomes):
                 novel, new_schedule = self._observe(
                     out, parent, coverage, report)

@@ -186,9 +186,17 @@ class TestMapSharded:
         map_sharded(_square, [3, 1, 2], workers=2, log=pooled.append,
                     describe=lambda r: f"= {r}", stop=lambda r: r == 1)
         assert inline == ["= 9", "= 1", "= 4"]
-        # pooled: [k/n] completion lines first, then the truncated deck
-        assert [ln for ln in pooled if ln.startswith("=")] == ["= 9", "= 1"]
-        assert sum("/3]" in ln for ln in pooled) == 3
+        # pooled: the truncated deck, in deck order, and nothing else
+        assert pooled == ["= 9", "= 1"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_describe_logs_one_line_per_item(self, workers):
+        # Regression: the pooled path logged an [i/n] line per completion
+        # and then a describe line per result, two lines per item.
+        lines: list = []
+        map_sharded(abs, [-1, -2, -3, -4], workers=workers,
+                    log=lines.append, describe=lambda r: f"= {r}")
+        assert lines == ["= 1", "= 2", "= 3", "= 4"]
 
     def test_preferred_start_method_is_known(self):
         assert preferred_start_method() in ("fork", "spawn")

@@ -9,28 +9,37 @@ accounting story.
 
 from __future__ import annotations
 
+import json
+import selectors
 import socket
 import threading
+import time
+import types
+
+import pytest
 
 from repro.serve import loadgen
+from repro.serve import server as server_mod
 from repro.serve.engine import ServeEngine
 from repro.serve.server import ServeServer
-from repro.workloads.replay import TenantStats, replay
-from repro.workloads.trace import OP_MALLOC, TraceEvent, load_bundled
+from repro.workloads.replay import replay
+from repro.workloads.trace import (OP_FREE, OP_MALLOC, Trace, TraceEvent,
+                                    load_bundled)
 
 POOL = 4 << 20  # ample: zero failures make ledger equality exact
 LEDGER_FIELDS = ("n_malloc", "n_malloc_failed", "n_free", "n_free_skipped",
                  "bytes_requested", "bytes_served")
 
 
-def _serve(trace, **engine_kw):
+def _serve(trace, cycles_per_second=None, **engine_kw):
     engine_kw.setdefault("backend", "ours")
     engine_kw.setdefault("pool", POOL)
     engine_kw.setdefault("seed", 0)
     srv = ServeServer(ServeEngine(**engine_kw), batch_window=0.002,
                       batch_max=32)
     with srv as (host, port):
-        report = loadgen.run(trace, host, port)
+        report = loadgen.run(trace, host, port,
+                             cycles_per_second=cycles_per_second)
     return srv, report
 
 
@@ -89,7 +98,11 @@ class TestQuotaUnderLoad:
         # n_free + n_free_skipped with the server's, but a free the
         # client skips after a failed malloc never reaches the server,
         # so every failed malloc read as a ledger mismatch.
-        from repro.serve.cli import _check_against_server
+        from repro.serve.cli import SERVER_FIELDS, _check_ledgers
+
+        def _check_against_server(report, engine):
+            return _check_ledgers("server", report, engine.stats,
+                                  SERVER_FIELDS)
 
         trace = load_bundled("mt_small")
         srv, report = _serve(trace, quota_bytes=2 << 10)
@@ -104,51 +117,59 @@ class TestQuotaUnderLoad:
 
 
 class _FakeClock:
-    """Deterministic monotonic clock whose every sleep overshoots."""
+    """Deterministic monotonic clock: only the loop's paced waits move it,
+    and every one of them overshoots."""
 
     def __init__(self, overshoot: float):
         self.now = 0.0
         self.overshoot = overshoot
-        self.sleeps: list = []
 
     def monotonic(self) -> float:
         return self.now
 
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds + self.overshoot
+
+def _selectors_on(clock: _FakeClock):
+    """A ``selectors`` namespace for loadgen whose short (paced) waits
+    run on ``clock``: a wait no ready socket ends advances the clock by
+    the wait plus its overshoot.  Long waits (for replies, bounded by
+    ``REPLY_TIMEOUT``) block on the real sockets and leave it alone."""
+
+    class Selector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            ready = super().select(0)
+            if ready or timeout > 1.0:
+                return ready or super().select(timeout)
+            clock.now += timeout + clock.overshoot
+            return []
+
+    return types.SimpleNamespace(DefaultSelector=Selector,
+                                 EVENT_READ=selectors.EVENT_READ,
+                                 EVENT_WRITE=selectors.EVENT_WRITE)
 
 
-def _session_shell(events, cps):
-    """A _TenantSession with the wire stubbed out: only pacing runs."""
-    sess = object.__new__(loadgen._TenantSession)
-    sess.stats = TenantStats()
-    sess.cps = cps
-    sess.events = events
-    sess.lock = threading.Lock()
-    sess.report = loadgen.LoadReport()
-    done = loadgen._Future()
-    done.resolve({"ok": False, "cause": "stub"})
-    sess._issue = lambda msg: done
-    return sess
+def _trace(events):
+    return Trace(family="test", seed=0, tenants=1, events=events)
 
 
 class TestPacing:
     def test_pacing_anchors_to_an_absolute_schedule(self, monkeypatch):
         # Regression: pacing slept per-event deltas, so every sleep's
         # overshoot (and all send/wait time in between) accumulated —
-        # under a clock that overshoots each sleep by 50ms, a 40-event
+        # under a clock that overshoots each wait by 50ms, a 40-event
         # stream drifted ~2s behind its own schedule.  Anchored to t0,
         # the drift is bounded by a single overshoot regardless of
         # stream length.
         overshoot = 0.05
         clock = _FakeClock(overshoot)
-        monkeypatch.setattr(loadgen, "_time", clock)
         cps = 1000.0
         events = [TraceEvent(op=OP_MALLOC, id=i, tenant=0, time=i * 100,
                              size=8) for i in range(40)]
-        sess = _session_shell(events, cps)
-        sess._replay_events()
+        # loadgen's own names only: the server keeps the real ones
+        monkeypatch.setattr(loadgen, "_time", clock)
+        monkeypatch.setattr(loadgen, "selectors", _selectors_on(clock))
+        _, report = _serve(_trace(events), cycles_per_second=cps)
+        assert report.tenants[0].n_malloc == 40
+        # the last send is the last thing to move the clock
         span = (events[-1].time - events[0].time) / cps
         assert clock.now >= span, "pacing did not pace at all"
         assert clock.now <= span + 3 * overshoot, (
@@ -171,36 +192,119 @@ class TestPacing:
                 assert getattr(st, f) == getattr(ref, f), (t, f)
 
 
+def _one_session_server(serve_session):
+    """A loopback listener whose first session ``serve_session(conn,
+    release)`` handles on a thread; returns (port, stop).  The handler
+    holds the socket open until ``release`` is set, which ``stop`` does."""
+    lst = socket.create_server(("127.0.0.1", 0))
+    release = threading.Event()
+
+    def accept():
+        conn, _ = lst.accept()
+        with conn:
+            serve_session(conn, release)
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+
+    def stop():
+        release.set()
+        thread.join(5.0)
+        lst.close()
+        assert not thread.is_alive()
+
+    return lst.getsockname()[1], stop
+
+
+_HELLO_OK = b'{"ok": true, "op": "hello"}\n'
+_MALLOC_THEN_FREE = _trace([
+    TraceEvent(op=OP_MALLOC, id=0, tenant=0, time=0, size=8),
+    TraceEvent(op=OP_FREE, id=0, tenant=0, time=1),
+])
+
+
 class TestWedgedReader:
     def test_silent_server_after_bye_is_a_session_error(self, monkeypatch):
-        # Regression: the post-bye reader join ignored its timeout, so a
-        # server that accepted the session and then went silent without
-        # closing left the reader wedged mid-recv while the session
-        # reported itself clean.
+        # Regression: the post-bye wait ignored its timeout, so a server
+        # that answered every request (bye included) and then went
+        # silent without closing reported the session clean.
         monkeypatch.setattr(loadgen, "REPLY_TIMEOUT", 0.2)
-        srv = socket.socket()
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-        _, port = srv.getsockname()
-        release = threading.Event()
 
-        def hello_then_silent():
-            conn, _ = srv.accept()
-            rd = conn.makefile("r", encoding="utf-8", newline="\n")
-            rd.readline()                      # the client's hello
-            conn.sendall(b'{"ok": true}\n')    # accept the session ...
-            release.wait(5.0)                  # ... then wedge: no replies,
-            conn.close()                       #     no close
+        def answer_then_wedge(conn, release):
+            for line in conn.makefile("rb"):
+                msg = json.loads(line)
+                if msg["op"] == "hello":
+                    conn.sendall(_HELLO_OK)
+                elif msg["op"] == "bye":
+                    conn.sendall(b'{"ok": true, "op": "bye"}\n')
+                    break
+                else:
+                    reply = {"ok": True, "req": msg["req"], "addr": 4096,
+                             "latency": 1}
+                    conn.sendall(json.dumps(reply).encode() + b"\n")
+            release.wait(5.0)                  # wedge: no close
 
-        server = threading.Thread(target=hello_then_silent, daemon=True)
-        server.start()
-        sess = loadgen._TenantSession(
-            "127.0.0.1", port, 0, [], loadgen.LoadReport(),
-            threading.Lock(), None)
+        port, stop = _one_session_server(answer_then_wedge)
         try:
-            sess._run()
+            with pytest.raises(RuntimeError, match="wedged"):
+                loadgen.run(_MALLOC_THEN_FREE, "127.0.0.1", port)
         finally:
-            release.set()
-            srv.close()
-        assert isinstance(sess.error, RuntimeError), sess.error
-        assert "reader still alive" in str(sess.error)
+            stop()
+
+
+class TestHostileReplies:
+    def test_malformed_reply_fails_at_once(self, monkeypatch):
+        # Regression: a reply that was not JSON killed the reply-reader
+        # thread without a word, and the run reported "server hung or
+        # died" only after REPLY_TIMEOUT.
+        monkeypatch.setattr(loadgen, "REPLY_TIMEOUT", 2.0)
+
+        def hello_then_garbage(conn, release):
+            conn.makefile("rb").readline()
+            conn.sendall(_HELLO_OK + b"not json\n")
+            release.wait(5.0)
+
+        port, stop = _one_session_server(hello_then_garbage)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="not json"):
+                loadgen.run(_MALLOC_THEN_FREE, "127.0.0.1", port)
+        finally:
+            stop()
+        assert time.monotonic() - t0 < 1.0
+
+
+class TestOneLoop:
+    def test_run_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        _, report = _serve(load_bundled("mt_small"))
+        assert started == ["serve-loop"]  # the server's; none of loadgen's
+        assert report.protocol_errors == 0
+
+    def test_keeps_reading_while_it_sends(self, monkeypatch):
+        # The server drops a session once MAX_UNSENT reply bytes wait on
+        # it, so a client that runs far ahead of its replies must read
+        # them as it goes: one tenant, 600 mallocs before its first free.
+        monkeypatch.setattr(server_mod, "MAX_UNSENT", 4 << 10)
+        n = 600
+        events = [TraceEvent(op=OP_MALLOC, id=i, tenant=0, time=i, size=16)
+                  for i in range(n)]
+        events += [TraceEvent(op=OP_FREE, id=i, tenant=0, time=n + i)
+                   for i in range(n)]
+        trace = _trace(events)
+        srv, report = _serve(trace)
+        assert report.protocol_errors == 0
+        direct = replay(trace, backend="ours", seed=0, pool=POOL)
+        for f in LEDGER_FIELDS:
+            assert getattr(report.tenants[0], f) == \
+                getattr(direct.tenants[0], f), f
+            if f != "n_free_skipped":
+                assert getattr(report.tenants[0], f) == \
+                    getattr(srv.engine.stats[0], f), f

@@ -26,7 +26,7 @@ class TestFraming:
 
     def test_encode_decode_roundtrip(self):
         msg = {"op": "malloc", "req": 3, "size": 96}
-        assert decode_line(encode(msg).decode().strip()) == msg
+        assert decode_line(encode(msg).strip()) == msg
 
     def test_encode_is_canonical(self):
         # sorted keys: byte-identical frames for equal messages
@@ -49,14 +49,14 @@ class TestFraming:
 
     def test_bad_json_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="not valid JSON"):
-            decode_line("{nope")
+            decode_line(b"{nope")
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="not a JSON object"):
-            decode_line("[1, 2]")
+            decode_line(b"[1, 2]")
 
     def test_oversize_line_rejected(self):
-        line = json.dumps({"op": "x" * MAX_LINE})
+        line = json.dumps({"op": "x" * MAX_LINE}).encode()
         with pytest.raises(ProtocolError, match="exceeds"):
             decode_line(line)
 
