@@ -53,8 +53,6 @@ class LoadReport:
     causes: Dict[str, int] = field(default_factory=dict)
     #: per-request virtual latencies reported in replies
     latencies: List[int] = field(default_factory=list)
-    #: protocol-error replies received (any nonzero count is a bug)
-    protocol_errors: int = 0
     wall_seconds: float = 0.0
     sessions: int = 0
 
@@ -195,8 +193,8 @@ class _Tenant:
             self.state = "open"
             return
         if reply.get("error") == "protocol":
-            report.protocol_errors += 1
-            return
+            raise self.fail(f"protocol error on req {reply.get('req')}: "
+                            f"{reply.get('detail')}")
         if "req" not in reply:
             return  # the bye reply
         sent = self.inflight.pop(reply["req"], None)

@@ -172,8 +172,13 @@ def request_reply(req: int, *, ok: bool, addr: Optional[int] = None,
     return out
 
 
-def protocol_error_reply(detail: str) -> dict:
-    return {"ok": False, "error": "protocol", "detail": detail}
+def protocol_error_reply(detail: str, req: Optional[int] = None) -> dict:
+    """A protocol error; ``req`` echoes the offending request's id when
+    the line parsed to an object carrying an integer one."""
+    out: dict = {"ok": False, "error": "protocol", "detail": detail}
+    if req is not None:
+        out["req"] = req
+    return out
 
 
 def bye_reply() -> dict:

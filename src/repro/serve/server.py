@@ -218,14 +218,16 @@ class ServeServer:
                 sess, f"line exceeds {protocol.MAX_LINE} bytes")
             sess.close()
 
-    def _protocol_error(self, sess: _Session, detail: str) -> None:
+    def _protocol_error(self, sess: _Session, detail: str,
+                        req: Optional[int] = None) -> None:
         self.protocol_errors += 1
-        sess.send(protocol.protocol_error_reply(detail))
+        sess.send(protocol.protocol_error_reply(detail, req))
 
     def _handle_line(self, sess: _Session, line: bytes, now: float) -> None:
         """Answer or queue one line."""
         if not line:
             return
+        msg = None
         try:
             msg = protocol.decode_line(line)
             if sess.tenant is None:
@@ -238,7 +240,11 @@ class ServeServer:
                 return
             req = protocol.parse_request(msg)
         except ProtocolError as e:
-            self._protocol_error(sess, str(e))
+            # Echo the request id when the line carried an integer one,
+            # so the client knows which request went wrong.
+            rid = msg.get("req") if msg is not None else None
+            self._protocol_error(sess, str(e),
+                                 rid if type(rid) is int else None)
             return
         if req.op == OP_BYE:
             sess.send(protocol.bye_reply())

@@ -81,12 +81,12 @@ class _Thread:
     def __init__(self, tid: int, gen, ctx: ThreadCtx, block: "_Block", warp: "_Warp"):
         self.tid = tid
         self.gen = gen
-        # bound ``gen.send`` — the run loops call it once per event, and
+        # bound ``gen.send`` — the run loop calls it once per event, and
         # reading one slot beats an attribute lookup plus a method bind
         self.send = gen.send
         self.ctx = ctx
         self.state = _ST_READY
-        self.clock = 0
+        self.clock = 0        # last memory-op completion (traced runs only)
         self.pending = None   # op to execute at next pop
         self.inbox = None     # value to send at next resume when no pending op
         self.block = block
@@ -280,7 +280,7 @@ class Scheduler:
         # preserves every historical schedule byte-for-byte.
         self.steer = steer
         # Schedule observation hook: when set, ``probe(state_digest())``
-        # fires every ``probe_every`` events on *both* run loops.  The
+        # fires every ``probe_every`` events, traced or not.  The
         # probe only observes — it must not touch scheduler or memory
         # state — so attaching one never changes virtual metrics.
         self.schedule_probe = schedule_probe
@@ -342,8 +342,8 @@ class Scheduler:
             _ops.OP_WARP_BCAST: self._op_warp_bcast,
             _ops.OP_FAULT: self._op_fault,
         }
-        # structured tracing/telemetry (opt-in; run() picks its loop by
-        # one `tracer is None` test per run)
+        # structured tracing/telemetry (opt-in; run() binds every hook to
+        # None when no tracer is attached)
         self.tracer = tracer
         if tracer is not None:
             tracer._attach(self)
@@ -453,8 +453,7 @@ class Scheduler:
                 # untouched: mix (steer, tid) and fold into the window.
                 x = ((tid + 1) * 0x9E3779B97F4A7C15) ^ (steer * 0xC2B2AE3D27D4EB4F)
                 jitter += ((x ^ (x >> 29)) & _MASK64) % STEER_WINDOW
-            th.clock = start + jitter
-            self._push(th.clock, tid)
+            self._push(start + jitter, tid)
 
     # ------------------------------------------------------------------
     # Event queue
@@ -498,16 +497,39 @@ class Scheduler:
         a :class:`DeadlockError`.  A negative budget is a caller error
         and raises :class:`ValueError` before any event runs.
 
-        Two loops of the same shape execute the identical event
-        protocol, chosen here by one ``tracer is None`` test per run.
-        The *fast path* (no tracer attached) carries zero telemetry
-        tests or construction in its inner loop.  The *traced path*
-        binds the tracer's hooks once per run and skips every hook the
-        tracer sets to ``None`` (see :mod:`repro.sim.trace`).  Virtual
-        results — cycles, events, op counts, memory effects, thread
-        return values — are bit-identical between the two, down to the
-        digest stream a ``schedule_probe`` sees (pinned by the
-        fast-vs-traced parity tests); only host wall time differs.
+        One loop runs every scheduler, traced or not.  The queue drains
+        a timestamp at a time: pop the earliest pending time, then run
+        its FIFO bucket with a plain ``for``.  An entry pushed at that
+        same time while it drains (a handler's release, a timer, a
+        zero-cost step) is appended to the bucket, and the list iterator
+        reaches it in push order; a cohort of N events therefore costs
+        one heap pop, not N.  Pushes are inlined (an append to an
+        existing bucket, or a new bucket plus one heap push), dispatch
+        indexes precompiled tables instead of if/elif chains, and the
+        event count stays in a local, synchronized back to the instance
+        for the probe and in the ``finally``.  ``_now`` is written once
+        per bucket, so the park, finish and timer helpers read the
+        current time without a per-event sync.
+
+        The tracer's hooks are bound once per run, and **a hook bound to
+        ``None`` is skipped**; with no tracer every hook is ``None``.
+        ``mem_op`` is ``None`` on the plain :class:`Tracer`,
+        ``atomic_issued`` on the race checker (which never reads
+        ``word_stats``), and ``op_executed`` is bound only when the
+        tracer records a timeline.  Without a timeline its one effect is
+        noting the op's completion time; a local running max replaces
+        it, folded into the tracer once in the ``finally``, so the
+        tracer's latest timestamp (each run's ``t1``, the next run's
+        offset) stays exact even after a budget trip.  A traced run
+        writes ``th.clock`` on a memory-op resume only, where the thread
+        resumes at the op's completion time; every other resume happens
+        at the bucket time ``_now``, and :meth:`Tracer.now` returns the
+        later of the two.  The tracer-off path pays one ``traced`` test
+        per memory op and one ``atomic_hook`` test per atomic issue.
+        Virtual results (cycles, events, op counts, memory effects,
+        thread return values and the digest stream a ``schedule_probe``
+        sees) are identical under every tracer binding, pinned by the
+        loop-parity tests; only host wall time differs.
         """
         if max_events is not None and max_events < 0:
             raise ValueError(
@@ -515,26 +537,6 @@ class Scheduler:
                 "negative budget would trip on the first event and read "
                 "as a livelock"
             )
-        if self.tracer is None:
-            return self._run_fast(max_events)
-        return self._run_traced(max_events)
-
-    def _run_fast(self, max_events: Optional[int]) -> SimReport:
-        """Hot loop with no tracer attached.
-
-        The queue drains a timestamp at a time: pop the earliest pending
-        time, then run its FIFO bucket with a plain ``for``.  An entry
-        pushed at that same time while it drains (a handler's release,
-        a timer, a zero-cost step) is appended to the bucket, and the
-        list iterator reaches it in push order; a cohort of N events
-        therefore costs one heap pop, not N.  Pushes are inlined (an
-        append to an existing bucket, or a new bucket plus one heap
-        push), dispatch indexes precompiled tables instead of if/elif
-        chains, and the event count stays in a local, synchronized back
-        to the instance for the probe and in the ``finally``.
-        ``_now`` is written once per bucket, so the park, finish and
-        timer helpers read the current time without a per-event sync.
-        """
         cm = self.cost_model
         mem = self.memory
         times = self._times
@@ -561,6 +563,14 @@ class Scheduler:
         budget = max_events if max_events is not None else _NO_BUDGET
         probe = self.schedule_probe
         probe_every = self.probe_every
+        tracer = self.tracer
+        traced = tracer is not None
+        if traced:
+            mem_hook = tracer.mem_op
+            atomic_hook = tracer.atomic_issued
+            op_hook = tracer.op_executed if tracer.timeline else None
+        else:
+            mem_hook = atomic_hook = op_hook = None
 
         OP_SLEEP = _ops.OP_SLEEP
         OP_LOAD = _ops.OP_LOAD
@@ -572,6 +582,7 @@ class Scheduler:
         next_probe = events + probe_every if probe is not None else _NO_BUDGET
         t = self._now
         bucket = None
+        hi = 0  # latest memory-op completion time (traced, no timeline)
         try:
             while times:
                 t = _pop(times)
@@ -614,13 +625,19 @@ class Scheduler:
                             resume_at = t + store_latency
                             result = None
                         th.pending = None
+                        if traced:
+                            th.clock = resume_at
+                            if op_hook is not None:
+                                op_hook(th, code, t, resume_at - t)
+                            elif resume_at > hi:
+                                hi = resume_at
+                            if mem_hook is not None:
+                                mem_hook(th, op, t, result)
                     else:
                         result = th.inbox
                         th.inbox = None
 
-                    # Resume the generator and classify its next op.  (No
-                    # ``th.clock`` update here: with no tracer attached,
-                    # nothing reads per-thread clocks during the run.)
+                    # Resume the generator and classify its next op.
                     try:
                         nxt = th.send(result)
                     except StopIteration as stop:
@@ -646,186 +663,6 @@ class Scheduler:
                         # reserve the target word's next free service slot
                         # at issue time (FIFO memory-controller queue), so
                         # same-word contention serializes in O(1) events/op.
-                        th.pending = nxt
-                        at = resume_at + step_cost
-                        if code >= OP_CAS:
-                            waddr = nxt[1] >> 3
-                            avail = word_avail_get(waddr, 0)
-                            if avail > at:
-                                at = avail
-                            word_avail[waddr] = at + atomic_service
-                    elif code == OP_SLEEP:
-                        counts[OP_SLEEP] += 1
-                        at = resume_at + step_cost + nxt[1]
-                    elif code == OP_YIELD:
-                        counts[OP_YIELD] += 1
-                        at = resume_at + yield_cost
-                    else:
-                        handler = park_get(code)
-                        if handler is None:
-                            raise InvalidOp(
-                                f"device thread {th.tid} yielded unknown op {nxt!r}"
-                            )
-                        counts[code] += 1
-                        handler(th, nxt, resume_at)
-                        continue
-                    b = bucket_get(at)
-                    if b is None:
-                        buckets[at] = [tid]
-                        _push(times, at)
-                    else:
-                        b.append(tid)
-                del buckets[t]
-            bucket = None
-        finally:
-            # Keep instance state coherent when an exception unwinds
-            # mid-bucket: drop the consumed prefix (the raising event
-            # included) and requeue whatever the bucket still holds.
-            self._drained = 0
-            if bucket is not None:
-                del bucket[:events - base]
-                if bucket:
-                    _push(times, t)
-                else:
-                    del buckets[t]
-            self._events = events
-        return self._finish_report()
-
-    def _run_traced(self, max_events: Optional[int]) -> SimReport:
-        """Instrumented loop: :meth:`_run_fast`'s structure and event
-        protocol, plus the tracer's hooks.
-
-        The loop shape is the fast loop's: one heap pop per timestamp
-        and a ``for`` over its bucket, inlined pushes, the event count
-        in a local synchronized only for the probe and in the
-        ``finally``, and constants bound once.  The tracer's hooks are
-        bound once per run too, and a hook the tracer sets to ``None``
-        is skipped: ``mem_op`` is ``None`` on the plain :class:`Tracer`,
-        ``atomic_issued`` on the race checker (which never reads
-        ``word_stats``), and ``op_executed`` is called only when the
-        tracer records a timeline.  Without a timeline its one effect is
-        noting the op's completion time; a local running max replaces
-        it, folded into the tracer once in the ``finally``, so the
-        tracer's latest timestamp (each run's ``t1``, the next run's
-        offset) stays exact even after a budget trip.  Unlike the fast
-        loop, every resume writes ``th.clock``: :meth:`Tracer.now` reads
-        it.
-        """
-        cm = self.cost_model
-        mem = self.memory
-        times = self._times
-        buckets = self._buckets
-        bucket_get = buckets.get
-        timers = self._timers
-        threads = self._threads
-        word_avail = self._word_avail
-        word_avail_get = word_avail.get
-        counts = self._op_counts
-        atomic_service = cm.atomic_service
-        atomic_latency = cm.atomic_latency
-        load_latency = cm.load_latency
-        store_latency = cm.store_latency
-        step_cost = cm.step_cost
-        yield_cost = cm.yield_cost
-        load_word = mem.load_word
-        store_word = mem.store_word
-        cas_word = mem.cas_word
-        atomic_exec = self._atomic_exec
-        park_get = self._park_dispatch.get
-        _pop = heappop
-        _push = heappush
-        budget = max_events if max_events is not None else _NO_BUDGET
-        probe = self.schedule_probe
-        probe_every = self.probe_every
-        tracer = self.tracer
-        mem_hook = tracer.mem_op
-        atomic_hook = tracer.atomic_issued
-        op_hook = tracer.op_executed if tracer.timeline else None
-
-        OP_SLEEP = _ops.OP_SLEEP
-        OP_LOAD = _ops.OP_LOAD
-        OP_CAS = _ops.OP_CAS
-        OP_MIN = _ops.OP_MIN
-        OP_YIELD = _ops.OP_YIELD
-
-        events = base = self._events
-        next_probe = events + probe_every if probe is not None else _NO_BUDGET
-        t = self._now
-        bucket = None
-        hi = 0  # latest memory-op completion time (run-local, untraced)
-        try:
-            while times:
-                t = _pop(times)
-                self._now = t
-                bucket = buckets[t]
-                base = events
-                for tid in bucket:
-                    events += 1
-                    if events > budget:
-                        raise EventBudgetExceeded(
-                            f"exceeded event budget {max_events} "
-                            f"({self._live_threads} threads still live)"
-                        )
-                    if events >= next_probe:
-                        next_probe = events + probe_every
-                        self._drained = events - base
-                        probe(self.state_digest())
-                    if tid < 0:
-                        timers.pop(tid)(t)
-                        continue
-                    th = threads[tid]
-                    op = th.pending
-                    resume_at = t
-                    if op is not None:
-                        code = op[0]
-                        counts[code] += 1
-                        if code >= OP_CAS:
-                            if code != OP_CAS:
-                                result = atomic_exec[code](op[1], op[2])
-                            else:
-                                result = cas_word(op[1], op[2], op[3])
-                            resume_at = t + atomic_latency
-                        elif code == OP_LOAD:
-                            result = load_word(op[1])
-                            resume_at = t + load_latency
-                        else:
-                            store_word(op[1], op[2])
-                            resume_at = t + store_latency
-                            result = None
-                        th.pending = None
-                        if op_hook is not None:
-                            op_hook(th, code, t, resume_at - t)
-                        elif resume_at > hi:
-                            hi = resume_at
-                        if mem_hook is not None:
-                            mem_hook(th, op, t, result)
-                    else:
-                        result = th.inbox
-                        th.inbox = None
-
-                    # Resume the generator and classify its next op.
-                    th.clock = resume_at
-                    try:
-                        nxt = th.send(result)
-                    except StopIteration as stop:
-                        th.retval = stop.value
-                        self._finish_thread(th, resume_at)
-                        continue
-                    except Exception as exc:
-                        _add_note(
-                            exc,
-                            f"raised in device thread tid={th.tid} "
-                            f"block={th.ctx.block} lane={th.ctx.lane} "
-                            f"at cycle {resume_at}",
-                        )
-                        raise
-                    if type(nxt) is not tuple or not nxt:
-                        raise InvalidOp(
-                            f"device thread {th.tid} yielded {nxt!r}; expected an "
-                            "op tuple from repro.sim.ops"
-                        )
-                    code = nxt[0]
-                    if OP_LOAD <= code <= OP_MIN:
                         th.pending = nxt
                         at = resume_at + step_cost
                         if code >= OP_CAS:
@@ -863,6 +700,9 @@ class Scheduler:
                 del buckets[t]
             bucket = None
         finally:
+            # Keep instance state coherent when an exception unwinds
+            # mid-bucket: drop the consumed prefix (the raising event
+            # included) and requeue whatever the bucket still holds.
             self._drained = 0
             if bucket is not None:
                 del bucket[:events - base]
@@ -871,7 +711,8 @@ class Scheduler:
                 else:
                     del buckets[t]
             self._events = events
-            tracer._note(hi + tracer._offset)
+            if traced:
+                tracer._note(hi + tracer._offset)
         return self._finish_report()
 
     def _finish_report(self) -> SimReport:

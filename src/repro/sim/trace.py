@@ -31,17 +31,17 @@ do when sweeping configurations); each run is shifted onto a common
 timeline, and :meth:`Tracer.begin_run` labels the next run.
 
 Overhead: :meth:`Scheduler.run <repro.sim.scheduler.Scheduler.run>`
-tests ``tracer is None`` once per run and picks one of two loops of the
-same shape.  With no tracer, the fast loop carries no telemetry code at
-all; device-side primitives pay one ``ctx.trace`` attribute test per
-call.  With a tracer, the traced loop binds the hooks once per run and
-pays per memory op an ``is not None`` test for each of ``op_executed``,
-``mem_op`` and (atomics only) ``atomic_issued``, plus one ``th.clock``
-write per resume.  The convention: **a hook set to ``None`` is
-skipped**.  ``mem_op`` is ``None`` here, ``atomic_issued`` is ``None`` on
-the race checker, and ``op_executed`` counts as ``None`` when
-``timeline`` is off (the loop then keeps the latest completion time in a
-local and folds it in once per run).  A subclass that needs a hook
+is one loop that binds the tracer's hooks once per run.  **A hook bound
+to ``None`` is skipped**, and with no tracer every hook is ``None``:
+the loop then pays one ``traced`` test per memory op and one
+``atomic_issued is not None`` test per atomic issue, and device-side
+primitives pay one ``ctx.trace`` attribute test per call.  With a
+tracer, the loop pays per memory op an ``is not None`` test for each of
+``op_executed``, ``mem_op`` and (atomics only) ``atomic_issued``, plus
+one ``th.clock`` write.  ``mem_op`` is ``None`` here, ``atomic_issued``
+is ``None`` on the race checker, and ``op_executed`` counts as ``None``
+when ``timeline`` is off (the loop then keeps the latest completion time
+in a local and folds it in once per run).  A subclass that needs a hook
 overrides it with a method; one that does not read a hook's telemetry
 sets it to ``None``.
 """
@@ -112,7 +112,7 @@ class Tracer:
     """
 
     #: Per-memory-op verification hook.  ``None`` on the base tracer so
-    #: the scheduler's traced loop skips the call entirely; subclasses
+    #: the scheduler's run loop skips the call entirely; subclasses
     #: that need word-level visibility (``repro.verify.RaceChecker``)
     #: override it with a method ``mem_op(th, op, t, result)`` receiving
     #: the full op tuple (opcode, byte address, operands) and the op's
@@ -252,8 +252,16 @@ class Tracer:
     # Device-side hooks (called by sync primitives through ``ctx.trace``)
     # ------------------------------------------------------------------
     def now(self, ctx) -> int:
-        """Current virtual time of the calling device thread."""
-        return self._sched._threads[ctx.tid].clock
+        """Current virtual time of the calling device thread.
+
+        A thread resumed by a memory op runs at the op's completion
+        time, which the run loop writes to its clock; every other resume
+        (dispatch, sleep, yield, park release) happens at the bucket
+        time ``_now``, which no earlier clock exceeds."""
+        sched = self._sched
+        clock = sched._threads[ctx.tid].clock
+        now = sched._now
+        return clock if clock > now else now
 
     def lock_acquired(self, ctx, addr: int, t0: int) -> None:
         """A lock at ``addr`` was acquired; the attempt started at ``t0``."""

@@ -38,12 +38,6 @@ _NULL = DeviceMemory.NULL
 EVENT_BUDGET = 30_000_000
 
 
-#: scheduler-engine suffixes (``storm/batch:3``) that replay strings
-#: from the two-engine era may carry.  The engines were parity-locked,
-#: so the one run loop replays either engine's schedule exactly and the
-#: suffix is accepted and dropped.
-_LEGACY_ENGINES = ("event", "batch")
-
 _Spec = TypeVar("_Spec", bound="ReplaySpec")
 
 
@@ -92,9 +86,7 @@ class ReplaySpec:
 
     @classmethod
     def parse(cls: Type[_Spec], replay: str) -> _Spec:
-        """Inverse of :attr:`replay`.  A trailing ``/event`` or
-        ``/batch`` on the scenario fragment is discarded (see
-        :data:`_LEGACY_ENGINES`).  Every malformed string raises a
+        """Inverse of :attr:`replay`.  Every malformed string raises a
         ``ValueError`` naming it and the grammar."""
         grammar = f"(want scenario[@backend]:seed[:{cls._payload_field}])"
 
@@ -113,12 +105,6 @@ class ReplaySpec:
             # ` 3`, `+3`, `1_0`, `٣` all parse as ints but would print
             # back as a different string than the one replayed.
             raise bad(f"seed {seed_text!r} is not written as {str(seed)!r}")
-        if "/" in scenario:
-            scenario, engine = scenario.rsplit("/", 1)
-            if engine not in _LEGACY_ENGINES:
-                raise bad(f"unknown engine suffix '/{engine}' (only the "
-                          "historical '/event' and '/batch' are accepted, "
-                          "and ignored)")
         backend = "ours"
         if "@" in scenario:
             scenario, backend = scenario.split("@", 1)

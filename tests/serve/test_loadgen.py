@@ -47,7 +47,7 @@ class TestReplayReconciliation:
     def test_mt_small_ledgers_match_direct_replay(self):
         trace = load_bundled("mt_small")
         srv, report = _serve(trace)
-        assert report.protocol_errors == 0
+        assert srv.protocol_errors == 0
         assert report.sessions == trace.tenants
         direct = replay(trace, backend="ours", seed=0, pool=POOL)
         assert set(report.tenants) == set(direct.tenants)
@@ -84,7 +84,7 @@ class TestQuotaUnderLoad:
     def test_tight_quota_rejections_reach_the_client(self):
         trace = load_bundled("mt_small")
         srv, report = _serve(trace, quota_bytes=2 << 10)
-        assert report.protocol_errors == 0
+        assert srv.protocol_errors == 0
         assert report.causes.get("quota", 0) > 0
         # client and server agree on the rejection count exactly
         assert report.totals().n_malloc_failed == \
@@ -185,7 +185,7 @@ class TestPacing:
         with srv as (host, port):
             paced = loadgen.run(trace, host, port,
                                 cycles_per_second=10_000_000)
-        assert paced.protocol_errors == 0
+        assert srv.protocol_errors == 0
         for t, st in flat.tenants.items():
             ref = paced.tenants[t]
             for f in LEDGER_FIELDS:
@@ -273,6 +273,31 @@ class TestHostileReplies:
             stop()
         assert time.monotonic() - t0 < 1.0
 
+    def test_protocol_error_reply_fails_at_once(self):
+        # Regression: a protocol-error reply was counted and the run then
+        # waited out REPLY_TIMEOUT (30 s) for the reply the request was
+        # owed.  The server echoes the request's id; the client fails at
+        # once, naming the tenant and the id.
+        def hello_then_protocol_error(conn, release):
+            reader = conn.makefile("rb")
+            reader.readline()                      # hello
+            conn.sendall(_HELLO_OK)
+            req = json.loads(reader.readline())["req"]
+            reply = {"ok": False, "error": "protocol", "req": req,
+                     "detail": "'malloc': size must be >= 1 (got 0)"}
+            conn.sendall(json.dumps(reply).encode() + b"\n")
+            release.wait(5.0)
+
+        port, stop = _one_session_server(hello_then_protocol_error)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"tenant 0 .*protocol error on req 0"):
+                loadgen.run(_MALLOC_THEN_FREE, "127.0.0.1", port)
+        finally:
+            stop()
+        assert time.monotonic() - t0 < 1.0
+
 
 class TestOneLoop:
     def test_run_starts_no_thread(self, monkeypatch):
@@ -284,9 +309,9 @@ class TestOneLoop:
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", spy)
-        _, report = _serve(load_bundled("mt_small"))
+        srv, _ = _serve(load_bundled("mt_small"))
         assert started == ["serve-loop"]  # the server's; none of loadgen's
-        assert report.protocol_errors == 0
+        assert srv.protocol_errors == 0
 
     def test_keeps_reading_while_it_sends(self, monkeypatch):
         # The server drops a session once MAX_UNSENT reply bytes wait on
@@ -300,7 +325,7 @@ class TestOneLoop:
                    for i in range(n)]
         trace = _trace(events)
         srv, report = _serve(trace)
-        assert report.protocol_errors == 0
+        assert srv.protocol_errors == 0
         direct = replay(trace, backend="ours", seed=0, pool=POOL)
         for f in LEDGER_FIELDS:
             assert getattr(report.tenants[0], f) == \

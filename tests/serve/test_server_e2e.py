@@ -140,6 +140,27 @@ class TestProtocolErrorChannel:
             conn.close()
         assert srv.protocol_errors == 1
 
+    def test_protocol_error_echoes_the_request_id(self):
+        # Regression: the reply to a malformed request with a valid
+        # integer id carried no id, so a pipelining client could not tell
+        # which request failed.
+        srv = _server()
+        with srv as (host, port):
+            c = _Client(host, port, tenant=0)
+            r = c.raw('{"op":"malloc","req":5,"size":0}')
+            assert r == {"ok": False, "error": "protocol", "req": 5,
+                         "detail": "'malloc': size must be >= 1 (got 0)"}
+            r = c.raw('{"op":"malloc","req":6,"size":8}')
+            assert r["ok"] and r["req"] == 6
+            # no integer id to echo: the reply carries none
+            for line in ('{"op":"malloc","req":"7","size":8}',
+                         '{"op":"malloc","req":true,"size":8}',
+                         '{not json'):
+                r = c.raw(line)
+                assert r["error"] == "protocol" and "req" not in r
+            c.close()
+        assert srv.protocol_errors == 4
+
     def test_unknown_op_rejected_in_session(self):
         srv = _server()
         with srv as (host, port):

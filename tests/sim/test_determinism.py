@@ -1,8 +1,8 @@
 """Determinism pins: tracer parity, ranking tie-breaks, RNG ownership.
 
-These are the regression tests for the scheduler fast path and the
-replay contract: attaching a tracer must not change what the simulator
-computes, derived rankings must not leak dict-insertion order, and
+These are the regression tests for the scheduler's one run loop and
+the replay contract: attaching a tracer (binding the loop's hooks) must
+not change what the simulator computes, derived rankings must not leak dict-insertion order, and
 every schedule-relevant random draw must come from the owned,
 explicitly seeded per-thread RNG.
 """
@@ -31,8 +31,9 @@ def _contended_kernel(lock: SpinLock, counter: int, iters: int):
 
 class TestTracerParity:
     def test_traced_run_matches_fast_path(self, mem, device):
-        """The no-tracer fast path and the traced path must produce the
-        same virtual outcome — cycles, events, op counts, memory."""
+        """The run loop with every hook unbound (no tracer, the "fast"
+        binding) and with a tracer's hooks bound must produce the same
+        virtual outcome — cycles, events, op counts, memory."""
         reports = []
         finals = []
         for tracer in (None, Tracer()):
@@ -52,12 +53,12 @@ class TestTracerParity:
         assert finals[0] == finals[1] == 2 * 32 * 3
 
     def test_digest_probe_parity_fast_vs_traced(self, mem, device):
-        """The schedule digest stream must be byte-identical between the
-        fast path and the traced path — the explorer's coverage hashes
-        are only meaningful if they name the schedule, not the loop that
-        executed it.  (The heap's *internal list order* differs between
-        the two loops for the same entry multiset, which is why
-        ``state_digest`` folds commutatively.)"""
+        """The schedule digest stream must be byte-identical with and
+        without a tracer — the explorer's coverage hashes are only
+        meaningful if they name the schedule, not the tracer that
+        watched it.  (``state_digest`` folds commutatively, so it reads
+        the pending-event multiset, not how the queue happens to hold
+        it.)"""
         streams = []
         for tracer in (None, Tracer()):
             m = type(mem)(1 << 20)

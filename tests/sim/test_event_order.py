@@ -1,8 +1,8 @@
 """Golden schedules: the scheduler's event order, pinned to values.
 
-The loop-parity tests compare the fast and traced loops with each
-other, so a reordering both loops share passes them.  These tests pin
-the order itself.  Every expected value below was recorded from the
+The loop-parity tests compare the run loop's tracer bindings with each
+other, so a reordering every binding shares passes them.  These tests
+pin the order itself, under each binding.  Every expected value below was recorded from the
 scheduler as it stood before the event queue became time-bucketed; a
 change to the queue must reproduce them exactly.
 
@@ -26,7 +26,8 @@ from repro.sim.errors import EventBudgetExceeded
 from repro.sim.trace import Tracer
 from repro.verify.race import RaceChecker
 
-#: every run loop and hook binding, keyed by the tracer that selects it
+#: every hook binding of the one run loop, keyed by the tracer that
+#: selects it; "fast" is the unbound binding (no tracer)
 LOOPS = {
     "fast": lambda: None,
     "traced": Tracer,

@@ -1,21 +1,22 @@
-"""Run-loop parity: the fast loop against the traced loop.
+"""Run-loop parity: the one run loop under every tracer binding.
 
 The contract under test: for any kernel, seed and knob setting, a
-``Scheduler`` with no tracer (``_run_fast``) and one with a
-:class:`~repro.sim.trace.Tracer` attached (``_run_traced``) produce the
-*identical virtual run* — same cycles, same event count, same op
-counts, same memory effects, same per-thread results, same schedule
-digests at every probe, and the same errors at the same budgets.  Wall
-time is the only permitted difference.  Benches time the fast loop while
-verify and explore run the traced one (the race checker is a tracer),
-so these microkernels are what ties their findings together; each one
-fails fast and points at the divergent primitive.
+``Scheduler`` with no tracer (every hook unbound) and one with a
+:class:`~repro.sim.trace.Tracer` attached produce the *identical virtual
+run* — same cycles, same event count, same op counts, same memory
+effects, same per-thread results, same schedule digests at every probe,
+and the same errors at the same budgets.  Wall time is the only
+permitted difference.  Benches run with every hook unbound while verify
+and explore run with the race checker bound (it is a tracer), so these
+microkernels are what ties their findings together; each one fails fast
+and points at the divergent primitive.
 
-The traced loop binds the tracer's hooks once per run and skips the
-ones left as ``None``, so every binding it can take runs here: a plain
-tracer with and without a timeline (``op_executed`` called or replaced
-by a local running max) and the race checker (``mem_op`` bound,
-``atomic_issued`` skipped).
+``Scheduler.run`` binds the tracer's hooks once per run and skips the
+ones left as ``None``, so every binding it can take runs here: no
+tracer (``"fast"``: every hook ``None``), a plain tracer with and
+without a timeline (``op_executed`` called or replaced by a local
+running max) and the race checker (``mem_op`` bound, ``atomic_issued``
+skipped).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from repro.verify.race import RaceChecker
 
 WORDS = 4  # contended-word count for the atomics microkernels
 
-#: the loops and hook bindings, keyed by the tracer that selects them;
-#: "fast" is the reference every other outcome must equal
+#: the hook bindings, keyed by the tracer that selects them; "fast" is
+#: the unbound binding (no tracer, every hook ``None``) and the reference
+#: every other outcome must equal
 LOOPS = {
     "fast": lambda: None,
     "traced": Tracer,
@@ -242,9 +244,10 @@ class TestBudgetParity:
     def test_post_trip_state_matches_across_loops(self):
         # A budget trip abandons the run (EventBudgetExceeded is a
         # DeadlockError: the guard fired, the schedule is suspect) — the
-        # contract is not resumability but *sameness*: every loop must
+        # contract is not resumability but *sameness*: every binding must
         # leave the identical abstract wreckage behind, so diagnostics
-        # built on the tripped scheduler read the same whichever loop ran.
+        # built on the tripped scheduler read the same whichever tracer
+        # was attached.
         wreckage = []
         for make_tracer in LOOPS.values():
             mem = DeviceMemory(1 << 16)

@@ -6,8 +6,10 @@ from dataclasses import replace
 import pytest
 
 from repro.sim import DeviceMemory, GPUDevice, Scheduler, Tracer, ops
+from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.trace import Histogram
 from repro.sync import RCU, BulkSemaphore, CollectiveMutex, SpinLock
+from repro.verify.race import RaceChecker
 
 
 class TestHistogram:
@@ -175,6 +177,67 @@ class TestSchedulerTracing:
         s.launch(_hot_word_kernel_factory(counter), 1, 32)
         s.run()  # scheduler op_counts are cumulative; tracer must not double
         assert tracer.op_counts[ops.OP_ADD] == 64
+
+
+#: a word's atomic service interval long enough that a thread's second
+#: atomic on it, issued right after the first completes, finds it busy
+_SLOW_WORD = replace(DEFAULT_COST_MODEL, atomic_service=1000)
+_NAP = 300
+
+
+def _clock_kernel(ctx, base, readings):
+    """Read ``Tracer.now`` after each kind of resume; each lane uses its
+    own word, so the readings follow from the cost model alone."""
+    now = ctx.trace.now
+    word = base + 8 * ctx.lane
+    got = readings[ctx.lane] = {"start": now(ctx)}
+    yield ops.load(word)
+    got["load"] = now(ctx)
+    yield ops.atomic_add(word, 1)
+    got["atomic"] = now(ctx)
+    yield ops.atomic_add(word, 1)           # the word is still busy
+    got["busy_atomic"] = now(ctx)
+    yield ops.sleep(_NAP + 100 * ctx.lane)  # lane 0 waits at the barrier
+    got["sleep"] = now(ctx)
+    yield ops.cpu_yield()
+    got["yield"] = now(ctx)
+    yield ops.syncthreads()
+    got["barrier"] = now(ctx)
+
+
+class TestTracerNow:
+    """``Tracer.now(ctx)`` is the calling thread's virtual time after
+    every kind of resume: a memory op's completion, and the event time
+    after a sleep, a yield or a barrier release."""
+
+    @pytest.mark.parametrize("make", [
+        Tracer, lambda: Tracer(timeline=False), RaceChecker,
+    ], ids=["timeline", "no_timeline", "race_checker"])
+    def test_now_after_each_resume_kind(self, make):
+        cm = _SLOW_WORD
+        assert cm.atomic_service > cm.atomic_latency + cm.step_cost
+        mem = DeviceMemory(1 << 12)
+        base = mem.host_alloc(16)
+        readings = {}
+        s = Scheduler(mem, cost_model=cm, seed=5, tracer=make())
+        s.launch(_clock_kernel, 1, 2, args=(base, readings))
+        s.run()
+        for lane, got in readings.items():
+            t0 = got["start"]
+            assert cm.block_dispatch <= t0 < cm.block_dispatch + 4
+            assert got["load"] == t0 + cm.step_cost + cm.load_latency
+            issue = got["load"] + cm.step_cost
+            assert got["atomic"] == issue + cm.atomic_latency
+            # the second atomic waits for the word's next service slot
+            assert got["busy_atomic"] == issue + cm.atomic_service + \
+                cm.atomic_latency
+            assert got["sleep"] == got["busy_atomic"] + cm.step_cost + \
+                _NAP + 100 * lane
+            assert got["yield"] == got["sleep"] + cm.yield_cost
+        # the barrier releases both lanes at the last arrival plus its cost
+        assert readings[0]["yield"] < readings[1]["yield"]
+        release = readings[1]["yield"] + cm.barrier_cost
+        assert [got["barrier"] for got in readings.values()] == [release] * 2
 
 
 class TestPrimitiveTelemetry:

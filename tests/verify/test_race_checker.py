@@ -28,7 +28,8 @@ def make_checker(clock=0):
     c.watch_tbuddy(SimpleNamespace(tree_addr=TREE, n_nodes=8))
     c.watch_spinlock(SimpleNamespace(addr=SPIN))
     c._sched = SimpleNamespace(
-        _threads={tid: SimpleNamespace(clock=clock) for tid in range(8)}
+        _threads={tid: SimpleNamespace(clock=clock) for tid in range(8)},
+        _now=0,
     )
     return c
 
