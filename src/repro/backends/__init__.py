@@ -19,6 +19,7 @@ from .registry import (
     BackendHandle,
     UnknownBackend,
     build,
+    build_standalone,
     get,
     names,
     pool_error,
@@ -33,6 +34,7 @@ __all__ = [
     "HostBasedError",
     "UnknownBackend",
     "build",
+    "build_standalone",
     "get",
     "names",
     "pool_error",

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Tuple
 from ..sim import DeviceMemory, GPUDevice, Scheduler
 from ..sim.errors import SimError
 from . import builders  # noqa: F401  -- populates the registry
-from .registry import BackendHandle, get, names
+from .registry import build_standalone, names
 
 _NULL = DeviceMemory.NULL
 
@@ -53,11 +53,9 @@ class Rig:
     """A fresh backend instance plus a one-call kernel launcher."""
 
     def __init__(self, backend: str, pool: int = 1 << 20):
-        self.mem = DeviceMemory(pool * 4 + (8 << 20))
         self.device = GPUDevice(num_sms=2)
         self.pool = pool
-        self.handle: BackendHandle = get(backend).build(
-            self.mem, self.device, pool)
+        self.mem, self.handle = build_standalone(backend, self.device, pool)
 
     def launch(self, kernel, nthreads: int = 1):
         sched = Scheduler(self.mem, self.device, seed=7)

@@ -27,7 +27,7 @@ The contract a handle promises (pinned by :mod:`repro.backends.conformance`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.device import GPUDevice
 from ..sim.memory import DeviceMemory
@@ -188,6 +188,19 @@ def build(name: str, mem: DeviceMemory, device: GPUDevice,
     return get(name).build(mem, device, pool)
 
 
+def build_standalone(name: str, device: GPUDevice,
+                     pool: int) -> Tuple[DeviceMemory, BackendHandle]:
+    """Backend ``name`` over a ``pool``-byte heap on fresh memory of its
+    own: ``(mem, handle)``.
+
+    The memory is sized generously around the heap (four pools plus
+    8 MB for metadata and mailboxes); it is mapped lazily, so the slack
+    costs only what gets touched.
+    """
+    mem = DeviceMemory(pool * 4 + (8 << 20))
+    return mem, build(name, mem, device, pool)
+
+
 def pool_error(name: str, pool: int) -> Optional[str]:
     """Why backend ``name`` cannot manage a ``pool``-byte heap, or ``None``.
 
@@ -196,7 +209,7 @@ def pool_error(name: str, pool: int) -> Optional[str]:
     trial costs only the metadata it touches) and reports its refusal.
     """
     try:
-        build(name, DeviceMemory(pool * 4 + (8 << 20)), GPUDevice(), pool)
+        build_standalone(name, GPUDevice(), pool)
     except ValueError as e:
         return f"{name} cannot use {pool} bytes: {e}"
     return None

@@ -11,7 +11,10 @@ evaluation (§5), plus the ablations DESIGN.md calls out.
 * :mod:`repro.bench.fragmentation` — fragmentation-over-time study.
 * :mod:`repro.bench.sweep` — the sweep loop: a bench's independent
   points on one process per CPU.
-* :mod:`repro.bench.workloads` — shared workload builders.
+* :mod:`repro.bench.workloads` — the one home of the device
+  workloads: the malloc storm (fig7, fig7's steady state, the verify
+  ``storm``/``storm_oom`` scenarios) and the malloc/hold/free churn
+  (the shootout, the resil degradation bench, verify's ``churn``).
 * :mod:`repro.bench.reporting` — series containers and tables.
 """
 

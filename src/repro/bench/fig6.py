@@ -45,14 +45,11 @@ def build_list(mem: DeviceMemory, n_elems: int) -> tuple[DList, List[int]]:
     """Host-side construction of the tagged device list."""
     lst = DList(mem, next_off=ELEM_NEXT, prev_off=ELEM_PREV)
     elems = []
-    prev = lst.head
     for tag in range(n_elems):
         e = mem.host_alloc(ELEM_SIZE)
         mem.store_word(e + TAG_OFF, tag)
-        mem.store_word(prev + (ELEM_NEXT if prev != lst.head else ELEM_NEXT), e)
         elems.append(e)
-        prev = e
-    # link prev pointers and close the circle
+    # link next and prev pointers and close the circle
     chain = [lst.head] + elems + [lst.head]
     for a, b in zip(chain, chain[1:]):
         mem.store_word(a + ELEM_NEXT, b)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backends import get as get_backend
-from ..core import AllocatorConfig, ThroughputAllocator
+from ..core import AllocatorConfig
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
 from ..sim.trace import Tracer
 from .reporting import format_table, geometric_mean, si, size_label
@@ -194,18 +194,15 @@ class StormResult:
                 + format_table(["config", "allocs/s", "atomics"], rows))
 
 
-def _storm_kernel(ctx, alloc, coalesced: bool):
-    yield from (alloc.malloc_coalesced if coalesced else alloc.malloc)(ctx, 64)
-
-
 def _storm_point(spec: tuple) -> Tuple[float, int]:
     sms, coalesced, nthreads, seed = spec
     device = GPUDevice(num_sms=sms)
     mem = DeviceMemory((4096 << 9) * 2 + (8 << 20))
-    alloc = ThroughputAllocator(mem, device, AllocatorConfig(pool_order=9))
+    handle = get_backend("ours-coalesced" if coalesced else "ours").build(
+        mem, device, 4096 << 9)
+    kernel, _ = malloc_storm(handle, 64)
     sched = Scheduler(mem, device, seed=seed)
-    sched.launch(_storm_kernel, -(-nthreads // BLOCK), BLOCK,
-                 args=(alloc, coalesced))
+    sched.launch(kernel, -(-nthreads // BLOCK), BLOCK)
     report = sched.run()
     atomics = range(ops.OP_CAS, ops.OP_MIN + 1)
     return report.throughput(nthreads), sum(

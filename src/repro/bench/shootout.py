@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..backends import get as get_backend
-from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
+from ..backends import build_standalone, get as get_backend
+from ..sim import GPUDevice, Scheduler
 from .reporting import format_table, si
 from .sweep import map_points
-
-_NULL = DeviceMemory.NULL
+from .workloads import churn
 
 #: the original comparison roster (registry names, in table order)
 DEFAULT_BACKENDS = (
@@ -37,6 +36,8 @@ DEFAULT_BACKENDS = (
 POOL = 1 << 20
 #: bytes per churn request
 SIZE = 64
+#: a thread holds each block for a uniform draw below this many cycles
+HOLD_CYCLES = 100
 
 
 @dataclass
@@ -68,30 +69,12 @@ class ShootoutResult:
         )
 
 
-def _churn_kernel(malloc_fn, free_fn, size, iters, failures):
-    def kernel(ctx):
-        f = 0
-        for _ in range(iters):
-            p = yield from malloc_fn(ctx, size)
-            if p == _NULL:
-                f += 1
-                yield ops.cpu_yield()
-                continue
-            yield ops.sleep(ctx.rng.randrange(100))
-            yield from free_fn(ctx, p)
-        failures.append(f)
-
-    return kernel
-
-
 def _point(spec: tuple) -> ShootoutPoint:
     name, nthreads, iters, seed = spec
-    backend = get_backend(name)
     device = GPUDevice(num_sms=2)
-    mem = DeviceMemory(POOL * 4 + (8 << 20))
-    handle = backend.build(mem, device, POOL)
-    failures: List[int] = []
-    kernel = _churn_kernel(handle.malloc, handle.free, SIZE, iters, failures)
+    mem, handle = build_standalone(name, device, POOL)
+    kernel, failures = churn(handle.malloc, handle.free, (SIZE,), iters,
+                             HOLD_CYCLES)
     sched = Scheduler(mem, device, seed=seed)
     sched.launch(kernel, -(-nthreads // 256), min(256, nthreads))
     report = sched.run()
@@ -101,7 +84,7 @@ def _point(spec: tuple) -> ShootoutPoint:
     # per run — which ranked a 100%-failure allocator above a
     # slow-but-correct one.  Zero completed pairs is zero throughput.
     return ShootoutPoint(
-        name=backend.display,
+        name=get_backend(name).display,
         throughput=report.throughput(ok_pairs) if ok_pairs > 0 else 0.0,
         failures=n_fail,
         cycles=report.cycles,

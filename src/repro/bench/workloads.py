@@ -1,9 +1,12 @@
-"""Workload builders shared by benches, examples and tests.
+"""Device workloads shared by the benches and the harnesses.
 
-Each builder returns a kernel (generator function) closed over its
-parameters, plus whatever host-side result containers it populates.
-Kernels follow the package convention: ``kernel(ctx, ...)`` yielding
-simulator ops.
+This is the one definition of the malloc storm and the malloc/hold/free
+churn: fig7 and the verify storms launch :func:`malloc_storm`; the
+shootout, the resil degradation bench and verify's churn launch
+:func:`churn`.  Each builder returns a kernel (generator function)
+closed over its parameters, plus whatever host-side result containers
+it populates.  Kernels follow the package convention:
+``kernel(ctx, ...)`` yielding simulator ops.
 """
 
 from __future__ import annotations
@@ -17,31 +20,41 @@ from ..sim.memory import DeviceMemory
 _NULL = DeviceMemory.NULL
 
 
-def malloc_storm(allocator, size: int):
-    """Every thread calls ``malloc(size)`` once (the Figure 7 workload).
+def malloc_storm(allocator, *sizes: int):
+    """Every thread mallocs once per size and frees nothing (the Figure 7
+    workload, with one size).
 
-    Returns ``(kernel, out)`` where ``out`` collects one address (or
-    NULL) per completed thread.
+    Thread ``tid``'s ``i``-th call asks for ``sizes[(tid + i) % n]``, so
+    a mix of sizes lands on every allocator path at once.  Returns
+    ``(kernel, out)``: the kernel returns the thread's addresses (NULL
+    for a failed call) in call order, and ``out`` collects every
+    thread's addresses as it completes.
     """
     out: List[int] = []
+    n = len(sizes)
 
     def kernel(ctx):
-        p = yield from allocator.malloc(ctx, size)
-        out.append(p)
+        got = []
+        tid = ctx.tid
+        for i in range(n):
+            p = yield from allocator.malloc(ctx, sizes[(tid + i) % n])
+            got.append(p)
+        out.extend(got)
+        return got
 
     return kernel, out
 
 
-#: a churn thread holds each block for a uniform draw below this many cycles
-HOLD_CYCLES = 400
-
-
-def churn(allocator, sizes: Sequence[int], iters: int):
+def churn(malloc, free, sizes: Sequence[int], iters: int, hold: int):
     """Repeated malloc/hold/free cycles with sizes drawn per-thread.
 
-    Exercises steady-state behaviour: bins filling and draining,
-    retirement, merge traffic.  Returns ``(kernel, out)``; ``out``
-    records failed allocation counts per thread.
+    Thread ``tid``'s ``i``-th cycle asks ``malloc`` for
+    ``sizes[(tid + i) % n]``, holds the block for a uniform draw below
+    ``hold`` cycles and hands it to ``free``; a NULL counts as a failure
+    and yields the core instead.  Exercises steady-state behaviour: bins
+    filling and draining, retirement, merge traffic.  Returns
+    ``(kernel, out)``; ``out`` records failed allocation counts per
+    thread.
     """
     out: List[int] = []
 
@@ -52,13 +65,13 @@ def churn(allocator, sizes: Sequence[int], iters: int):
         tid = ctx.tid
         for i in range(iters):
             size = sizes[(tid + i) % nsizes]
-            p = yield from allocator.malloc(ctx, size)
+            p = yield from malloc(ctx, size)
             if p == _NULL:
                 failures += 1
                 yield ops.cpu_yield()
                 continue
-            yield (ops.OP_SLEEP, randbelow(HOLD_CYCLES))
-            yield from allocator.free(ctx, p)
+            yield (ops.OP_SLEEP, randbelow(hold))
+            yield from free(ctx, p)
         out.append(failures)
 
     return kernel, out

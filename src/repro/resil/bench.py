@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..backends import get as get_backend
-from ..sim import DeviceMemory, GPUDevice, Scheduler, ops
+from ..sim import DeviceMemory, GPUDevice, Scheduler
 from ..bench.reporting import format_table, si
+from ..bench.workloads import churn
 from .plan import FaultInjector, FaultPlan
-
-_NULL = DeviceMemory.NULL
 
 #: (level name, fault-plan spec) — "" means no injector at all.
 LEVELS: Tuple[Tuple[str, str], ...] = (
@@ -116,21 +115,8 @@ def _run_level(plan_spec: str, nthreads: int, iters: int,
     alloc = handle.allocator
     plan = FaultPlan.parse(plan_spec) if plan_spec else FaultPlan()
     inj = FaultInjector(plan, seed=seed) if plan else None
-    failures: List[int] = []
-
-    def kernel(ctx):
-        f = 0
-        for i in range(iters):
-            size = SIZES[(ctx.tid + i) % len(SIZES)]
-            p = yield from alloc.malloc_robust(ctx, size)
-            if p == _NULL:
-                f += 1
-                yield ops.cpu_yield()
-                continue
-            yield ops.sleep(ctx.rng.randrange(HOLD_CYCLES))
-            yield from alloc.free(ctx, p)
-        failures.append(f)
-
+    kernel, failures = churn(alloc.malloc_robust, alloc.free, SIZES, iters,
+                             HOLD_CYCLES)
     sched = Scheduler(mem, device, seed=seed, fault_injector=inj)
     sched.launch(kernel, -(-nthreads // 64), min(64, nthreads))
     report = sched.run()

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..workloads.trace import OP_MALLOC, Trace, validate
-from .engine import RequestOutcome, ServeEngine, ServeRequest
+from .engine import ServeEngine, ServeRequest
 from .protocol import OP_FREE
 from .protocol import OP_MALLOC as REQ_MALLOC
 
@@ -49,16 +49,6 @@ class FeedResult:
     frees_skipped: int
     #: flushes forced by a free-before-reply dependency
     dependency_flushes: int
-
-    @property
-    def cycles(self) -> int:
-        return self.engine.sched.now
-
-    def ops_per_s(self) -> float:
-        n_ops = sum(st.ops_completed for st in self.engine.stats.values())
-        if not n_ops or not self.cycles:
-            return 0.0
-        return self.engine.sched.cost_model.throughput(n_ops, self.cycles)
 
 
 def feed_trace(engine: ServeEngine, trace: Trace,

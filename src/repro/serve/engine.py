@@ -107,9 +107,9 @@ class ServeEngine:
                 "(standalone mode)"
             )
         if handle is None:
-            mem = DeviceMemory(pool * 4 + (8 << 20))
             device = GPUDevice(num_sms=4)
-            handle = backend_registry.build(backend, mem, device, pool)
+            mem, handle = backend_registry.build_standalone(backend, device,
+                                                            pool)
             sched = Scheduler(mem, device, seed=seed)
         self.handle = handle
         self.sched = sched
@@ -272,10 +272,7 @@ class ServeEngine:
         return len(self._live)
 
     def totals(self) -> TenantStats:
-        out = TenantStats()
-        for st in self.stats.values():
-            out.add(st)
-        return out
+        return TenantStats.total(self.stats.values())
 
     def latency_percentile(self, pct: float) -> int:
         """Deterministic nearest-rank percentile of per-request latency
@@ -297,7 +294,7 @@ class ServeEngine:
         """The service session summarized as a
         :class:`~repro.workloads.replay.ReplayReport` — same QoS table,
         fairness index and throughput math as the closed replayer."""
-        n_ops = sum(st.ops_completed for st in self.stats.values())
+        n_ops = self.totals().ops_completed
         cycles = self.sched.now
         return ReplayReport(
             backend=self.backend_name,

@@ -57,10 +57,7 @@ class LoadReport:
     sessions: int = 0
 
     def totals(self) -> TenantStats:
-        out = TenantStats()
-        for st in self.tenants.values():
-            out.add(st)
-        return out
+        return TenantStats.total(self.tenants.values())
 
 
 class _Tenant:

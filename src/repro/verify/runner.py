@@ -18,12 +18,12 @@ Every failure carries its replay triple ``scenario:seed:perturbation``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Callable, ClassVar, Dict, List, Optional, Sequence, Type,
                     TypeVar)
 
 from .. import backends as backend_registry
 from ..bench import workloads
-from ..sim import ops
 from ..sim.cost_model import DEFAULT_COST_MODEL
 from ..sim.device import GPUDevice
 from ..sim.errors import EventBudgetExceeded, SimError
@@ -36,6 +36,8 @@ _NULL = DeviceMemory.NULL
 
 #: livelock guard per case (scheduler events)
 EVENT_BUDGET = 30_000_000
+#: launch geometry of every kernel-launching scenario
+GRID, BLOCK = 2, 32
 
 
 _Spec = TypeVar("_Spec", bound="ReplaySpec")
@@ -238,85 +240,50 @@ def _free_by_tid(alloc, ptr_lists, base: int):
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
-def _storm(h: _Harness, grid: int = 2, block: int = 32,
-           sizes: Sequence[int] = (16, 64, 256, 1024, 8192)) -> None:
+def _storm(h: _Harness, sizes: Sequence[int], must_exhaust: bool) -> None:
     """Malloc storm -> checkpoint -> free storm -> leak-free checkpoint.
 
-    Sizes mix UAlloc classes with one TBuddy-routed coarse size so both
-    allocators and the chunk path are live concurrently.  NULL results
-    (pool pressure) are recorded and skipped by the free phase.
+    NULL results (pool pressure) are recorded and skipped by the free
+    phase.  ``must_exhaust`` asserts that some malloc did fail, so the
+    storm reached the pool's failure paths.
     """
-    alloc = h.handle
-
-    def malloc_kernel(ctx):
-        got = []
-        for i in range(len(sizes)):
-            size = sizes[(ctx.tid + i) % len(sizes)]
-            p = yield from alloc.malloc(ctx, size)
-            got.append(p)
-        return got
-
-    handle = h.sched.launch(malloc_kernel, grid=grid, block=block)
+    kernel, _ = workloads.malloc_storm(h.handle, *sizes)
+    launched = h.sched.launch(kernel, grid=GRID, block=BLOCK)
     h.run()
     h.checkpoint()
-    ptrs = handle.results
-    h.sched.launch(_free_by_tid(alloc, ptrs, grid * block),
-                   grid=grid, block=block)
+    ptrs = launched.results
+    if must_exhaust:
+        assert any(p == _NULL for got in ptrs for p in got), (
+            "storm_oom did not exhaust the pool; shrink pool_order or grow "
+            "the request mix so the renege paths are actually exercised"
+        )
+    h.sched.launch(_free_by_tid(h.handle, ptrs, GRID * BLOCK),
+                   grid=GRID, block=BLOCK)
     h.run()
     h.checkpoint(expect_leak_free=True)
 
 
-def _churn(h: _Harness, grid: int = 2, block: int = 32, iters: int = 4) -> None:
+def _churn(h: _Harness) -> None:
     """Steady-state malloc/hold/free churn (bin fill/drain, retirement,
     merge traffic), ending leak-free by construction."""
-    sizes = (8, 32, 128, 512)
-    kernel, _ = workloads.churn(h.handle, sizes, iters)
-    h.sched.launch(kernel, grid=grid, block=block)
+    kernel, _ = workloads.churn(h.handle.malloc, h.handle.free,
+                                sizes=(8, 32, 128, 512), iters=4, hold=400)
+    h.sched.launch(kernel, grid=GRID, block=BLOCK)
     h.run()
     h.checkpoint(expect_leak_free=True)
 
 
-def _producer_consumer(h: _Harness, grid: int = 2, block: int = 32,
-                       iters: int = 3) -> None:
+def _producer_consumer(h: _Harness) -> None:
     """Cross-arena free traffic: producers on some SMs allocate and
     publish, consumers on others free (the paper's free-anywhere path)."""
     kernel, mailbox = workloads.producer_consumer(
-        h.handle, size=48, slots=8, mem=h.mem, iters=iters
+        h.handle, size=48, slots=8, mem=h.mem, iters=3
     )
-    h.sched.launch(kernel, grid=grid, block=block)
+    h.sched.launch(kernel, grid=GRID, block=BLOCK)
     h.run()
     for i in range(8):
         slot = h.mem.load_word(mailbox + 8 * i)
         assert slot == 0, f"mailbox slot {i} still holds {slot:#x} after the run"
-    h.checkpoint(expect_leak_free=True)
-
-
-def _storm_oom(h: _Harness, grid: int = 2, block: int = 32) -> None:
-    """Malloc storm against a deliberately undersized pool, driving the
-    batch-promise failure paths (``renege``) in both UAlloc's chunk/bin
-    stages and TBuddy's split ascent.  The final checkpoint's
-    ``E == R == 0`` accounting proves every failed promise was undone."""
-    alloc = h.handle
-    sizes = (1024, 1024, 8192)
-
-    def malloc_kernel(ctx):
-        got = []
-        for i in range(len(sizes)):
-            p = yield from alloc.malloc(ctx, sizes[(ctx.tid + i) % len(sizes)])
-            got.append(p)
-        return got
-
-    handle = h.sched.launch(malloc_kernel, grid=grid, block=block)
-    h.run()
-    h.checkpoint()
-    n_null = sum(1 for got in handle.results for p in got if p == _NULL)
-    assert n_null > 0, (
-        "storm_oom did not exhaust the pool; shrink pool_order or grow the "
-        "request mix so the renege paths are actually exercised"
-    )
-    h.sched.launch(_free_by_tid(alloc, handle.results, grid * block),
-                   grid=grid, block=block)
-    h.run()
     h.checkpoint(expect_leak_free=True)
 
 
@@ -359,9 +326,7 @@ def _replay_trace_scenario(h: _Harness, trace, lanes: int) -> None:
     stats, _ = replay_on_scheduler(h.sched, h.handle, trace,
                                    lanes_per_tenant=lanes,
                                    max_events=EVENT_BUDGET)
-    totals = TenantStats()
-    for st in stats.values():
-        totals.add(st)
+    totals = TenantStats.total(stats.values())
     _check_replay_accounting(trace, stats, totals)
     alloc_stats = getattr(h.alloc, "stats", None)
     if alloc_stats is not None:
@@ -382,8 +347,7 @@ def _replay_trace_scenario(h: _Harness, trace, lanes: int) -> None:
     h.checkpoint(expect_leak_free=True)
 
 
-def _multi_tenant(h: _Harness, events: int = 160, tenants: int = 4,
-                  lanes: int = 2) -> None:
+def _multi_tenant(h: _Harness) -> None:
     """Multi-tenant Zipfian contention: skewed per-tenant rates and size
     mixes over one pool, replayed across two lanes per tenant (frees can
     cross lanes), with exact per-tenant accounting and a leak-free end."""
@@ -391,22 +355,21 @@ def _multi_tenant(h: _Harness, events: int = 160, tenants: int = 4,
 
     trace = workload_families.generate(
         "multi_tenant_zipf", h.sched.seed,
-        events=events, tenants=tenants, mean_gap=60,
+        events=160, tenants=4, mean_gap=60,
     )
-    _replay_trace_scenario(h, trace, lanes)
+    _replay_trace_scenario(h, trace, lanes=2)
 
 
-def _trace_replay(h: _Harness, lanes: int = 1) -> None:
+def _trace_replay(h: _Harness) -> None:
     """Recorded-trace replay: the bundled recorded request stream drives
     the backend under schedule fuzzing (the trace is fixed data; the
     seed/perturbation vary the interleaving around it)."""
     from ..workloads.trace import load_bundled
 
-    _replay_trace_scenario(h, load_bundled("mt_small"), lanes)
+    _replay_trace_scenario(h, load_bundled("mt_small"), lanes=1)
 
 
-def _serve_session(h: _Harness, events: int = 120, tenants: int = 3,
-                   batch_max: int = 16) -> None:
+def _serve_session(h: _Harness) -> None:
     """Served session: the allocator-as-a-service engine drives the
     backend over the harness scheduler — admission control, episode
     batching and the skipped-free protocol all under schedule fuzzing,
@@ -419,10 +382,10 @@ def _serve_session(h: _Harness, events: int = 120, tenants: int = 3,
 
     trace = workload_families.generate(
         "multi_tenant_zipf", h.sched.seed,
-        events=events, tenants=tenants, mean_gap=60,
+        events=120, tenants=3, mean_gap=60,
     )
     engine = ServeEngine(sched=h.sched, handle=h.handle)
-    feed_trace(engine, trace, batch_max=batch_max)
+    feed_trace(engine, trace, batch_max=16)
     _check_replay_accounting(trace, engine.stats, engine.totals())
     assert engine.live_allocations == 0, (
         f"balanced trace left {engine.live_allocations} served "
@@ -433,10 +396,20 @@ def _serve_session(h: _Harness, events: int = 120, tenants: int = 3,
 
 #: scenario name -> (builder kwargs for _Harness, scenario function)
 SCENARIOS: Dict[str, tuple] = {
-    "storm": ({"pool_order": 9}, _storm),
+    # UAlloc classes plus one TBuddy-routed coarse size, so both
+    # allocators and the chunk path are live at once
+    "storm": ({"pool_order": 9},
+              partial(_storm, sizes=(16, 64, 256, 1024, 8192),
+                      must_exhaust=False)),
     "churn": ({"pool_order": 8}, _churn),
     "producer_consumer": ({"pool_order": 8}, _producer_consumer),
-    "storm_oom": ({"pool_order": 7}, _storm_oom),
+    # a deliberately undersized pool drives the batch-promise failure
+    # paths (``renege``) in UAlloc's chunk/bin stages and TBuddy's split
+    # ascent; the final checkpoint's ``E == R == 0`` proves every failed
+    # promise was undone
+    "storm_oom": ({"pool_order": 7},
+                  partial(_storm, sizes=(1024, 1024, 8192),
+                          must_exhaust=True)),
     "multi_tenant": ({"pool_order": 8}, _multi_tenant),
     "trace_replay": ({"pool_order": 8}, _trace_replay),
     "serve_session": ({"pool_order": 8}, _serve_session),

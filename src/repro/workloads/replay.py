@@ -34,8 +34,8 @@ bytes requested/served, and service share under one shared pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .. import backends as backend_registry
 from ..bench.reporting import format_table, si
@@ -81,6 +81,14 @@ class TenantStats:
         self.bytes_requested += other.bytes_requested
         self.bytes_served += other.bytes_served
 
+    @classmethod
+    def total(cls, ledgers: Iterable["TenantStats"]) -> "TenantStats":
+        """The field-wise sum of ``ledgers``."""
+        out = cls()
+        for st in ledgers:
+            out.add(st)
+        return out
+
 
 @dataclass
 class ReplayReport:
@@ -96,10 +104,7 @@ class ReplayReport:
 
     @property
     def totals(self) -> TenantStats:
-        out = TenantStats()
-        for st in self.tenants.values():
-            out.add(st)
-        return out
+        return TenantStats.total(self.tenants.values())
 
     def qos_rows(self) -> List[List[object]]:
         """Per-tenant QoS table rows (tenant, ops, fail%, share of
@@ -233,13 +238,12 @@ def replay(trace: Trace, backend: str = "ours", seed: int = 0,
     must never drive a backend from a malformed stream.
     """
     validate(trace)
-    mem = DeviceMemory(pool * 4 + (8 << 20))
     device = GPUDevice(num_sms=4)
-    handle = backend_registry.build(backend, mem, device, pool)
+    mem, handle = backend_registry.build_standalone(backend, device, pool)
     sched = Scheduler(mem, device, seed=seed)
     stats, report = replay_on_scheduler(sched, handle, trace,
                                         lanes_per_tenant)
-    n_ops = sum(st.ops_completed for st in stats.values())
+    n_ops = TenantStats.total(stats.values()).ops_completed
     return ReplayReport(
         backend=backend_registry.get(backend).name,
         seed=seed,

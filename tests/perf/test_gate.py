@@ -45,12 +45,12 @@ def _drop_case(doc):
     del doc["cases"][CASE]
 
 
-def _compare(tmp_path, edit, capsys, source=PR10, baseline=PR10):
+def _compare(tmp_path, edit, capsys, source=PR10, baseline=PR10, root=ROOT):
     doc = json.loads(source.read_text())
     edit(doc)
     doc["label"] = "CI"
     current = artifact.write_artifact(tmp_path / "bench_ci.json", doc)
-    argv = ["compare", "--root", str(ROOT), "--current", str(current)]
+    argv = ["compare", "--root", str(root), "--current", str(current)]
     rc = perf_main(argv + (["--baseline", str(baseline)] if baseline else []))
     return rc, capsys.readouterr()
 
@@ -116,10 +116,17 @@ def _failed_claims(out):
 
 @needs_pr27
 def test_quick_run_skips_the_newer_full_artifact(tmp_path, capsys):
-    # BENCH_PR27.json (full tier) is newer than BENCH_PR10.json (quick)
-    rc, out = _compare(tmp_path, lambda doc: None, capsys, baseline=None)
+    # a trajectory whose newest artifact, BENCH_PR27.json, is full tier
+    # and whose newest quick one is the older BENCH_PR10.json
+    root = tmp_path / "trajectory"
+    root.mkdir()
+    for path in (PR10, PR27):
+        (root / path.name).write_text(path.read_text())
+    rc, out = _compare(tmp_path, lambda doc: None, capsys, baseline=None,
+                       root=root)
     assert rc == 0
-    assert f"baseline: {PR10}" in out.out and "verdict: 68 ok" in out.out
+    assert f"baseline: {root / PR10.name}" in out.out
+    assert "verdict: 68 ok" in out.out
 
 
 @needs_pr27

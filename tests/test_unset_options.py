@@ -35,7 +35,6 @@ CALLER_DIRS = ("src", "benchmark", "examples")
 _SEAM = "test seam: "
 _ARGV = "entry point: the console passes sys.argv, tests pass a list"
 _TRACED = "a perf case's entry point: BenchCase.result passes the tracer"
-_SCENARIO = "a verify SCENARIOS entry, called through the table by run_case"
 
 #: "module:qualname(param)" -> why the option stays although no call in
 #: the program binds it; "module:qualname" covers every parameter.
@@ -103,13 +102,6 @@ ALLOWED = {
     "repro.resil.cli:main(argv)": _ARGV,
     "repro.verify.cli:main(argv)": _ARGV,
     "repro.workloads.cli:main(argv)": _ARGV,
-    "repro.verify.runner:_churn": _SCENARIO,
-    "repro.verify.runner:_multi_tenant": _SCENARIO,
-    "repro.verify.runner:_producer_consumer": _SCENARIO,
-    "repro.verify.runner:_serve_session": _SCENARIO,
-    "repro.verify.runner:_storm": _SCENARIO,
-    "repro.verify.runner:_storm_oom": _SCENARIO,
-    "repro.verify.runner:_trace_replay": _SCENARIO,
 }
 
 
