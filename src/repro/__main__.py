@@ -14,8 +14,8 @@ Usage::
         # its full tier, once, printing the bench's own table.
 
     python -m repro fig5 --trace out.json   # + structured tracing
-        # (cases whose bench takes a tracer: fig5, fig6, fig7):
-        # writes Chrome trace-event JSON (open in chrome://tracing or
+        # (any case, `resil` and `shootout@b1+b2` included): writes
+        # Chrome trace-event JSON (open in chrome://tracing or
         # https://ui.perfetto.dev) and prints the telemetry summary
         # (semaphore wait histograms, top stall words, SM occupancy).
 
@@ -32,7 +32,7 @@ Usage::
     python -m repro resil run     # fault injection: verify scenarios
         # under deterministic fault plans with post-fault recovery
         # assertions and byte-for-byte trace replay (see `resil --help`).
-        # `resil` alone runs the `resil` perf case like any other case.
+        # `resil` alone, or with only `--trace PATH`, is the perf case.
 
     python -m repro backends list     # registered allocator backends
     python -m repro backends conform  # conformance deck over backends
@@ -57,6 +57,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 
 def _load_cli(module_name: str):
@@ -79,20 +80,22 @@ _SUBSYSTEMS = {
 }
 
 
-def _is_case(name: str) -> bool:
+def _is_case_run(argv) -> bool:
+    """Whether ``argv`` is a case followed by at most ``--trace PATH``."""
+    if len(argv) > 1 and not (len(argv) == 3 and argv[1] == "--trace"):
+        return False
     from .perf.suite import CASES
 
-    return name in CASES
+    return argv[0] in CASES
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # A name that is both a subsystem and a case (`resil`) runs the case
-    # when it is the only token; with more (`resil run`, `resil --help`)
-    # the subsystem owns the command line.
-    if (argv and argv[0] in _SUBSYSTEMS
-            and not (len(argv) == 1 and _is_case(argv[0]))):
+    # when nothing but `--trace PATH` follows it; with anything else
+    # (`resil run`, `resil --help`) the subsystem owns the command line.
+    if argv and argv[0] in _SUBSYSTEMS and not _is_case_run(argv):
         module_name, _ = _SUBSYSTEMS[argv[0]]
         return _load_cli(module_name)(list(argv[1:]))
     parser = argparse.ArgumentParser(
@@ -104,10 +107,9 @@ def main(argv=None) -> int:
                + "; ".join(f"{name} — {desc}"
                            for name, (_, desc) in sorted(_SUBSYSTEMS.items())),
     )
-    from .bench.reporting import trace_summary
     from .perf.suite import CASES, UnknownCase, resolve_case
+    from .sim.trace import Tracer, tracing
 
-    traceable = ", ".join(n for n, c in CASES.items() if c.traceable)
     parser.add_argument(
         "target",
         metavar="CASE",
@@ -118,8 +120,8 @@ def main(argv=None) -> int:
         "--trace",
         metavar="PATH",
         default=None,
-        help=f"enable structured tracing ({traceable}): write Chrome "
-             "trace-event JSON to PATH and print a telemetry summary",
+        help="enable structured tracing: write Chrome trace-event JSON "
+             "to PATH and print a telemetry summary",
     )
     args = parser.parse_args(argv)
     try:
@@ -130,29 +132,26 @@ def main(argv=None) -> int:
 
     tracer = None
     if args.trace is not None:
-        if not any(case.traceable for case in cases):
-            parser.error(f"--trace supports {traceable} (got {args.target})")
         # Fail on an unwritable path now, not after minutes of simulation.
         try:
             with open(args.trace, "w"):
                 pass
         except OSError as e:
             parser.error(f"--trace: cannot write {args.trace}: {e}")
-        from .sim.trace import Tracer
-
         tracer = Tracer()
 
-    for case in cases:
-        print(f"=== {case.name} " + "=" * (60 - len(case.name)))
-        print(f"{case.description} (seed {case.seed}):")
-        t0 = time.time()
-        result = case.result("full", tracer if case.traceable else None)
-        print(result.table())
-        print(f"    ({time.time() - t0:.1f}s wall)\n")
+    with tracing(tracer) if tracer is not None else nullcontext():
+        for case in cases:
+            print(f"=== {case.name} " + "=" * (60 - len(case.name)))
+            print(f"{case.description} (seed {case.seed}):")
+            t0 = time.time()
+            result = case.result("full")
+            print(result.table())
+            print(f"    ({time.time() - t0:.1f}s wall)\n")
 
     if tracer is not None:
         tracer.write_chrome_trace(args.trace)
-        print(trace_summary(tracer))
+        print(tracer.summary())
         print(f"\nChrome trace written to {args.trace} "
               "(open in chrome://tracing or https://ui.perfetto.dev)")
     return 0

@@ -12,7 +12,6 @@ import sys
 from typing import List, Optional
 
 from ..cliargs import backend_arg
-from . import builders  # noqa: F401  -- populates the registry
 from .conformance import run_all
 from .registry import get, names
 

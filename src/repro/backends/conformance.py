@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Tuple
 
 from ..sim import DeviceMemory, GPUDevice, Scheduler
 from ..sim.errors import SimError
-from . import builders  # noqa: F401  -- populates the registry
 from .registry import build_standalone, names
 
 _NULL = DeviceMemory.NULL

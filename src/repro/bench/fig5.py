@@ -15,10 +15,9 @@ analogous — :func:`run_batches` sweeps them at one thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
-from ..sim.trace import Tracer
 from ..sync import BulkSemaphore, CountingSemaphore
 from .reporting import Series, format_table, si
 from .sweep import map_points
@@ -85,15 +84,13 @@ def _counting_kernel(ctx, sem: CountingSemaphore, batch: int, refill_addr: int):
 
 
 def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
-            seed: int = 1, tracer: Optional[Tracer] = None) -> float:
+            seed: int = 1) -> float:
     """Throughput (allocs/s) for one primitive at one thread count."""
     device = GPUDevice()
     mem = DeviceMemory(1 << 16)
     refill = mem.host_alloc(8)
     grid = -(-nthreads // block)
-    if tracer is not None:
-        tracer.begin_run(f"fig5:{kind} n={nthreads} batch={batch}")
-    sched = Scheduler(mem, device, seed=seed, tracer=tracer)
+    sched = Scheduler(mem, device, seed=seed)
     if kind == "bulk":
         sem = BulkSemaphore(mem)
         sched.launch(_bulk_kernel, grid, block,
@@ -109,15 +106,15 @@ def run_one(kind: str, nthreads: int, batch: int, block: int = 256,
 
 
 def _point(spec: tuple) -> float:
-    kind, nthreads, batch, block, seed, tracer = spec
-    return run_one(kind, nthreads, batch, block, seed, tracer=tracer)
+    kind, nthreads, batch, block, seed = spec
+    return run_one(kind, nthreads, batch, block, seed)
 
 
-def _curves(specs, x: int, tracer: Optional[Tracer] = None):
+def _curves(specs, x: int):
     """(counting, bulk) throughput against field ``x`` of the specs."""
     curves = {"counting": Series("Counting Semaphores"),
               "bulk": Series("Bulk Semaphores")}
-    for spec, ops_per_s in zip(specs, map_points(_point, specs, tracer)):
+    for spec, ops_per_s in zip(specs, map_points(_point, specs)):
         curves[spec[0]].add(spec[x], ops_per_s)
     return curves["counting"], curves["bulk"]
 
@@ -127,17 +124,16 @@ def run(
     *,
     seed: int,
     block: int = 256,
-    tracer: Optional[Tracer] = None,
 ) -> Fig5Result:
     """Reproduce Figure 5 at batch size :data:`BATCH`."""
-    specs = [(kind, n, BATCH, block, seed, tracer) for n in thread_counts
+    specs = [(kind, n, BATCH, block, seed) for n in thread_counts
              for kind in ("counting", "bulk")]
-    return Fig5Result(BATCH, *_curves(specs, 1, tracer))
+    return Fig5Result(BATCH, *_curves(specs, 1))
 
 
 def run_batches(batches: Sequence[int], *, seed: int,
                 nthreads: int) -> Fig5BatchResult:
     """Figure 5 at ``nthreads`` threads for every batch size (§5.1)."""
-    specs = [(kind, nthreads, batch, 256, seed, None) for batch in batches
+    specs = [(kind, nthreads, batch, 256, seed) for batch in batches
              for kind in ("counting", "bulk")]
     return Fig5BatchResult(nthreads, *_curves(specs, 2))

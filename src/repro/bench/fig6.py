@@ -18,11 +18,10 @@ that resource-release effect is where the measured speedup comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.dlist import DList
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
-from ..sim.trace import Tracer
 from ..sync import RCU, SpinLock
 from .reporting import format_table
 from .sweep import map_points
@@ -131,7 +130,7 @@ class Fig6Result:
 
 
 def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
-            seed: int = 3, tracer: Optional[Tracer] = None):
+            seed: int = 3):
     """One configuration; returns (cycles, delegated_share, ok)."""
     device = GPUDevice()
     n_threads = n_writers * (1 + ratio)
@@ -142,10 +141,7 @@ def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
     reclaimed: List[int] = []
     grid = -(-n_threads // block)
     stride = max(1, (grid * block) // n_writers)
-    if tracer is not None:
-        mode = "delegated" if delegated else "classical"
-        tracer.begin_run(f"fig6:{mode} ratio=1:{ratio} writers={n_writers}")
-    sched = Scheduler(mem, device, seed=seed, tracer=tracer)
+    sched = Scheduler(mem, device, seed=seed)
     sched.launch(
         _search_remove_kernel, grid, block,
         args=(lst, rcu, wmutex, delegated, n_writers, stride, reclaimed),
@@ -159,8 +155,8 @@ def run_one(n_writers: int, ratio: int, delegated: bool, block: int = 128,
 
 
 def _point(spec: tuple):
-    n_writers, ratio, delegated, block, seed, tracer = spec
-    return run_one(n_writers, ratio, delegated, block, seed, tracer=tracer)
+    n_writers, ratio, delegated, block, seed = spec
+    return run_one(n_writers, ratio, delegated, block, seed)
 
 
 def run(
@@ -169,7 +165,6 @@ def run(
     *,
     seed: int,
     block: int = 128,
-    tracer: Optional[Tracer] = None,
 ) -> Fig6Result:
     """Reproduce Figure 6: speedup of delegation across ratios/threads.
 
@@ -186,9 +181,9 @@ def run(
             w = max(1, target // (1 + ratio))
             if w >= 2 and w * (1 + ratio) * w <= MAX_WORK:
                 configs.append((w, ratio))
-    specs = [(w, ratio, delegated, block, seed, tracer)
+    specs = [(w, ratio, delegated, block, seed)
              for w, ratio in configs for delegated in (False, True)]
-    runs = map_points(_point, specs, tracer)
+    runs = map_points(_point, specs)
     points = []
     for (w, ratio), (cyc_classic, _, ok1), (cyc_deleg, share, ok2) in zip(
             configs, runs[::2], runs[1::2]):

@@ -22,12 +22,11 @@ Scaling substitutions (DESIGN.md): the paper sizes pools from 8 MB to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..backends import get as get_backend
 from ..core import AllocatorConfig
 from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
-from ..sim.trace import Tracer
 from .reporting import format_table, geometric_mean, si, size_label
 from .sweep import map_points
 from .workloads import malloc_storm
@@ -119,7 +118,6 @@ def run_size(
     seed: int = 7,
     max_threads: int = 65536,
     max_pool: int = 1 << 20,
-    tracer: Optional[Tracer] = None,
 ) -> Fig7Point:
     """Exhaust a fresh pool with single-malloc threads at one size."""
     device = GPUDevice(num_sms=2, max_resident_blocks=4)
@@ -141,11 +139,7 @@ def run_size(
     mem = DeviceMemory(pool * 2 + (4 << 20))
     handle = backend.build(mem, device, pool)
     kernel, out = malloc_storm(handle, size)
-    if tracer is not None:
-        tracer.begin_run(
-            f"fig7:{allocator} size={size_label(size)} n={grid * blk}"
-        )
-    sched = Scheduler(mem, device, seed=seed, tracer=tracer)
+    sched = Scheduler(mem, device, seed=seed)
     sched.launch(kernel, grid, blk, args=())
     report = sched.run()
     n_calls = grid * blk
@@ -161,8 +155,8 @@ def run_size(
 
 
 def _point(spec: tuple) -> Fig7Point:
-    size, allocator, seed, max_threads, tracer = spec
-    return run_size(size, allocator, seed, max_threads, tracer=tracer)
+    size, allocator, seed, max_threads = spec
+    return run_size(size, allocator, seed, max_threads)
 
 
 def run(
@@ -170,12 +164,11 @@ def run(
     *,
     seed: int,
     max_threads: int = 65536,
-    tracer: Optional[Tracer] = None,
 ) -> Fig7Result:
     """Reproduce Figure 7 for both allocators across ``sizes``."""
-    specs = [(size, allocator, seed, max_threads, tracer)
+    specs = [(size, allocator, seed, max_threads)
              for size in sizes for allocator in ("cuda", "ours")]
-    return Fig7Result(map_points(_point, specs, tracer))
+    return Fig7Result(map_points(_point, specs))
 
 
 @dataclass

@@ -25,7 +25,7 @@ allocator route ``free`` calls without shared ownership metadata.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..sim import ops
 from ..sim.device import ThreadCtx, rng_randbelow

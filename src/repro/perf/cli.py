@@ -133,11 +133,9 @@ def _cmd_profile(args) -> int:
         print(report.table())
         print(f"profiled wall: {report.wall_seconds:.2f}s\n")
         if not args.no_trace:
-            trace = profiling.trace_report(case, tier=args.tier,
-                                           top=args.top)
-            if trace is not None:
-                print(trace)
-                print()
+            print(profiling.trace_report(case, tier=args.tier,
+                                         top=args.top))
+            print()
     return 0
 
 

@@ -8,11 +8,10 @@ perf PR optimize?" two ways:
   and reduces the stats to a top-N table by own-time (``tottime``), the
   direct "this function burns the CPU" view, with cumulative time kept
   alongside for call-tree context.
-* :func:`trace_report` re-runs the same tier of the case with a
-  :class:`repro.sim.trace.Tracer` attached (for the cases whose bench
-  takes one) and renders the simulator-level telemetry — op mix, hottest
-  atomic serialization words, event-queue volume — so a host hotspot
-  can be tied back to the simulated behavior generating it.
+* :func:`trace_report` re-runs the same tier of the case traced and
+  renders the simulator-level telemetry — op mix, hottest atomic
+  serialization words, event-queue volume — so a host hotspot can be
+  tied back to the simulated behavior generating it.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ import cProfile
 import pstats
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
-from ..bench.reporting import format_table, trace_summary
-from ..sim.trace import Tracer
+from ..bench.reporting import format_table
+from ..sim.trace import Tracer, tracing
 from .suite import BenchCase
 
 
@@ -87,12 +86,9 @@ def profile_case(case: BenchCase, tier: str = "quick",
 
 
 def trace_report(case: BenchCase, tier: str = "quick",
-                 top: int = 10) -> Optional[str]:
+                 top: int = 10) -> str:
     """Simulator telemetry for ``case``'s ``tier`` run, re-run traced
-    through :meth:`BenchCase.result` (the path ``python -m repro <case>
-    --trace`` takes); ``None`` when the case's bench takes no tracer."""
-    if not case.traceable:
-        return None
-    tracer = Tracer()
-    case.result(tier, tracer)
-    return trace_summary(tracer, top=top)
+    (the path ``python -m repro <case> --trace`` takes)."""
+    with tracing(Tracer()) as tracer:
+        case.result(tier)
+    return tracer.summary(top=top)

@@ -28,7 +28,6 @@ fails a full-tier run that breaks one, by name.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -38,7 +37,6 @@ from ..bench import (ablations, fig5, fig6, fig7, fragmentation, lockstep,
 from ..bench.reporting import format_table, geometric_mean, si
 from ..par import pool
 from ..resil import bench as resil_bench
-from ..sim.trace import Tracer
 
 #: (metrics, params) as reduced from one bench result
 RunnerOutput = Tuple[Dict[str, float], Dict[str, object]]
@@ -69,24 +67,14 @@ class BenchCase:
     claims: Mapping[str, Callable[[Mapping[str, float]], bool]] = field(
         default_factory=dict)
 
-    @property
-    def traceable(self) -> bool:
-        """A case can be traced when its entry point takes a tracer."""
-        return "tracer" in inspect.signature(self.run).parameters
-
     def kwargs(self, tier: str) -> Mapping[str, object]:
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r} (expected one of {TIERS})")
         return self.quick if tier == "quick" else self.full
 
-    def result(self, tier: str, tracer: Optional[Tracer] = None) -> Any:
+    def result(self, tier: str) -> Any:
         """Run ``tier`` once and return the bench's own result object."""
-        kwargs = self.kwargs(tier)
-        if tracer is None:
-            return self.run(seed=self.seed, **kwargs)
-        if not self.traceable:
-            raise ValueError(f"case {self.name!r} takes no tracer")
-        return self.run(seed=self.seed, tracer=tracer, **kwargs)
+        return self.run(seed=self.seed, **self.kwargs(tier))
 
 
 @dataclass

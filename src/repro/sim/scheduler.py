@@ -38,7 +38,7 @@ from .cost_model import DEFAULT_COST_MODEL, CostModel
 from .device import DEFAULT_DEVICE, GPUDevice, ThreadCtx
 from .errors import DeadlockError, EventBudgetExceeded, InvalidOp, LaunchError
 from .memory import DeviceMemory
-from .trace import Tracer
+from .trace import Tracer, active as active_tracer
 
 # Thread states
 _ST_READY = 0
@@ -342,8 +342,10 @@ class Scheduler:
             _ops.OP_WARP_BCAST: self._op_warp_bcast,
             _ops.OP_FAULT: self._op_fault,
         }
-        # structured tracing/telemetry (opt-in; run() binds every hook to
-        # None when no tracer is attached)
+        # structured tracing/telemetry (opt-in, here or by an open
+        # tracing() block; run() binds every hook to None without one)
+        if tracer is None:
+            tracer = active_tracer()
         self.tracer = tracer
         if tracer is not None:
             tracer._attach(self)

@@ -26,6 +26,9 @@ Usage::
     tracer.write_chrome_trace("out.json")   # open in chrome://tracing
     print(tracer.summary())                 # plain-text telemetry tables
 
+Code that builds its own schedulers (any bench or perf case) is traced
+inside ``with tracing(tracer):``, which every ``Scheduler`` picks up.
+
 One tracer may observe several consecutive schedulers (as the benches
 do when sweeping configurations); each run is shifted onto a common
 timeline, and :meth:`Tracer.begin_run` labels the next run.
@@ -49,11 +52,12 @@ sets it to ``None``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import ops as _ops
 
-__all__ = ["Histogram", "Tracer"]
+__all__ = ["Histogram", "Tracer", "active", "tracing"]
 
 
 class Histogram:
@@ -416,3 +420,24 @@ class Tracer:
         from ..bench.reporting import trace_summary
 
         return trace_summary(self, top=top)
+
+
+#: the tracer of the innermost open :func:`tracing` block
+_active: Optional[Tracer] = None
+
+
+def active() -> Optional[Tracer]:
+    """The innermost open :func:`tracing` block's tracer, else ``None``."""
+    return _active
+
+
+@contextmanager
+def tracing(tracer: Tracer) -> Iterator[Tracer]:
+    """Attach ``tracer`` to every ``Scheduler`` built inside the block
+    that is not handed a tracer of its own.  Blocks nest."""
+    global _active
+    outer, _active = _active, tracer
+    try:
+        yield tracer
+    finally:
+        _active = outer

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 #: trace schema identifier; bump the suffix on breaking layout changes
 SCHEMA = "repro.workloads/1"

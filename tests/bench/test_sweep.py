@@ -2,8 +2,8 @@
 
 Every sweep in :mod:`repro.bench` runs its points through
 :func:`repro.bench.sweep.map_points`: one worker per CPU, results merged
-in submission order, inline under a tracer.  CPU counts are pinned, so
-both paths run on any host.
+in submission order, inline inside a ``tracing()`` block.  CPU counts
+are pinned, so both paths run on any host.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench import ablations, fig5, fig6, fig7, lockstep, shootout
 from repro.par import pool
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, tracing
 
 #: each sweep at smoke size
 SWEEPS = {
@@ -58,13 +58,21 @@ def test_sharded_sweep_equals_inline(monkeypatch, name):
 
 
 def test_traced_sweep_stays_in_process(monkeypatch):
+    # one run per point, labelled with the bench module and the spec
     opened = _pools(monkeypatch, 2)
-    tracer = Tracer(timeline=False)
-    res = fig7.run((64, 4096), seed=7, max_threads=256, tracer=tracer)
+    for name, labels in [
+        ("fig7", ["fig7:(64, 'cuda', 7, 256)", "fig7:(64, 'ours', 7, 256)",
+                  "fig7:(4096, 'cuda', 7, 256)",
+                  "fig7:(4096, 'ours', 7, 256)"]),
+        ("shootout", ["shootout:('ours', 128, 1, 9)",
+                      "shootout:('cuda', 128, 1, 9)",
+                      "shootout:('bump', 128, 1, 9)"]),
+    ]:
+        with tracing(Tracer(timeline=False)) as tracer:
+            res = SWEEPS[name]()
+        assert len(res.points) == len(labels)
+        assert [r["label"] for r in tracer.runs] == labels
     assert opened == []
-    assert len(tracer.runs) == len(res.points) == 4
-    assert [r["label"].split()[0] for r in tracer.runs] == [
-        "fig7:cuda", "fig7:ours", "fig7:cuda", "fig7:ours"]
 
 
 def test_sweeps_look_map_sharded_up_at_call_time(monkeypatch):

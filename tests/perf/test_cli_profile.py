@@ -5,12 +5,11 @@ import json
 import pytest
 
 from repro.bench import fig6
-from repro.bench.reporting import trace_summary
 from repro.perf import artifact
 from repro.perf.cli import main as perf_main
 from repro.perf.profile import profile_case, trace_report
 from repro.perf.suite import CASES
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, tracing
 
 #: the cheapest registered case — keeps tier-1 fast
 FAST = "ablation_collective"
@@ -104,20 +103,18 @@ class TestProfiler:
         traces every configuration its runner measures, not a subset."""
         case = CASES["fig6"]
         _, params = case.reduce(case.result("quick"), case.quick)
-        expected = Tracer()
-        fig6.run(ratios=params["ratios"],
-                 thread_targets=params["thread_targets"], seed=case.seed,
-                 tracer=expected)
+        with tracing(Tracer()) as expected:
+            fig6.run(ratios=params["ratios"],
+                     thread_targets=params["thread_targets"], seed=case.seed)
         # a classical and a delegated run per measured point
         assert len(expected.runs) == 2 * params["points"]
         summary = trace_report(case, tier="quick")
         assert f"runs: {len(expected.runs)} (" in summary
-        assert summary == trace_summary(expected)
+        assert summary == expected.summary()
 
-    def test_trace_report_only_for_traceable_cases(self):
-        assert trace_report(CASES[FAST]) is None
-        summary = trace_report(CASES["fig5"])
-        assert summary is not None and "trace summary" in summary
+    def test_trace_report_traces_any_case(self):
+        summary = trace_report(CASES[FAST])
+        assert "trace summary" in summary and "runs: 4 (" in summary
 
     @pytest.mark.parametrize("name", ["fig5"])
     def test_profile_cli_lists_hotspots(self, name, capsys):

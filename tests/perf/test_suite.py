@@ -6,7 +6,9 @@ stays quick.
 """
 
 import inspect
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ from repro.perf.suite import (
     run_case,
     run_suite,
 )
+from repro.sim.trace import Tracer, tracing
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRegistry:
@@ -42,14 +47,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="tier"):
             CASES["fig5"].result("medium")
 
-    def test_traced_runners_cover_the_figures(self):
-        # traceable means: the entry point takes a tracer
-        assert sorted(n for n, c in CASES.items() if c.traceable) == \
-            ["fig5", "fig6", "fig7"]
-        untraced = replace(CASES["fig5"], run=lambda seed, **kw: None)
-        assert not untraced.traceable
-        with pytest.raises(ValueError, match="takes no tracer"):
-            CASES["shootout"].result("quick", tracer=object())
+    @pytest.mark.parametrize("name", sorted(CASES) + ["shootout@ours+cuda"])
+    def test_every_case_traces_to_its_untraced_metrics(self, name):
+        # a tracing() block reaches every scheduler a case builds, and a
+        # tracer only observes: the traced run reduces to the same data
+        case = resolve_case(name)
+        untraced = case.reduce(case.result("quick"), case.quick)
+        with tracing(Tracer(timeline=False)) as tracer:
+            traced = case.reduce(case.result("quick"), case.quick)
+        assert traced == untraced
+        assert tracer.runs
 
 
 class TestRunCase:
@@ -195,10 +202,29 @@ class TestFrontDoor:
         assert out.startswith("=== resil ")
         assert case.result("full").table() in out
 
+    def test_resil_trace_prints_the_saved_table(self, tmp_path, capsys):
+        # followed only by `--trace PATH`, `resil` is the case too: its
+        # traced full tier prints exactly results/resil.txt, the untraced
+        # run's saved output, before its telemetry summary
+        import repro.__main__ as cli
+
+        def table(text):
+            return [line for line in text.splitlines()
+                    if not line.endswith("s wall)")]
+
+        path = tmp_path / "resil.json"
+        assert cli.main(["resil", "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        saved = table((ROOT / "results" / "resil.txt").read_text())
+        assert table(out)[:len(saved)] == saved
+        assert "== trace summary ==" in out
+        assert json.loads(path.read_text())["traceEvents"]
+
     @pytest.mark.parametrize("argv, code", [
         (["resil", "--help"], 0),
         (["resil", "list"], 0),
         (["resil", "nope"], 2),
+        (["resil", "--trace"], 2),
     ])
     def test_resil_with_more_tokens_is_the_subsystem(self, argv, code,
                                                      capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.sim import DeviceMemory, GPUDevice, Scheduler, Tracer, ops
 from repro.sim.cost_model import DEFAULT_COST_MODEL
-from repro.sim.trace import Histogram
+from repro.sim.trace import Histogram, active, tracing
 from repro.sync import RCU, BulkSemaphore, CollectiveMutex, SpinLock
 from repro.verify.race import RaceChecker
 
@@ -329,6 +329,30 @@ class TestPrimitiveTelemetry:
         assert seen == [None] * 8
 
 
+class TestTracingScope:
+    def test_schedulers_built_in_the_block_attach_its_tracer(self):
+        mem = DeviceMemory(1 << 12)
+        checker = RaceChecker()
+        with tracing(Tracer()) as tracer:
+            assert active() is tracer
+            inside = Scheduler(mem)
+            own = Scheduler(mem, tracer=checker)   # an explicit one wins
+        assert active() is None
+        assert inside.tracer is tracer and own.tracer is checker
+        assert Scheduler(mem).tracer is None
+        assert len(tracer.runs) == 1
+
+    def test_blocks_nest_and_restore_on_error(self):
+        outer, inner = Tracer(), Tracer()
+        with tracing(outer):
+            with pytest.raises(RuntimeError):
+                with tracing(inner):
+                    assert active() is inner
+                    raise RuntimeError
+            assert active() is outer
+        assert active() is None
+
+
 class TestExport:
     def _traced_run(self):
         mem = DeviceMemory(1 << 16)
@@ -402,26 +426,25 @@ class TestBenchIntegration:
     def test_fig5_run_one_traced(self):
         from repro.bench import fig5
 
-        tracer = Tracer()
-        tp = fig5.run_one("bulk", 128, 32, block=64, tracer=tracer)
+        with tracing(Tracer()) as tracer:
+            tp = fig5.run_one("bulk", 128, 32, block=64)
         assert tp > 0
         assert tracer.sem_wait.n > 0
-        assert tracer.runs[0]["label"].startswith("fig5:bulk")
+        assert len(tracer.runs) == 1
 
     def test_fig6_run_one_traced(self):
         from repro.bench import fig6
 
-        tracer = Tracer()
-        cycles, share, ok = fig6.run_one(4, 8, True, block=32, tracer=tracer)
+        with tracing(Tracer()) as tracer:
+            cycles, share, ok = fig6.run_one(4, 8, True, block=32)
         assert ok
         assert tracer.rcu_full + tracer.rcu_delegated > 0
 
     def test_fig7_run_size_traced(self):
         from repro.bench import fig7
 
-        tracer = Tracer()
-        p = fig7.run_size(64, "ours", max_threads=256, max_pool=1 << 19,
-                          tracer=tracer)
+        with tracing(Tracer()) as tracer:
+            p = fig7.run_size(64, "ours", max_threads=256, max_pool=1 << 19)
         assert p.throughput > 0
         assert tracer.op_counts  # allocator activity observed
         assert tracer.top_stall_words(1)
@@ -443,16 +466,6 @@ class TestBenchIntegration:
         # one tracing path: `perf profile` prints the same summary
         assert trace_report(tiny, tier="full") in captured
 
-    def test_cli_trace_flag_rejects_untraceable_target(self, tmp_path, capsys):
-        import repro.__main__ as cli
-
-        path = tmp_path / "t.json"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["shootout", "--trace", str(path)])
-        assert exc.value.code == 2
-        assert "--trace supports fig5, fig6, fig7" in capsys.readouterr().err
-        assert not path.exists()
-
     def test_cli_trace_flag_rejects_unwritable_path_before_running(
             self, tmp_path, monkeypatch):
         # An invalid path must fail at argument time, not after minutes
@@ -460,7 +473,7 @@ class TestBenchIntegration:
         import repro.__main__ as cli
         from repro.perf.suite import CASES
 
-        def must_not_run(*, seed, tracer=None, **kwargs):
+        def must_not_run(*, seed, **kwargs):
             raise AssertionError("the case ran before --trace was checked")
 
         monkeypatch.setitem(CASES, "fig5",

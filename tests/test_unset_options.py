@@ -34,7 +34,6 @@ CALLER_DIRS = ("src", "benchmark", "examples")
 
 _SEAM = "test seam: "
 _ARGV = "entry point: the console passes sys.argv, tests pass a list"
-_TRACED = "a perf case's entry point: BenchCase.result passes the tracer"
 
 #: "module:qualname(param)" -> why the option stays although no call in
 #: the program binds it; "module:qualname" covers every parameter.
@@ -73,10 +72,6 @@ ALLOWED = {
         _SEAM + "tests draw host-side random streams per seed",
     "repro.sim.hostrun:host_ctx(sm)":
         _SEAM + "tests pick the arena a host context maps to",
-    "repro.sim.trace:Tracer.summary(top)":
-        _SEAM + "tests check a negative top is rejected",
-    "repro.verify.race:RaceChecker.summary(top)":
-        "override of Tracer.summary: keeps the base signature",
     "repro.verify.runner:run_case(allocator_hook)":
         _SEAM + "mutation tests break the allocator after setup",
     "repro.verify.runner:run_case(check_races)":
@@ -93,9 +88,6 @@ ALLOWED = {
         _SEAM + "tests run small launches",
     "repro.bench.fig7:run_size(max_pool)":
         _SEAM + "tests exhaust a smaller pool",
-    "repro.bench.fig5:run(tracer)": _TRACED,
-    "repro.bench.fig6:run(tracer)": _TRACED,
-    "repro.bench.fig7:run(tracer)": _TRACED,
     "repro.__main__:main(argv)": _ARGV,
     "repro.backends.cli:main(argv)": _ARGV,
     "repro.perf.cli:main(argv)": _ARGV,
