@@ -3,7 +3,7 @@
 A single atomically incremented offset: allocation is one ``atomicAdd``,
 ``free`` is a no-op.  The paper cites this as the register-cheap design
 whose price is unbounded fragmentation — memory is only recovered by
-:meth:`reset`.  Used as the throughput upper bound and the
+rebuilding the pool.  Used as the throughput upper bound and the
 fragmentation lower bound in ablation benches.
 """
 
@@ -52,7 +52,7 @@ class BumpAllocator:
     def free(self, ctx: ThreadCtx, addr: int):
         """In-pool frees are counted no-ops; out-of-pool frees raise.
 
-        The design recovers nothing per-block (only :meth:`reset`
+        The design recovers nothing per-block (only rebuilding the pool
         reclaims), but a free of an address this pool never handed out
         is still a caller bug — silently ignoring it used to mask
         cross-allocator pointer mixups in comparison benches.
@@ -67,10 +67,6 @@ class BumpAllocator:
             self.n_noop_frees += 1
         if False:  # pragma: no cover - keeps this a generator
             yield
-
-    def reset(self) -> None:
-        """Host-side wholesale reset (the only reclamation available)."""
-        self.mem.store_word(self.off_addr, 0)
 
     @property
     def used_bytes(self) -> int:

@@ -144,13 +144,6 @@ class ScatterAlloc:
         # paper's chunk/bin recycling improves on.
 
     # ------------------------------------------------------------------
-    def host_used_blocks(self) -> int:
-        """Total blocks currently allocated (quiescent only)."""
-        used = 0
-        for p in range(self.n_pages):
-            used += self.mem.load_word(self._meta_addr(p) + META_BITMAP_OFF).bit_count()
-        return used
-
     def host_used_bytes(self) -> int:
         """Bytes currently allocated: per-page bitmap population times
         the page's bound block size (quiescent only)."""
@@ -164,7 +157,8 @@ class ScatterAlloc:
         return used
 
     def host_bound_pages(self) -> int:
-        """Pages currently bound to a size class (quiescent only)."""
+        """Pages currently bound to a size class (quiescent only).  A
+        test seam: tests pin the sticky page-to-size binding with it."""
         return sum(
             1 for p in range(self.n_pages)
             if self.mem.load_word(self._meta_addr(p) + META_SIZE_OFF)

@@ -16,7 +16,7 @@ from typing import Sequence
 from ..baselines import LockBuddy
 from ..core.dlist import DList
 from ..core.tbuddy import TBuddy
-from ..sim import GPUDevice, DeviceMemory, Scheduler, ops
+from ..sim import GPUDevice, DeviceMemory, Scheduler
 from ..sync import CollectiveMutex
 from .fig7 import StormResult, run_storms
 from .reporting import Series, format_table, si

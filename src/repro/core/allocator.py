@@ -100,14 +100,6 @@ class PressureGauge:
             return 0.0
         return 1.0 - min(1.0, self.free_bytes / self.pool_bytes)
 
-    @property
-    def largest_free_order(self) -> int:
-        """Largest order with free supply, or -1 when none is free."""
-        for order in range(len(self.free_per_order) - 1, -1, -1):
-            if self.free_per_order[order]:
-                return order
-        return -1
-
 
 class ThroughputAllocator:
     """Device-side ``malloc``/``free`` over a simulated memory pool.

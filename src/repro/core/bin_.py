@@ -74,7 +74,8 @@ class HeapCorruption(SimError):
 
 
 class DoubleFree(SimError):
-    """A block's bitmap bit was already clear when freed."""
+    """free() of a block not currently allocated: its bin bitmap bit or
+    its TBuddy node's allocated bit was already clear."""
 
 
 class BinOps:

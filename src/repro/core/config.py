@@ -138,10 +138,6 @@ class AllocatorConfig:
             return self.bin_size // size
         return (self.bin_size - self.bin_header_size) // size
 
-    def order_of(self, size: int) -> int:
-        """TBuddy order for a (power-of-two) coarse ``size``."""
-        return (size // self.page_size - 1).bit_length()
-
     @staticmethod
     def order_for_pool(pool_bytes: int, page_size: int = 4096) -> int:
         """The ``pool_order`` whose pool *covers* ``pool_bytes``.

@@ -57,16 +57,6 @@ class DList:
         # reach it and its links are already consistent.
         yield ops.store(self.head + self.next_off, node)
 
-    def insert_tail(self, ctx: ThreadCtx, node: int):
-        """Link ``node`` right before the sentinel."""
-        if ctx.trace is not None:
-            ctx.trace.list_inserted(ctx, self, node)
-        last = yield ops.load(self.head + self.prev_off)
-        yield ops.store(node + self.next_off, self.head)
-        yield ops.store(node + self.prev_off, last)
-        yield ops.store(last + self.next_off, node)
-        yield ops.store(self.head + self.prev_off, node)
-
     def remove(self, ctx: ThreadCtx, node: int):
         """Unlink ``node``; its own link words are left intact so
         concurrent readers parked on it can still walk off of it."""

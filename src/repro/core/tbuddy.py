@@ -42,6 +42,7 @@ from ..sim.device import ThreadCtx, rng_randbelow
 from ..sim.errors import SimError
 from ..sim.memory import DeviceMemory
 from ..sync.bulk_semaphore import C_GUARD, BulkSemaphore
+from .bin_ import DoubleFree
 
 # node word layout
 STATE_MASK = 0b011
@@ -60,10 +61,6 @@ AVAILABLE = 1
 PARTIAL = 2
 
 _NULL = DeviceMemory.NULL
-
-
-class DoubleFree(SimError):
-    """free() was called on an address not currently allocated."""
 
 
 class InvalidFree(SimError):

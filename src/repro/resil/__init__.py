@@ -19,7 +19,6 @@ Layout:
 """
 
 from .plan import (
-    ALL_KINDS,
     SITES,
     STALL_KINDS,
     FaultEvent,
@@ -30,7 +29,6 @@ from .plan import (
 )
 
 __all__ = [
-    "ALL_KINDS",
     "SITES",
     "STALL_KINDS",
     "FaultEvent",

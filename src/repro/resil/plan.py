@@ -90,9 +90,6 @@ SITES: Dict[str, Tuple[str, str]] = {
 #: kinds whose effect is a scheduler-applied delay (not a failure arm)
 STALL_KINDS = frozenset({"stall", "rcu-delay"})
 
-#: every distinct fault kind a plan can inject
-ALL_KINDS = tuple(sorted({kind for kind, _ in SITES.values()}))
-
 _RULE_DEFAULTS = {"p": 1.0, "every": 0, "max": 0, "after": 0,
                   "cycles": 2000, "detail": None}
 
@@ -208,11 +205,6 @@ class FaultPlan:
             return cls()
         return cls(tuple(FaultRule.parse(part)
                          for part in spec.split(";") if part.strip()))
-
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        """Distinct fault kinds this plan can inject, sorted."""
-        return tuple(sorted({r.kind for r in self.rules}))
 
     def __len__(self) -> int:
         return len(self.rules)

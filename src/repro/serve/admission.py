@@ -155,8 +155,3 @@ class AdmissionController:
             f"({led.outstanding_bytes}): a free released bytes that were "
             "never charged"
         )
-
-    def outstanding(self) -> Dict[int, int]:
-        """Per-tenant outstanding bytes (the reconciliation view)."""
-        return {t: led.outstanding_bytes
-                for t, led in sorted(self._ledgers.items())}

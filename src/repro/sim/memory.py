@@ -79,11 +79,6 @@ class DeviceMemory:
         self._meta_brk = base
         return base
 
-    @property
-    def meta_base(self) -> int:
-        """Lowest address currently used by host metadata allocations."""
-        return self._meta_brk
-
     # ------------------------------------------------------------------
     # Word accessors (used by the scheduler and by host-side code)
     # ------------------------------------------------------------------
@@ -191,13 +186,18 @@ class DeviceMemory:
     # Counts must be non-negative ints (ValueError otherwise).  A
     # zero-length access at any address in ``0..size`` is a no-op.
     def read_bytes(self, addr: int, nbytes: int) -> bytes:
-        """Copy ``nbytes`` starting at ``addr`` out of device memory."""
+        """Copy ``nbytes`` starting at ``addr`` out of device memory.
+
+        A test seam, like :meth:`write_bytes`: the program moves words,
+        and tests check raw bytes and lazy pages through these two.
+        """
         if addr < 0 or addr + _count("nbytes", nbytes) > self.size:
             raise OutOfBoundsAccess(addr, self.size)
         return self._map[addr : addr + nbytes]
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        """Copy ``data`` into device memory starting at ``addr``."""
+        """Copy ``data`` into device memory starting at ``addr`` (a test
+        seam; see :meth:`read_bytes`)."""
         if addr < 0 or addr + len(data) > self.size:
             raise OutOfBoundsAccess(addr, self.size)
         self._map[addr : addr + len(data)] = data

@@ -1024,4 +1024,7 @@ class Scheduler:
 
     @property
     def live_threads(self) -> int:
+        """Threads launched and not yet retired.  A test seam: the
+        program reads ``_live_threads`` directly, and the loop-parity
+        tests check through this that every thread retired."""
         return self._live_threads

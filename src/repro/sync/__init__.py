@@ -12,7 +12,7 @@ classical primitives they are measured against:
 """
 
 from .bulk_semaphore import BulkSemaphore, BulkSemaphoreOverflow, pack, unpack
-from .collective import CollectiveMutex, group_rank
+from .collective import CollectiveMutex
 from .counting_semaphore import CountingSemaphore
 from .rcu import RCU
 from .spinlock import SpinLock
@@ -26,5 +26,4 @@ __all__ = [
     "unpack",
     "RCU",
     "CollectiveMutex",
-    "group_rank",
 ]

@@ -77,7 +77,12 @@ class CollectiveMutex:
 
     # -- block-collective ------------------------------------------------
     def lock_block(self, ctx: ThreadCtx):
-        """Collectively acquire with the entire thread block."""
+        """Collectively acquire with the entire thread block.
+
+        The paper's own form of the collective (§4.2.2).  UAlloc and the
+        collective ablation use the warp form, so only tests run this
+        one; it stays as the primitive the paper presents.
+        """
         if ctx.tid_in_block == 0:
             if ctx.trace is not None:
                 ctx.trace.collective_joined(ctx, ctx.block_dim)
@@ -85,7 +90,8 @@ class CollectiveMutex:
         yield ops.syncthreads()
 
     def unlock_block(self, ctx: ThreadCtx):
-        """Collectively release with the entire thread block."""
+        """Collectively release with the entire thread block (the
+        paper's §4.2.2 form; see :meth:`lock_block`)."""
         yield ops.syncthreads()
         if ctx.tid_in_block == 0:
             yield from self._mutex.unlock(ctx)
@@ -98,12 +104,3 @@ class CollectiveMutex:
     def unlock(self, ctx: ThreadCtx):
         """Plain single-thread release."""
         yield from self._mutex.unlock(ctx)
-
-    # -- host side ---------------------------------------------------------
-    def is_locked(self) -> bool:
-        return self._mutex.is_locked()
-
-
-def group_rank(ctx: ThreadCtx, mask: frozenset) -> int:
-    """This thread's 0-based index within a converged group mask."""
-    return sorted(mask).index(ctx.lane)

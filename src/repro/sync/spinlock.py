@@ -37,26 +37,12 @@ class SpinLock:
         self.mem = mem
         self.addr = mem.host_alloc(8) if addr is None else addr
         mem.store_word(self.addr, _FREE)
-        # lock()/try_lock() run once per critical section on the hottest
-        # paths; their op tuples are invariant, so build them once.
+        # lock() runs once per critical section on the hottest paths;
+        # its op tuples are invariant, so build them once.
         self._load_op = ops.load(self.addr)
         self._cas_op = ops.atomic_cas(self.addr, _FREE, _HELD)
 
     # -- device side ---------------------------------------------------
-    def try_lock(self, ctx: ThreadCtx):
-        """Single attempt; returns True if the lock was taken."""
-        tr = ctx.trace
-        t0 = tr.now(ctx) if tr is not None else 0
-        old = yield self._cas_op
-        if old == _FREE:
-            if tr is not None:
-                tr.lock_acquired(ctx, self.addr, t0)
-            if ctx.fault is not None:
-                # stall site: hold the lock for extra cycles
-                yield ops.fault_point("spinlock.hold", self.addr)
-            return True
-        return False
-
     def lock(self, ctx: ThreadCtx):
         """Acquire, spinning with randomized exponential backoff."""
         tr = ctx.trace
@@ -91,8 +77,3 @@ class SpinLock:
         yield ops.atomic_exch(self.addr, _FREE)
         if ctx.trace is not None:
             ctx.trace.lock_released(ctx, self.addr)
-
-    # -- host side -----------------------------------------------------
-    def is_locked(self) -> bool:
-        """Host-side inspection (valid only while no kernel is running)."""
-        return self.mem.load_word(self.addr) == _HELD

@@ -88,13 +88,6 @@ class Trace:
         """Arrival time of the last event (0 for an empty trace)."""
         return self.events[-1].time if self.events else 0
 
-    def events_by_tenant(self) -> Dict[int, List[TraceEvent]]:
-        """Events partitioned per tenant, preserving stream order."""
-        out: Dict[int, List[TraceEvent]] = {t: [] for t in range(self.tenants)}
-        for e in self.events:
-            out[e.tenant].append(e)
-        return out
-
     def header(self) -> dict:
         return {
             "schema": SCHEMA,

@@ -68,14 +68,9 @@ class ZipfSampler:
         return bisect_right(self._cum, rng.random() * self._total)
 
     def weights(self) -> List[float]:
-        """Normalized probability of each index (diagnostics/tests)."""
+        """Normalized probability of each index.  A test seam: the
+        program only samples, and tests pin the distribution here."""
         return [
             (c - (self._cum[i - 1] if i else 0.0)) / self._total
             for i, c in enumerate(self._cum)
         ]
-
-
-def zipf_shares(n: int, skew: float) -> List[float]:
-    """Normalized Zipfian weight of each of ``n`` ranks (rank 1 first)."""
-    return ZipfSampler(n, skew).weights()
-

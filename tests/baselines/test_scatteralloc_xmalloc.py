@@ -19,7 +19,7 @@ class TestScatterAllocSequential:
         p = drive(mem, sa.malloc(host_ctx(), 100))  # -> 128 class
         assert p != NULL
         drive(mem, sa.free(host_ctx(), p))
-        assert sa.host_used_blocks() == 0
+        assert sa.host_used_bytes() == 0
 
     def test_distinct_blocks(self):
         mem, sa = self.make()
@@ -80,7 +80,7 @@ class TestScatterAllocConcurrent:
         s.launch(kernel, 4, 64)
         s.run(max_events=40_000_000)
         assert not fails
-        assert sa.host_used_blocks() == 0
+        assert sa.host_used_bytes() == 0
 
     def test_concurrent_distinct(self):
         mem = DeviceMemory(8 << 20)

@@ -59,12 +59,6 @@ class TestDefaults:
         assert cfg.bin_capacity(1024) == 3
         assert cfg.bin_capacity(2048) == 1  # the degenerate 2 KB case
 
-    def test_order_of(self):
-        cfg = AllocatorConfig()
-        assert cfg.order_of(4096) == 0
-        assert cfg.order_of(8192) == 1
-        assert cfg.order_of(cfg.chunk_size) == cfg.chunk_order
-
     def test_pool_size(self):
         assert AllocatorConfig(pool_order=10).pool_size == 4 << 20
 

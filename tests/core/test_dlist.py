@@ -29,13 +29,6 @@ class TestSequential:
         assert lst.host_items() == nodes[::-1]
         lst.host_check()
 
-    def test_insert_tail_order(self, mem):
-        lst = DList(mem)
-        nodes = [mem.host_alloc(32) for _ in range(3)]
-        for n in nodes:
-            drive(mem, lst.insert_tail(host_ctx(), n))
-        assert lst.host_items() == nodes
-
     def test_remove_middle(self, mem):
         lst, nodes = make(mem, 3)
         drive(mem, lst.remove(host_ctx(), nodes[1]))

@@ -169,7 +169,8 @@ class TestPressureGauge:
         gauge = alloc.host_pressure()
         assert gauge.free_bytes == alloc.cfg.pool_size
         assert gauge.pressure == 0.0
-        assert gauge.largest_free_order == alloc.cfg.pool_order
+        # the whole pool is one free block of the top order
+        assert gauge.free_per_order == (0,) * alloc.cfg.pool_order + (1,)
 
     def test_gauge_tracks_supply_by_order(self):
         mem, alloc = make_alloc()
@@ -224,5 +225,5 @@ class TestPressureGauge:
         gauge = alloc.host_pressure()
         assert gauge.free_bytes == 0
         assert gauge.pressure == 1.0
-        assert gauge.largest_free_order == -1
+        assert not any(gauge.free_per_order)
         drive(mem, alloc.free(host_ctx(), p))

@@ -101,6 +101,18 @@ class TestSequentialLifecycle:
         with pytest.raises(DoubleFree):
             drive(mem, alloc.free(host_ctx(), a))
 
+    @pytest.mark.parametrize("size", [64, 8192])
+    def test_double_free_raises_the_one_public_class(self, size):
+        """A bin block (64 B) and a TBuddy block (8 KiB) both raise
+        ``repro.core.DoubleFree``."""
+        from repro.core import DoubleFree
+        mem, device, alloc = make()
+        anchor = drive(mem, alloc.malloc(host_ctx(), size))  # a 64 B bin stays live
+        a = drive(mem, alloc.malloc(host_ctx(), size))
+        drive(mem, alloc.free(host_ctx(), a))
+        with pytest.raises(DoubleFree):
+            drive(mem, alloc.free(host_ctx(), a))
+
     def test_double_free_of_retired_bin_detected(self):
         """Even after the bin retires, a stale free is caught (the bin's
         count sentinel / chunk magic trips)."""

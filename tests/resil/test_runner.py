@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import backends
-from repro.resil import ALL_KINDS, FaultPlan
+from repro.resil import FaultPlan
 from repro.resil import cli
 from repro.resil.plan import SITES, FaultRule
 from repro.resil import runner as resil_runner
@@ -191,10 +191,10 @@ class TestPlacements:
 class TestDecks:
     def test_deck_and_placements_cover_all_kinds(self, placed):
         # every fault kind the plan model defines is injected somewhere
-        kinds = {k for spec in DECK for k in spec.plan.kinds}
-        kinds |= {k for specs in placed.values()
-                  for spec in specs for k in spec.plan.kinds}
-        assert kinds == set(ALL_KINDS)
+        kinds = {r.kind for spec in DECK for r in spec.plan.rules}
+        kinds |= {r.kind for specs in placed.values()
+                  for spec in specs for r in spec.plan.rules}
+        assert kinds == {kind for kind, _ in SITES.values()}
 
     def test_deck_specs_are_unique(self, placed):
         replays = [spec.replay for spec in DECK]

@@ -117,10 +117,3 @@ class TestPressureGate:
         ac = AdmissionController()
         ac.begin_batch()
         assert ac.admit_malloc(0, 1 << 40) is None
-
-    def test_outstanding_view_is_sorted_per_tenant(self):
-        ac = AdmissionController()
-        ac.begin_batch()
-        ac.admit_malloc(3, 30)
-        ac.admit_malloc(1, 10)
-        assert ac.outstanding() == {1: 10, 3: 30}

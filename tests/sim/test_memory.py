@@ -110,7 +110,6 @@ class TestHostAlloc:
         b = mem.host_alloc(8)
         assert a % 64 == 0
         assert b + 8 <= a
-        assert mem.meta_base == b
 
     def test_exhaustion_raises(self):
         mem = DeviceMemory(64)

@@ -1,7 +1,7 @@
 """Collective mutex: warp- and block-collective acquire/release."""
 
 from repro.sim import DeviceMemory, Scheduler, ops
-from repro.sync import CollectiveMutex, group_rank
+from repro.sync import CollectiveMutex
 
 
 def test_warp_collective_single_acquisition_per_group(mem, run_kernel):
@@ -25,7 +25,7 @@ def test_warp_collective_single_acquisition_per_group(mem, run_kernel):
     run_kernel(kernel, grid=2, block=64)  # 4 warps
     assert violations == []
     assert mem.load_word(acquisitions) == 4  # one lock per warp group
-    assert not cm.is_locked()
+    assert mem.load_word(cm._mutex.addr) == 0  # released
 
 
 def test_warp_collective_members_cooperate_by_rank(mem, run_kernel):
@@ -35,7 +35,7 @@ def test_warp_collective_members_cooperate_by_rank(mem, run_kernel):
 
     def kernel(ctx):
         mask = yield from cm.lock_warp(ctx)
-        rank = group_rank(ctx, mask)
+        rank = sorted(mask).index(ctx.lane)
         # each member claims slot base+rank with one shared cursor read
         if rank == 0:
             base = yield ops.atomic_add(cursor, len(mask))
@@ -66,7 +66,7 @@ def test_block_collective(mem, run_kernel):
     run_kernel(kernel, grid=4, block=32)
     assert mem.load_word(counter) == 128
     assert mem.load_word(acquisitions) == 4
-    assert not cm.is_locked()
+    assert mem.load_word(cm._mutex.addr) == 0  # released
 
 
 def test_plain_lock_degenerate_path(mem, run_kernel):

@@ -1,4 +1,4 @@
-"""SpinLock: mutual exclusion, try_lock, host inspection."""
+"""SpinLock: mutual exclusion and lock-word placement."""
 
 from repro.sim import DeviceMemory, Scheduler, ops
 from repro.sync import SpinLock
@@ -18,7 +18,7 @@ def test_mutual_exclusion_protects_read_modify_write(mem, run_kernel):
 
     run_kernel(kernel, grid=4, block=32)
     assert mem.load_word(shared) == 4 * 32 * 3
-    assert not lock.is_locked()
+    assert mem.load_word(lock.addr) == 0  # released
 
 
 def test_critical_sections_never_overlap(mem, run_kernel):
@@ -37,20 +37,6 @@ def test_critical_sections_never_overlap(mem, run_kernel):
 
     run_kernel(kernel, grid=2, block=64)
     assert violations == []
-
-
-def test_try_lock_single_winner(mem, run_kernel):
-    lock = SpinLock(mem)
-    wins = []
-
-    def kernel(ctx):
-        got = yield from lock.try_lock(ctx)
-        if got:
-            wins.append(ctx.tid)
-
-    run_kernel(kernel, grid=1, block=64)
-    assert len(wins) == 1
-    assert lock.is_locked()
 
 
 def test_lock_at_explicit_address():

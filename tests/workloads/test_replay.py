@@ -24,7 +24,10 @@ class TestBuildLanes:
         assert len(lanes) == t.tenants * 2
         assert set(stats) == set(range(t.tenants))
         # every event lands in one of its tenant's lanes, stream order kept
-        for tenant, evs in t.events_by_tenant().items():
+        by_tenant = {tenant: [] for tenant in range(t.tenants)}
+        for e in t.events:
+            by_tenant[e.tenant].append(e)
+        for tenant, evs in by_tenant.items():
             a, b = lanes[tenant * 2], lanes[tenant * 2 + 1]
             assert sorted((e.id, e.time) for e in a + b) == \
                 sorted((e.id, e.time) for e in evs)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.workloads.zipf import ZipfSampler, _rank_pow, zipf_shares
+from repro.workloads.zipf import ZipfSampler, _rank_pow
 
 
 class TestRankPow:
@@ -71,8 +71,3 @@ class TestZipfSampler:
         a = [ZipfSampler(10, 1.5).sample(random.Random(3)) for _ in range(20)]
         b = [ZipfSampler(10, 1.5).sample(random.Random(3)) for _ in range(20)]
         assert a == b
-
-
-class TestHelpers:
-    def test_zipf_shares_matches_sampler(self):
-        assert zipf_shares(6, 1.0) == ZipfSampler(6, 1.0).weights()
