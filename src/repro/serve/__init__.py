@@ -24,9 +24,10 @@ persists across all of them.  This package is that front end:
     latency streams back from the lane completion times.
 
 :mod:`~repro.serve.server`
-    The socket front end: one event-loop thread reads every session,
-    closes a batch when it is full or its oldest request has waited
-    ``batch_window``, and runs it on the engine — so the engine, and
+    The socket front end: one event-loop thread reads every ready
+    session, then runs all it read on the engine, in episodes of at
+    most ``batch_max`` requests; a batch is what arrived while the
+    previous episodes ran, never a wait on purpose.  The engine, and
     therefore the simulated device, stays single-threaded and
     deterministic per batch.
 

@@ -36,7 +36,7 @@ from ..workloads import families, replay as direct_replay
 from ..workloads.trace import TraceError, TraceRecorder, dump, load, validate
 from . import bench, loadgen
 from .engine import ServeEngine
-from .server import ServeServer
+from .server import BATCH_MAX, ServeServer
 
 
 def _build_trace(args):
@@ -51,7 +51,6 @@ def _cmd_run(args) -> int:
     engine = ServeEngine(backend=args.backend, pool=args.pool,
                          seed=args.seed, quota_bytes=args.quota)
     server = ServeServer(engine, host=args.host, port=args.port,
-                         batch_window=args.batch_window,
                          batch_max=args.batch_max)
     host, port = server.start()
     quota = "unlimited" if args.quota is None else si(args.quota) + "B"
@@ -59,12 +58,15 @@ def _cmd_run(args) -> int:
           f"(quota/tenant {quota}, batch_max {args.batch_max}); "
           "Ctrl-C to stop")
     try:
-        while True:
-            time.sleep(3600)
+        server.wait()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
+    if server.error is not None:
+        print(f"serve run: the event loop died: {server.error!r}",
+              file=sys.stderr)
+        return 1
     snap = engine.snapshot()
     print(f"\nserved {snap['requests']} request(s) in {snap['episodes']} "
           f"episode(s), {snap['cycles']} virtual cycles; "
@@ -114,8 +116,7 @@ def _cmd_bench(args) -> int:
     for backend in roster:
         engine = ServeEngine(backend=backend, pool=args.pool,
                              seed=args.seed, quota_bytes=args.quota)
-        server = ServeServer(engine, batch_window=args.batch_window,
-                             batch_max=args.batch_max)
+        server = ServeServer(engine, batch_max=args.batch_max)
         t0 = time.time()
         with server as (host, port):
             report = loadgen.run(trace, host, port,
@@ -217,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="per-tenant outstanding-byte quota "
                             "(default: unlimited)")
-        p.add_argument("--batch-max", type=int_at_least(1), default=32,
-                       metavar="N",
-                       help="max requests per episode (default 32)")
+        p.add_argument("--batch-max", type=int_at_least(1),
+                       default=BATCH_MAX, metavar="N",
+                       help=f"max requests per episode (default {BATCH_MAX})")
 
     def _traffic(p) -> None:
         p.add_argument("--trace", metavar="PATH", default=None,
@@ -243,20 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     p_run.add_argument("--port", type=_port, default=0,
                        help="bind port (default 0 = ephemeral)")
-    p_run.add_argument("--batch-window", type=positive_float, default=0.005,
-                       metavar="SECONDS",
-                       help="longest a request waits for its batch to close "
-                            "(default 5 ms)")
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="socket load generation + "
                                            "ledger reconciliation")
     _common(p_bench, single_backend=False)
     _traffic(p_bench)
-    p_bench.add_argument("--batch-window", type=positive_float, default=0.002,
-                         metavar="SECONDS",
-                         help="longest a request waits for its batch to "
-                              "close (default 2 ms)")
     p_bench.add_argument("--cps", type=positive_float, default=None,
                          metavar="CYCLES_PER_SEC",
                          help="pace sends: virtual-cycle gaps become "

@@ -6,11 +6,13 @@ the listener, every session socket and a wake-up socket pair that
 :meth:`ServeServer.stop` writes to.  It reads whatever a ready socket
 holds and splits lines with the session's own buffer; ``hello``,
 ``bye`` and malformed input (a counted protocol-error reply) are
-answered inline, and every well-formed request joins the pending batch
-stamped with the time it was read.  A batch closes when ``batch_max``
-requests are pending or when the oldest has waited ``batch_window``
-seconds; the loop runs one engine episode for it and writes each
-session's replies in one write, in request order, ``stats`` last.
+answered inline, and every well-formed request joins the pending list.
+Batching is work-conserving: each turn blocks until some socket is
+ready, handles every ready socket once, then runs everything pending in
+episodes of at most ``batch_max`` requests, so a batch grows only from
+requests that arrived while the loop was busy and no request waits on
+purpose.  Each episode writes each session's replies in one write, in
+request order, ``stats`` last.
 
 Sessions are non-blocking: replies a socket does not take wait in the
 session's buffer, and a client that stops reading is dropped once
@@ -30,7 +32,6 @@ from __future__ import annotations
 import selectors
 import socket
 import threading
-from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
 from . import protocol
@@ -39,6 +40,10 @@ from .protocol import OP_BYE, OP_MALLOC, OP_STATS, ProtocolError
 
 #: bytes asked of a ready socket per read
 _RECV_BYTES = 1 << 16
+
+#: the default cap on requests per episode, shared with the CLI's
+#: ``--batch-max``
+BATCH_MAX = 32
 
 #: unsent reply bytes past which a session that stopped reading is dropped
 MAX_UNSENT = 16 * protocol.MAX_LINE
@@ -98,15 +103,10 @@ class ServeServer:
     """Newline-framed-JSON allocator service over TCP."""
 
     def __init__(self, engine: ServeEngine, host: str = "127.0.0.1",
-                 port: int = 0, batch_window: float = 0.005,
-                 batch_max: int = 64):
+                 port: int = 0, batch_max: int = BATCH_MAX):
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1 (got {batch_max})")
-        if batch_window <= 0:
-            raise ValueError(
-                f"batch_window must be > 0 seconds (got {batch_window})")
         self.engine = engine
-        self.batch_window = batch_window
         self.batch_max = batch_max
         self._host = host
         self._port = port
@@ -114,11 +114,13 @@ class ServeServer:
         self._sel: Optional[selectors.BaseSelector] = None
         self._wake: Optional[socket.socket] = None
         self._stopping = False
-        #: (session, request, time read) in arrival order
-        self._pending: List[Tuple[_Session, protocol.Request, float]] = []
+        #: (session, request) in arrival order
+        self._pending: List[Tuple[_Session, protocol.Request]] = []
         #: malformed messages received across all sessions (the CI
         #: smoke gate: any nonzero count fails the run)
         self.protocol_errors = 0
+        #: the exception that ended the event loop, if one did
+        self.error: Optional[Exception] = None
         self.address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -150,6 +152,11 @@ class ServeServer:
         self._thread.join(timeout=5.0)
         self._wake.close()
 
+    def wait(self) -> None:
+        """Block until the event loop ends: on :meth:`stop`, or on an
+        exception, which :attr:`error` then holds."""
+        self._thread.join()
+
     def __enter__(self) -> Tuple[str, int]:
         return self.start()
 
@@ -164,11 +171,7 @@ class ServeServer:
         pending = self._pending
         try:
             while not self._stopping:
-                timeout = None
-                if pending:
-                    timeout = max(0.0, pending[0][2] + self.batch_window
-                                  - monotonic())
-                for key, events in sel.select(timeout):
+                for key, events in sel.select():
                     if key.data is None:
                         if key.fileobj is lst:
                             self._accept(lst)
@@ -176,11 +179,15 @@ class ServeServer:
                         key.data.flush()  # reads wait until it drains
                     else:
                         self._read(key.data)
-                while pending and (
-                        len(pending) >= self.batch_max
-                        or monotonic() - pending[0][2] >= self.batch_window):
+                # Run all this turn read, not only when select() finds
+                # nothing more: a peer that never stops sending would
+                # then starve the requests already pending.
+                while pending:
                     self._run_batch(pending[:self.batch_max])
                     del pending[:self.batch_max]
+        except Exception as e:
+            self.error = e
+            raise
         finally:
             for key in list(sel.get_map().values()):
                 if key.data is not None:
@@ -207,10 +214,9 @@ class ServeServer:
         if not data:
             sess.close()
             return
-        now = monotonic()
         *lines, sess.buf = (sess.buf + data).split(b"\n")
         for line in lines:
-            self._handle_line(sess, line.strip(), now)
+            self._handle_line(sess, line.strip())
             if not sess.open:
                 return
         if len(sess.buf) > protocol.MAX_LINE:
@@ -223,7 +229,7 @@ class ServeServer:
         self.protocol_errors += 1
         sess.send(protocol.protocol_error_reply(detail, req))
 
-    def _handle_line(self, sess: _Session, line: bytes, now: float) -> None:
+    def _handle_line(self, sess: _Session, line: bytes) -> None:
         """Answer or queue one line."""
         if not line:
             return
@@ -250,12 +256,12 @@ class ServeServer:
             sess.send(protocol.bye_reply())
             sess.close()
             return
-        self._pending.append((sess, req, now))
+        self._pending.append((sess, req))
 
     def _run_batch(self, entries) -> None:
         batch_entries = []
         stats_entries = []
-        for sess, req, _ in entries:
+        for sess, req in entries:
             if req.op == OP_STATS:
                 stats_entries.append(sess)
             else:

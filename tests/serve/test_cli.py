@@ -1,8 +1,14 @@
 """The ``python -m repro serve`` argument surface."""
 
+import queue
+import socket
+import threading
+
 import pytest
 
-from repro.serve import cli
+from repro.serve import cli, protocol
+from repro.serve.engine import ServeEngine
+from repro.serve.server import ServeServer
 
 
 @pytest.fixture(autouse=True)
@@ -21,7 +27,6 @@ def no_server(monkeypatch):
     (["--pool", "100"], "argument --pool: ours cannot use 100 bytes: "),
     (["--batch-max", "0"], "argument --batch-max: must be >= 1 (got 0)"),
     (["--quota", "-1"], "argument --quota: must be >= 0 (got -1)"),
-    (["--batch-window", "-1"], "argument --batch-window: must be > 0"),
 ])
 def test_hostile_options_are_usage_errors(command, argv, message, capsys):
     # these used to raise a ValueError traceback (exit 1)
@@ -32,6 +37,50 @@ def test_hostile_options_are_usage_errors(command, argv, message, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bench", "run"])
+def test_batch_window_option_is_gone(command, capsys):
+    # batching is work-conserving: there is no window to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--batch-window", "0.005"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --batch-window"
+            in capsys.readouterr().err)
+
+
+# the loop thread's traceback is the expected report of its death
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_run_exits_nonzero_when_the_event_loop_dies(monkeypatch, capsys):
+    # `serve run` used to sleep on with its socket closed until killed
+    def broken_submit(self, batch):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(ServeEngine, "submit", broken_submit)
+    started = queue.Queue()
+
+    class AnnouncingServer(ServeServer):
+        def start(self):
+            address = super().start()
+            started.put(address)
+            return address
+
+    monkeypatch.setattr(cli, "ServeServer", AnnouncingServer)
+    rc = []
+    runner = threading.Thread(target=lambda: rc.append(cli.main(["run"])),
+                              daemon=True)
+    runner.start()
+    host, port = started.get(timeout=10)
+    with socket.create_connection((host, port), timeout=10) as conn:
+        conn.sendall(protocol.encode({"op": "hello", "tenant": 0,
+                                      "proto": protocol.PROTOCOL})
+                     + protocol.encode({"op": "malloc", "req": 0,
+                                        "size": 64}))
+        runner.join(timeout=5)
+    assert not runner.is_alive(), "serve run outlived its event loop"
+    assert rc == [1]
+    assert "engine fault" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cps", ["0", "-5", "nan"])

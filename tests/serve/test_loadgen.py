@@ -35,8 +35,7 @@ def _serve(trace, cycles_per_second=None, **engine_kw):
     engine_kw.setdefault("backend", "ours")
     engine_kw.setdefault("pool", POOL)
     engine_kw.setdefault("seed", 0)
-    srv = ServeServer(ServeEngine(**engine_kw), batch_window=0.002,
-                      batch_max=32)
+    srv = ServeServer(ServeEngine(**engine_kw))
     with srv as (host, port):
         report = loadgen.run(trace, host, port,
                              cycles_per_second=cycles_per_second)
@@ -180,8 +179,7 @@ class TestPacing:
     def test_paced_run_accounts_identically(self):
         trace = load_bundled("serve_small")
         _, flat = _serve(trace)
-        srv = ServeServer(ServeEngine(backend="ours", pool=POOL, seed=0),
-                          batch_window=0.002, batch_max=32)
+        srv = ServeServer(ServeEngine(backend="ours", pool=POOL, seed=0))
         with srv as (host, port):
             paced = loadgen.run(trace, host, port,
                                 cycles_per_second=10_000_000)

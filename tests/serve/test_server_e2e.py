@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+import statistics
 import threading
 import time
 
@@ -59,8 +60,7 @@ def _server(**engine_kw):
     engine_kw.setdefault("backend", "ours")
     engine_kw.setdefault("pool", 4 << 20)
     engine_kw.setdefault("seed", 0)
-    return ServeServer(ServeEngine(**engine_kw), batch_window=0.002,
-                       batch_max=32)
+    return ServeServer(ServeEngine(**engine_kw))
 
 
 class TestSingleSession:
@@ -235,18 +235,36 @@ class TestPipelinedSessionsInOneBatch:
             real_write(sess, data)
 
         monkeypatch.setattr(server_mod._Session, "write", recording_write)
-        # a window far above the gap between the two bursts puts both
-        # sessions' requests in one batch
-        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
-                          batch_window=0.5, batch_max=64)
+        srv = _server()
+        real_submit = srv.engine.submit
+        held, release = threading.Event(), threading.Event()
+
+        def held_submit(batch):
+            if not held.is_set():
+                held.set()
+                release.wait(REPLY_TIMEOUT)
+            return real_submit(batch)
+
+        srv.engine.submit = held_submit
         with srv as (host, port):
             clients = [_Client(host, port, tenant) for tenant in (0, 1)]
+            # a third session's request holds the loop in an episode
+            blocker = _Client(host, port, tenant=2)
+            blocker.conn.sendall(protocol.encode(
+                {"op": "malloc", "req": 0, "size": 64}))
+            assert held.wait(REPLY_TIMEOUT)
             writes.clear()
             for tenant, c in enumerate(clients):
                 burst = [{"op": "malloc", "req": i, "size": 64 + 32 * tenant}
                          for i in range(self.N_EACH)]
                 burst.append({"op": "stats"})
                 c.conn.sendall(b"".join(protocol.encode(m) for m in burst))
+            # both bursts wait in the server's socket buffers, so the turn
+            # after the held episode reads them together: one batch
+            time.sleep(0.05)
+            release.set()
+            assert json.loads(blocker.reader.readline())["ok"]
+            blocker.close()
             replies = {}
             for tenant, c in enumerate(clients):
                 lines = [c.reader.readline() for _ in range(self.N_EACH + 1)]
@@ -264,38 +282,27 @@ class TestPipelinedSessionsInOneBatch:
             assert stats["op"] == "stats" and stats["ok"]
         assert len(episodes) == 1
         # one write per session for the whole batch, stats included
-        batch_writes = [(t, d) for t, d in writes if b'"bye"' not in d]
+        batch_writes = [(t, d) for t, d in writes
+                        if t != 2 and b'"bye"' not in d]
         assert sorted(t for t, _ in batch_writes) == [0, 1]
         assert all(d.count(b"\n") == self.N_EACH + 1 for _, d in batch_writes)
 
 
 class TestBatchingContract:
-    def test_trickle_gets_a_reply_within_the_window(self):
-        # Requests 0.1 s apart never leave a 0.2 s quiet gap, so a quiet
-        # window would hold the first one until the trickle ends.
-        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
-                          batch_window=0.2, batch_max=64)
+    def test_lone_request_runs_without_a_batching_delay(self):
+        # Nothing else is pending, so the loop runs each request as soon
+        # as it reads it.
+        srv = _server()
         with srv as (host, port):
             c = _Client(host, port, tenant=0)
-
-            def trickle():
-                for i in range(6):
-                    c.conn.sendall(protocol.encode(
-                        {"op": "malloc", "req": i, "size": 64}))
-                    time.sleep(0.1)
-
-            t0 = time.monotonic()
-            sender = threading.Thread(target=trickle, daemon=True)
-            sender.start()
-            first = json.loads(c.reader.readline())
-            waited = time.monotonic() - t0
-            rest = [json.loads(c.reader.readline()) for _ in range(5)]
-            sender.join(timeout=10)
-            assert not sender.is_alive()
+            c.conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            round_trips = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                assert c.request("malloc", size=64)["ok"]
+                round_trips.append(time.perf_counter() - t0)
             c.close()
-        assert first["ok"] and first["req"] == 0
-        assert waited < 0.45, waited
-        assert [r["req"] for r in rest] == [1, 2, 3, 4, 5]
+        assert statistics.median(round_trips) < 0.0025, round_trips
         assert srv.protocol_errors == 0
 
     def test_line_split_across_two_sends(self):
@@ -327,8 +334,7 @@ class TestBatchingContract:
         assert srv.protocol_errors == 0
 
     def test_disconnect_with_pending_requests_spares_other_sessions(self):
-        srv = ServeServer(ServeEngine(backend="ours", pool=4 << 20, seed=0),
-                          batch_window=0.3, batch_max=64)
+        srv = _server()
         with srv as (host, port):
             gone, stays = _Client(host, port, 0), _Client(host, port, 1)
             burst = [{"op": "malloc", "req": i, "size": 64} for i in range(5)]
